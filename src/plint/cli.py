@@ -1,5 +1,8 @@
 """Command-line surface: evaluate families, run verification, print tables.
 
+The families, their parameter flags and endpoints come from the family
+table (families.TABLE); `eval` and `table` read it and nothing else.
+
 Exit codes: 0 success, 1 verification failure, 2 parameter problems,
 3 genuinely divergent requests.  Identical invocations print identical
 bytes, so outputs can be frozen as goldens.
@@ -15,33 +18,14 @@ import os
 import sys
 from fractions import Fraction
 
-from . import evaluators as ev
 from . import exact
 from .errors import (DivergentAtOne, DivergentValue, NonIntegrable,
                      ParameterError, PlintError)
-from .eulersums import K_base, reduce_S
+from .families import LOWER, TABLE, closed_form
 from .numerics import numeric_eval
 from .verification import SUITES, all_passed, format_value, run_suite
 
-FAMILIES = ("A", "B", "C", "J0", "J1", "J", "K", "L", "M", "S", "Kbase")
-
-_PARAMS = {
-    "A": ("m", "n"),
-    "B": ("m", "n"),
-    "C": ("m", "n"),
-    "J0": ("m", "p"),
-    "J1": ("m", "p"),
-    "J": ("m", "p", "q"),
-    "K": ("m", "p", "q"),
-    "L": ("n", "m"),
-    "M": ("n", "m"),
-    "S": ("p", "q"),
-    "Kbase": ("m", "q"),
-}
-
-# families whose integral depends on the endpoint --x; the rest are
-# fixed-interval objects where anything but the default 1 is a mistake
-_POINTED = frozenset({"A", "B", "C", "J0", "J1", "L", "M"})
+FAMILIES = tuple(name for name, entry in TABLE.items() if entry.cli)
 
 DEFAULT_DIGITS = 30
 
@@ -72,56 +56,30 @@ def _parse_point(text: str) -> Fraction:
     return x
 
 
-def _evaluate(family: str, p: dict[str, int], x: Fraction) -> exact.ClosedForm:
-    if family == "A":
-        return ev.A_general(p["m"], p["n"], x)
-    if family == "B":
-        return ev.B_general(p["m"], p["n"], x)
-    if family == "C":
-        return ev.C_general(p["m"], p["n"], x)
-    if family == "J0":
-        return ev.J0_eval(p["m"], p["p"], x)
-    if family == "J1":
-        return ev.J1_eval(p["m"], p["p"], x)
-    if family == "J":
-        return ev.J_eval(p["m"], p["p"], p["q"])
-    if family == "K":
-        return ev.K_eval(p["m"], p["p"], p["q"])
-    if family == "L":
-        return ev.L_integral(p["n"], p["m"], at=x)
-    if family == "M":
-        return ev.M_integral(p["n"], p["m"], frm=x)
-    if family == "S":
-        return reduce_S(p["p"], p["q"])
-    return K_base(p["m"], p["q"])
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
     family = args.family
-    names = _PARAMS[family]
-    params: dict[str, int] = {}
+    entry = TABLE[family]
     for name in ("m", "n", "p", "q"):
         value = getattr(args, name)
-        if name in names:
-            if value is None:
-                flags = " ".join(f"--{k}" for k in names)
-                raise ParameterError(f"family {family} requires {flags}")
-            params[name] = value
-        elif value is not None:
+        if name in entry.params and value is None:
+            flags = " ".join(f"--{k}" for k in entry.params)
+            raise ParameterError(f"family {family} requires {flags}")
+        if name not in entry.params and value is not None:
             raise ParameterError(f"--{name} is not a parameter of family {family}")
+    params = [getattr(args, name) for name in entry.params]
     x = _parse_point(args.x)
-    if family not in _POINTED and x != 1:
+    if entry.endpoint is None and x != 1:
         raise ParameterError(f"family {family} has no evaluation point; drop --x")
     digits = _resolve_digits(args.digits)
 
-    form = _evaluate(family, params, x)
+    form = closed_form(family, params, x)
     feed = None if x == 1 or form.is_constant else x
     value = numeric_eval(form, x=feed, digits=digits)
     rendered = format_value(value)
     if args.format == "json":
         payload = {
             "family": family,
-            "params": [params[name] for name in names],
+            "params": params,
             "x": "1" if x == 1 else str(float(x)),
             "form": exact.to_dict(form),
             "compact": exact.compact(form),
@@ -147,7 +105,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _table_rows(args: argparse.Namespace) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
     family = args.family
-    names = _PARAMS[family]
+    entry = TABLE[family]
+    names = entry.params
 
     def cap(flag: str) -> int:
         value = getattr(args, f"max_{flag}")
@@ -157,9 +116,9 @@ def _table_rows(args: argparse.Namespace) -> tuple[tuple[str, ...], list[tuple[i
             raise ParameterError(f"--max-{flag} must be at least 1, got {value}")
         return value
 
-    if family == "S":
+    if entry.rows == "odd-weight":
         if args.max_weight is None:
-            raise ParameterError("family S needs --max-weight")
+            raise ParameterError(f"family {family} needs --max-weight")
         if args.max_weight < 3:
             raise ParameterError(
                 f"--max-weight must be at least 3, got {args.max_weight}")
@@ -168,7 +127,7 @@ def _table_rows(args: argparse.Namespace) -> tuple[tuple[str, ...], list[tuple[i
                 for p in range(1, w - 1)]
         return names, rows
     caps = [cap(name) for name in names]
-    if family in ("A", "B", "C"):
+    if entry.rows == "triangle":
         rows = [(m, n) for m in range(1, caps[0] + 1)
                 for n in range(1, min(m, caps[1]) + 1)]
     else:
@@ -183,16 +142,12 @@ def cmd_table(args: argparse.Namespace) -> int:
     family = args.family
     digits = _resolve_digits(args.digits)
     names, rows = _table_rows(args)
-    # tables are families of constants: x pinned to 1, and M printed from 0
-    # (its value at the default endpoint 1 is identically zero)
-    x = Fraction(0) if family == "M" else Fraction(1)
+    # tables are families of constants: x pinned to 1, and integrals over
+    # [x, 1] printed from 0 (their value at the default endpoint 1 is zero)
+    x = Fraction(0) if TABLE[family].endpoint == LOWER else Fraction(1)
     body = []
     for row in rows:
-        params = dict(zip(names, row))
-        if family == "M":
-            form = ev.M_integral(params["n"], params["m"], frm=0)
-        else:
-            form = _evaluate(family, params, x)
+        form = closed_form(family, row, x)
         body.append((row, exact.compact(form),
                      format_value(numeric_eval(form, digits=digits))))
 

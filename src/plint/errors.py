@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check that
+raises them.
 
 Kept in one module so callers can catch them without importing the
 implementation modules that raise them.
@@ -45,3 +46,11 @@ class NoConvergence(PlintError, ArithmeticError):
 
 class NonIntegrable(PlintError, ValueError):
     """The requested integrand is not integrable on the requested interval."""
+
+
+def _require_int(name: str, value: int, minimum: int, exc=ParameterError) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise exc(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise exc(f"{name} must be >= {minimum}, got {value}")
+    return value

@@ -21,17 +21,9 @@ import math
 from fractions import Fraction
 
 from . import exact
-from .errors import InvalidOrder, NonConvergent, ParameterError
+from .errors import InvalidOrder, NonConvergent, _require_int
 from .exact import ClosedForm
 from .numerics import harmonic_value
-
-
-def _require_int(name: str, value: int, minimum: int, exc=ParameterError) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise exc(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise exc(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 def _zeta_product(a: int, b: int) -> ClosedForm:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 from . import exact
-from .errors import InvalidOrder, ParameterError
+from .errors import InvalidOrder, ParameterError, _require_int
 from .eulersums import K_base, reduce_S1
 from .exact import ClosedForm
 from .numerics import harmonic_value
@@ -36,14 +36,6 @@ EvalPoint = Union[Fraction, int]
 
 Bounds = Callable[[int, tuple[int, ...]], tuple[int, int]]
 Body = Callable[[tuple[int, ...]], ClosedForm]
-
-
-def _require_int(name: str, value: int, minimum: int, exc=ParameterError) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise exc(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise exc(f"{name} must be >= {minimum}, got {value}")
-    return value
 
 
 def _check_point(name: str, value: EvalPoint, *, allow_zero: bool = False) -> Fraction:

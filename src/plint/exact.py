@@ -343,18 +343,6 @@ ZERO = ClosedForm(())
 ONE = ClosedForm.number(1)
 
 
-def add(a: ClosedForm, b: ClosedForm) -> ClosedForm:
-    return a + b
-
-
-def mul(a: ClosedForm, b: ClosedForm) -> ClosedForm:
-    return a * b
-
-
-def scale(a: ClosedForm, c: RationalLike) -> ClosedForm:
-    return a.scale(c)
-
-
 # -- substitution x -> 1-x ----------------------------------------------------
 
 _SUBST_SWAP = {

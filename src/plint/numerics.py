@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 from mpmath import mp, mpf
@@ -37,15 +36,21 @@ def frac_mpf(q: Number) -> mpf:
 
 # -- zeta ----------------------------------------------------------------------
 
+# (s, mp.prec) -> zeta(s); shared by zeta_value, the polylog expansion
+# around 1 and the Euler-sum tails
 _zeta_cache: dict[tuple[int, int], mpf] = {}
 
 
 def _borwein_eta_zeta(s: int) -> mpf:
-    """zeta(s), s >= 2, via Borwein's acceleration of eta(s).
+    """zeta(s), s >= 2, via Borwein's acceleration of eta(s), at the
+    current working precision.
 
     With n terms the error shrinks like (3 + sqrt(8))^-n, so n is about
     1.31 times the digit target.  The d_k are exact integers.
     """
+    key = (s, mp.prec)
+    if key in _zeta_cache:
+        return _zeta_cache[key]
     n = int(mp.dps / math.log10(3.0 + math.sqrt(8.0))) + 3
     d = [0] * (n + 1)
     acc = 0
@@ -60,18 +65,16 @@ def _borwein_eta_zeta(s: int) -> mpf:
         total += sign * mpf(d[k] - d[n]) / mpf(k + 1) ** s
         sign = -sign
     eta = -total / d[n]
-    return eta / (1 - mpf(2) ** (1 - s))
+    _zeta_cache[key] = eta / (1 - mpf(2) ** (1 - s))
+    return _zeta_cache[key]
 
 
 def zeta_value(s: int, digits: int = 30) -> mpf:
     """Riemann zeta at an integer s >= 2."""
     if not isinstance(s, int) or s < 2:
         raise InvalidOrder(f"zeta_value requires integer s >= 2, got {s!r}")
-    key = (s, digits + GUARD_DIGITS)
-    if key not in _zeta_cache:
-        with mp.workdps(digits + GUARD_DIGITS):
-            _zeta_cache[key] = _borwein_eta_zeta(s)
-    return _zeta_cache[key]
+    with mp.workdps(digits + GUARD_DIGITS):
+        return _borwein_eta_zeta(s)
 
 
 def _zeta_any(s: int) -> mpf:
@@ -91,16 +94,20 @@ def _zeta_any(s: int) -> mpf:
 
 # -- harmonic numbers -----------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# m -> [H_0^(m), H_1^(m), ...], extended bottom-up as larger n are asked for
+_harmonic_tables: dict[int, list[Fraction]] = {}
+
+
 def harmonic_value(n: int, m: int = 1) -> Fraction:
     """Generalized harmonic number H_n^(m) as an exact rational."""
     if not isinstance(n, int) or n < 0:
         raise InvalidOrder(f"harmonic_value requires integer n >= 0, got {n!r}")
     if not isinstance(m, int) or m < 1:
         raise InvalidOrder(f"harmonic_value requires integer m >= 1, got {m!r}")
-    if n == 0:
-        return Fraction(0)
-    return harmonic_value(n - 1, m) + Fraction(1, n**m)
+    table = _harmonic_tables.setdefault(m, [Fraction(0)])
+    for k in range(len(table), n + 1):
+        table.append(table[-1] + Fraction(1, k**m))
+    return table[n]
 
 
 # -- polylogarithms --------------------------------------------------------------

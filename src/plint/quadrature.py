@@ -9,8 +9,10 @@ below the working epsilon.  That is what lets log(1-t) and Li_k(t) be
 evaluated honestly at nodes within 1e-60 of 1.
 
 Integrands receive (t, t - a, b - t) and must use the distance arguments
-near the endpoints.  Nothing in this module knows about the closed-form
-evaluators; it exists to check them.
+near the endpoints.  Each family's parameter names and endpoint kind come
+from the family table (families.TABLE); this module adds one integrand
+builder per family.  Nothing here calls the closed-form evaluators; it
+exists to check them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Callable, Sequence, Union
 from mpmath import mp, mpf
 
 from .errors import NoConvergence, NonIntegrable, ParameterError
+from .families import LOWER, TABLE
 from .numerics import frac_mpf, polylog_value
 
 Number = Union[int, Fraction]
@@ -121,29 +124,6 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
 
 # -- family integrands -------------------------------------------------------
 
-def _require_ints(family: str, params: Sequence[int], names: str) -> tuple[int, ...]:
-    vals = tuple(params)
-    expected = len(names.split())
-    if len(vals) != expected:
-        raise ParameterError(f"family {family} takes ({names}), got {vals!r}")
-    for v in vals:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ParameterError(f"family {family} parameters must be ints, got {vals!r}")
-    return vals
-
-
-def _check_x(family: str, x: Fraction, *, fixed_interval: bool, allow_zero: bool = False) -> Fraction:
-    x = Fraction(x)
-    if fixed_interval:
-        if x != 1:
-            raise ParameterError(f"family {family} is defined on [0, 1] only")
-        return x
-    low_ok = x >= 0 if allow_zero else x > 0
-    if not (low_ok and x <= 1):
-        raise ParameterError(f"family {family} needs x in {'[0, 1]' if allow_zero else '(0, 1]'}, got {x}")
-    return x
-
-
 def _one_minus(dm: mpf, dp: mpf, one_minus_b: mpf) -> mpf:
     """1 - t at full relative accuracy, given both endpoint distances."""
     if dp < dm:
@@ -158,6 +138,110 @@ def _log_t(dm: mpf, dp: mpf, one_minus_b: mpf) -> mpf:
     return mp.log(dm)
 
 
+def _a(m, n, x, omb, digits):
+    if m < 1 or n < 1:
+        raise ParameterError(f"A needs m >= 1, n >= 1, got m={m}, n={n}")
+    if n > m:
+        raise NonIntegrable(f"A({m},{n},x): log^{m}(1-t)/t^{n} diverges at 0")
+    return lambda t, dm, dp: mp.log(_one_minus(dm, dp, omb)) ** m * dm ** (-n)
+
+
+def _b(m, n, x, omb, digits):
+    if m < 1 or n < 1:
+        raise ParameterError(f"B needs m >= 1, n >= 1, got m={m}, n={n}")
+    if n > m:
+        raise NonIntegrable(f"B({m},{n},x): log^{m}(1+t)/t^{n} diverges at 0")
+    return lambda t, dm, dp: mp.log(mp.fadd(1, dm, exact=True)) ** m * dm ** (-n)
+
+
+def _c(m, n, x, omb, digits):
+    if m < 1 or n < 1:
+        raise ParameterError(f"C needs m >= 1, n >= 1, got m={m}, n={n}")
+    if x == 1 and n > m:
+        raise NonIntegrable(f"C({m},{n},1): log^{m}(t)/(1-t)^{n} diverges at 1")
+    return lambda t, dm, dp: _log_t(dm, dp, omb) ** m * _one_minus(dm, dp, omb) ** (-n)
+
+
+def _l(n, m, x, omb, digits):
+    if n < 0 or m < 0:
+        raise ParameterError(f"L needs n >= 0, m >= 0, got n={n}, m={m}")
+    return lambda t, dm, dp: dm**n * _log_t(dm, dp, omb) ** m
+
+
+def _m(n, m, x, omb, digits):
+    if n < 0 or m < 0:
+        raise ParameterError(f"M needs n >= 0, m >= 0, got n={n}, m={m}")
+    # t - x = dm exactly; 1 - t = dp exactly (b = 1)
+    return lambda t, dm, dp: t**n * mp.log(dp) ** m
+
+
+def _head_log1m(n, m, x, omb, digits):
+    if n < 0 or m < 0:
+        raise ParameterError(f"HeadLog1m needs n >= 0, m >= 0, got n={n}, m={m}")
+    return lambda t, dm, dp: dm**n * mp.log(_one_minus(dm, dp, omb)) ** m
+
+
+def _j0(m, p, x, omb, digits):
+    if m < 0 or p < 1:
+        raise ParameterError(f"J0 needs m >= 0, p >= 1, got m={m}, p={p}")
+
+    def f_j0(t, dm, dp):
+        return dm**m * polylog_value(p, dm, digits,
+                                     one_minus_t=_one_minus(dm, dp, omb))
+
+    return f_j0
+
+
+def _j1(m, p, x, omb, digits):
+    if m < 0 or p < 0:
+        raise ParameterError(f"J1 needs m >= 0, p >= 0, got m={m}, p={p}")
+    if m == 0 and p == 0 and x == 1:
+        raise NonIntegrable("J1(0,0,1): t/(1-t) diverges at 1")
+
+    def f_j1(t, dm, dp):
+        return _log_t(dm, dp, omb) ** m * polylog_value(
+            p, dm, digits, one_minus_t=_one_minus(dm, dp, omb))
+
+    return f_j1
+
+
+def _j(m, p, q, x, omb, digits):
+    if m < -2 or m == -1:
+        raise ParameterError(f"J needs m >= -2 and m != -1, got m={m}")
+    if p < 1 or q < 1:
+        raise ParameterError(f"J needs p >= 1, q >= 1, got p={p}, q={q}")
+
+    def f_j(t, dm, dp):
+        li = (polylog_value(p, dm, digits, one_minus_t=dp)
+              * polylog_value(q, dm, digits, one_minus_t=dp))
+        return dm**m * li
+
+    return f_j
+
+
+def _k(r, p, q, x, omb, digits):
+    if r < 1:
+        raise ParameterError(f"K needs r >= 1, got r={r}")
+    if p < 0 or q < 0 or p + q < 1:
+        raise ParameterError(f"K needs p, q >= 0 with p + q >= 1, got p={p}, q={q}")
+
+    def f_k(t, dm, dp):
+        li = (polylog_value(p, dm, digits, one_minus_t=dp)
+              * polylog_value(q, dm, digits, one_minus_t=dp))
+        return mp.log1p(-dp) ** r * li / dm if dp < dm else \
+            mp.log(dm) ** r * li / dm
+
+    return f_k
+
+
+# family name -> builder(*params, x, omb, digits) -> integrand, where omb is
+# 1 - b at working precision; each builder checks its family's own domain
+_INTEGRANDS: dict[str, Callable[..., Integrand]] = {
+    "A": _a, "B": _b, "C": _c, "L": _l, "M": _m, "HeadLog1m": _head_log1m,
+    "J0": _j0, "J1": _j1, "J": _j, "K": _k,
+}
+
+
 def family_spec(family: str, params: Sequence[int], x: Number = 1,
                 digits: int = 30) -> IntegralSpec:
     """IntegralSpec for one member of the named integral family.
@@ -168,146 +252,34 @@ def family_spec(family: str, params: Sequence[int], x: Number = 1,
     over [x, 1]: M (t^n log^m(1-t)); over [0, 1] only: J (t^m Li_p Li_q),
     K (log^r(t) Li_p Li_q / t, with Li_0(t) = t/(1-t)).
 
-    Raises ParameterError for out-of-contract parameters and NonIntegrable
-    when the requested member genuinely diverges.
+    Parameter count and endpoint kind come from the family table.  Raises
+    ParameterError for out-of-contract parameters and NonIntegrable when
+    the requested member genuinely diverges.
     """
-    if family == "A":
-        m, n = _require_ints(family, params, "m n")
-        x = _check_x(family, x, fixed_interval=False)
-        if m < 1 or n < 1:
-            raise ParameterError(f"A needs m >= 1, n >= 1, got m={m}, n={n}")
-        if n > m:
-            raise NonIntegrable(f"A({m},{n},x): log^{m}(1-t)/t^{n} diverges at 0")
-        omb = frac_mpf(1 - x)
-
-        def f_a(t, dm, dp):
-            return mp.log(_one_minus(dm, dp, omb)) ** m * dm ** (-n)
-
-        return IntegralSpec(Fraction(0), x, f_a)
-
-    if family == "B":
-        m, n = _require_ints(family, params, "m n")
-        x = _check_x(family, x, fixed_interval=False)
-        if m < 1 or n < 1:
-            raise ParameterError(f"B needs m >= 1, n >= 1, got m={m}, n={n}")
-        if n > m:
-            raise NonIntegrable(f"B({m},{n},x): log^{m}(1+t)/t^{n} diverges at 0")
-
-        def f_b(t, dm, dp):
-            return mp.log(mp.fadd(1, dm, exact=True)) ** m * dm ** (-n)
-
-        return IntegralSpec(Fraction(0), x, f_b)
-
-    if family == "C":
-        m, n = _require_ints(family, params, "m n")
-        x = _check_x(family, x, fixed_interval=False)
-        if m < 1 or n < 1:
-            raise ParameterError(f"C needs m >= 1, n >= 1, got m={m}, n={n}")
-        if x == 1 and n > m:
-            raise NonIntegrable(f"C({m},{n},1): log^{m}(t)/(1-t)^{n} diverges at 1")
-        omb = frac_mpf(1 - x)
-
-        def f_c(t, dm, dp):
-            return _log_t(dm, dp, omb) ** m * _one_minus(dm, dp, omb) ** (-n)
-
-        return IntegralSpec(Fraction(0), x, f_c)
-
-    if family == "L":
-        n, m = _require_ints(family, params, "n m")
-        x = _check_x(family, x, fixed_interval=False)
-        if n < 0 or m < 0:
-            raise ParameterError(f"L needs n >= 0, m >= 0, got n={n}, m={m}")
-        omb = frac_mpf(1 - x)
-
-        def f_l(t, dm, dp):
-            return dm**n * _log_t(dm, dp, omb) ** m
-
-        return IntegralSpec(Fraction(0), x, f_l)
-
-    if family == "M":
-        n, m = _require_ints(family, params, "n m")
-        x = _check_x(family, x, fixed_interval=False, allow_zero=True)
-        if n < 0 or m < 0:
-            raise ParameterError(f"M needs n >= 0, m >= 0, got n={n}, m={m}")
-
-        def f_m(t, dm, dp):
-            # t - x = dm exactly; 1 - t = dp exactly (b = 1)
-            return t**n * mp.log(dp) ** m
-
-        return IntegralSpec(x, Fraction(1), f_m)
-
-    if family == "HeadLog1m":
-        n, m = _require_ints(family, params, "n m")
-        x = _check_x(family, x, fixed_interval=False, allow_zero=True)
-        if n < 0 or m < 0:
-            raise ParameterError(f"HeadLog1m needs n >= 0, m >= 0, got n={n}, m={m}")
-        omb = frac_mpf(1 - x)
-
-        def f_head(t, dm, dp):
-            return dm**n * mp.log(_one_minus(dm, dp, omb)) ** m
-
-        return IntegralSpec(Fraction(0), x, f_head)
-
-    if family == "J0":
-        m, p = _require_ints(family, params, "m p")
-        x = _check_x(family, x, fixed_interval=False)
-        if m < 0 or p < 1:
-            raise ParameterError(f"J0 needs m >= 0, p >= 1, got m={m}, p={p}")
-        omb = frac_mpf(1 - x)
-
-        def f_j0(t, dm, dp):
-            return dm**m * polylog_value(p, dm, digits,
-                                         one_minus_t=_one_minus(dm, dp, omb))
-
-        return IntegralSpec(Fraction(0), x, f_j0)
-
-    if family == "J1":
-        m, p = _require_ints(family, params, "m p")
-        x = _check_x(family, x, fixed_interval=False)
-        if m < 0 or p < 0:
-            raise ParameterError(f"J1 needs m >= 0, p >= 0, got m={m}, p={p}")
-        if m == 0 and p == 0 and x == 1:
-            raise NonIntegrable("J1(0,0,1): t/(1-t) diverges at 1")
-        omb = frac_mpf(1 - x)
-
-        def f_j1(t, dm, dp):
-            return _log_t(dm, dp, omb) ** m * polylog_value(
-                p, dm, digits, one_minus_t=_one_minus(dm, dp, omb))
-
-        return IntegralSpec(Fraction(0), x, f_j1)
-
-    if family == "J":
-        m, p, q = _require_ints(family, params, "m p q")
-        _check_x(family, x, fixed_interval=True)
-        if m < -2 or m == -1:
-            raise ParameterError(f"J needs m >= -2 and m != -1, got m={m}")
-        if p < 1 or q < 1:
-            raise ParameterError(f"J needs p >= 1, q >= 1, got p={p}, q={q}")
-
-        def f_j(t, dm, dp):
-            li = (polylog_value(p, dm, digits, one_minus_t=dp)
-                  * polylog_value(q, dm, digits, one_minus_t=dp))
-            return dm**m * li
-
-        return IntegralSpec(Fraction(0), Fraction(1), f_j)
-
-    if family == "K":
-        r, p, q = _require_ints(family, params, "r p q")
-        _check_x(family, x, fixed_interval=True)
-        if r < 1:
-            raise ParameterError(f"K needs r >= 1, got r={r}")
-        if p < 0 or q < 0 or p + q < 1:
-            raise ParameterError(f"K needs p, q >= 0 with p + q >= 1, got p={p}, q={q}")
-
-        def f_k(t, dm, dp):
-            li = (polylog_value(p, dm, digits, one_minus_t=dp)
-                  * polylog_value(q, dm, digits, one_minus_t=dp))
-            return mp.log1p(-dp) ** r * li / dm if dp < dm else \
-                mp.log(dm) ** r * li / dm
-
-        return IntegralSpec(Fraction(0), Fraction(1), f_k)
-
-    raise ParameterError(f"unknown integral family {family!r}")
+    build = _INTEGRANDS.get(family)
+    if build is None:
+        raise ParameterError(f"unknown integral family {family!r}")
+    entry = TABLE[family]
+    vals = tuple(params)
+    if len(vals) != len(entry.params):
+        raise ParameterError(
+            f"family {family} takes ({' '.join(entry.params)}), got {vals!r}")
+    for v in vals:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ParameterError(f"family {family} parameters must be ints, got {vals!r}")
+    x = Fraction(x)
+    if entry.endpoint is None:
+        if x != 1:
+            raise ParameterError(f"family {family} is defined on [0, 1] only")
+    elif not ((x >= 0 if entry.zero_ok else x > 0) and x <= 1):
+        raise ParameterError(
+            f"family {family} needs x in {'[0, 1]' if entry.zero_ok else '(0, 1]'}, got {x}")
+    a, b = (x, Fraction(1)) if entry.endpoint == LOWER else (Fraction(0), x)
+    # at integrate's working precision, whatever the caller's ambient one:
+    # 1 - b rounded to fewer bits stalls convergence at non-dyadic b
+    with mp.workdps(digits + 10):
+        omb = frac_mpf(1 - b)
+    return IntegralSpec(a, b, build(*vals, x, omb, digits))
 
 
 def integrand_value(family: str, params: Sequence[int], x: Number, t: Number,

@@ -11,6 +11,9 @@ Five suites, each producing JSON-ready records with a uniform shape:
                 identity as exact rational equalities
 * euler       - reduced odd-weight Euler sums vs direct series summation
 
+Closed forms of the integral families come from the family table
+(families.TABLE), the same one the CLI and the oracle read.
+
 A record is {"spec": {"family", "params", "x"}, "symbolic", "value",
 "oracle", "rel_err", "pass"}; "oracle" always holds the independent route's
 number, whatever that route is.  Records are sorted by spec key before
@@ -30,6 +33,7 @@ from . import evaluators as ev
 from . import exact
 from .errors import ParameterError
 from .eulersums import check_prop2, harmonic_binomial_identity, reduce_S
+from .families import closed_form
 from .numerics import euler_sum_value, numeric_eval
 from .quadrature import oracle_value
 
@@ -212,30 +216,6 @@ def build_cases(suite: str, grid: str = "full") -> list[Case]:
 # -- per-case execution --------------------------------------------------------------
 
 
-def _closed_form(family: str, params: tuple[int, ...], x: Fraction):
-    if family == "A":
-        return ev.A_general(params[0], params[1], x)
-    if family == "B":
-        return ev.B_general(params[0], params[1], x)
-    if family == "C":
-        return ev.C_general(params[0], params[1], x)
-    if family == "J0":
-        return ev.J0_eval(params[0], params[1], x)
-    if family == "J1":
-        return ev.J1_eval(params[0], params[1], x)
-    if family == "J":
-        return ev.J_eval(*params)
-    if family == "K":
-        return ev.K_eval(*params)
-    if family == "L":
-        return ev.L_integral(params[0], params[1], at=x)
-    if family == "M":
-        return ev.M_integral(params[0], params[1], frm=x)
-    if family == "HeadLog1m":
-        return ev.head_log1m_integral(params[0], params[1], x)
-    raise ParameterError(f"no evaluator for family {family!r}")
-
-
 def _numeric(form, x: Fraction, digits: int) -> mpf:
     feed = None if x == 1 else x
     return numeric_eval(form, x=feed, digits=digits)
@@ -245,12 +225,12 @@ def run_case(case: Case, tol: Tol = "1e-9", digits: int = DEFAULT_DIGITS) -> dic
     suite, family, params, x = case
     tol = mpf(str(tol))
     if suite == "oracle":
-        form = _closed_form(family, params, x)
+        form = closed_form(family, params, x)
         value = _numeric(form, x, digits)
         want = oracle_value(family, params, x, digits)
         return _record(family, params, x, exact.compact(form), value, want, tol)
     if suite == "dual-route":
-        direct = _closed_form(family, params, Fraction(1))
+        direct = closed_form(family, params)
         if family == "J0":
             other = ev.freitas_recurrence_eval("J0", m=params[0], q=params[1])
         elif family == "J":

@@ -49,6 +49,12 @@ class TestZeta:
             with pytest.raises(InvalidOrder):
                 num.zeta_value(s)
 
+    def test_one_value_per_precision(self):
+        # zeta_value and the polylog expansion share one computed zeta(s)
+        z = num.zeta_value(13, 40)
+        with mp.workdps(40 + num.GUARD_DIGITS):
+            assert num._zeta_any(13) is z
+
     def test_negative_zeta_helper(self):
         # zeta(0) = -1/2, zeta(-1) = -1/12, zeta(-2) = 0, zeta(-3) = 1/120
         with mp.workdps(30):
@@ -64,6 +70,11 @@ class TestHarmonic:
         assert num.harmonic_value(3, 2) == Fraction(49, 36)
         assert num.harmonic_value(0, 5) == 0
         assert num.harmonic_value(1, 7) == 1
+
+    def test_deep_index_from_cold_cache(self, monkeypatch):
+        # deeper than the interpreter's recursion limit
+        monkeypatch.setattr(num, "_harmonic_tables", {})
+        assert num.harmonic_value(5000) == sum(Fraction(1, k) for k in range(1, 5001))
 
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidOrder):

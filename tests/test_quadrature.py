@@ -120,6 +120,20 @@ class TestFamilies:
         want = -num.polylog_value(2, Fraction(1, 2), 35)
         assert close(got, want, mpf(10) ** -27)
 
+    @pytest.mark.parametrize("family, params, x", [
+        ("A", (2, 1), Fraction(1, 10)), ("B", (2, 1), Fraction(1, 10)),
+        ("C", (3, 2), Fraction(1, 10)), ("J0", (2, 3), Fraction(9, 10)),
+        ("J1", (2, 2), Fraction(1, 10)), ("L", (1, 2), Fraction(1, 10)),
+        ("M", (1, 2), Fraction(1, 10)), ("HeadLog1m", (1, 2), Fraction(1, 10)),
+    ])
+    def test_ambient_precision_does_not_leak(self, family, params, x):
+        # 1 - x is inexact in binary at these points; at the CLI's ambient
+        # 15 digits the oracle must give the same number as at ambient 50
+        want = quad.oracle_value(family, params, x, 30)
+        with mp.workdps(15):
+            got = quad.oracle_value(family, params, x, 30)
+        assert got == want
+
     def test_integrand_value_spot(self):
         v = quad.integrand_value("A", (2, 1), 1, Fraction(1, 2), 30)
         with mp.workdps(40):
