@@ -11,11 +11,16 @@ fixed atom vocabulary.  Two conventions hold throughout:
   same value always has the same spelling and structural comparison between
   independent routes is meaningful.
 
-The deeper families (A/B/C with n >= 2, the polylog products J and K) are
-assembled by literally enumerating the index chains of their nested-sum
-expansions through NestedSumPlan, then terminating in the base operations.
-freitas_recurrence_eval re-derives J0/J/K by plain recursion instead and
-exists solely as an independent second route for the verification suites.
+The deeper families (A/B/C with n >= 2, J1, and the polylog products J and
+K) are nested sums over index chains.  Every body depends on a chain only
+through its sum, or only through its product weight and last index, so each
+sum is taken once per such value, weighted by a count of the chains that share
+it: a binomial for the sum-capped chains of J/K/J1, a small dynamic programme
+for the descending chains of A/B/C.  The cost is polynomial in the parameters.
+NestedSumPlan, which walks every chain one by one, is kept as the literal
+reading of the expansions.  freitas_recurrence_eval re-derives J0/J/K by plain
+recursion instead and exists solely as an independent second route for the
+verification suites.
 """
 
 from __future__ import annotations
@@ -69,6 +74,11 @@ def _term(coeff, *factors: tuple[exact.Atom, int]) -> ClosedForm:
     return out
 
 
+def _sum(parts: list[ClosedForm]) -> ClosedForm:
+    """parts[0] + parts[1] + ..., canonicalized once rather than per addition."""
+    return ClosedForm(term for part in parts for term in part.terms)
+
+
 def _zz(a: int, b: int) -> ClosedForm:
     return ClosedForm.of(exact.zeta(a)) * ClosedForm.of(exact.zeta(b))
 
@@ -105,9 +115,14 @@ class NestedSumPlan:
         return total
 
 
-def _chain_count(depth: int, bounds: Bounds) -> int:
-    plan = NestedSumPlan(depth, bounds, lambda _: exact.ZERO)
-    return sum(1 for _ in plan.chains())
+def _compositions(s: int, parts: int) -> int:
+    """Number of ways to write s >= 0 as an ordered sum of parts >= 1
+    nonnegative integers, C(s+parts-1, parts-1).
+
+    It counts the chains of `parts` entries >= 0 with sum s, and so, with one
+    slack entry, the chains of parts-1 entries >= 0 whose sum is at most s.
+    """
+    return math.comb(s + parts - 1, parts - 1)
 
 
 # -- logarithm-power building blocks ----------------------------------------------
@@ -264,53 +279,49 @@ def C_base(m: int, x: EvalPoint = 1) -> ClosedForm:
 # -- descending index chains for the n >= 2 families --------------------------------
 
 
-def _descending_bounds(n: int) -> Bounds:
-    def bounds(level: int, prefix: tuple[int, ...]) -> tuple[int, int]:
-        top = prefix[-1] if prefix else n
-        return (2, top - 1)
+def _descending_weights(n: int) -> list[dict[int, Fraction]]:
+    """For each length y = 0 .. n-2, the summed weight 1/(n-1) prod_j 1/(i_j - 1)
+    of the descending chains n > i_1 > ... > i_y >= 2, keyed by the last index
+    (n for the empty chain).
 
-    return bounds
-
-
-def _chain_weight(n: int, chain: tuple[int, ...]) -> Fraction:
-    w = Fraction(1, n - 1)
-    for i in chain:
-        w *= Fraction(1, i - 1)
-    return w
+    A chain ending at t extends any chain ending above t, so
+    W_y[t] = sum_{u > t} W_(y-1)[u] / (t-1), one suffix sum per length.
+    """
+    layers = [{n: Fraction(1, n - 1)}]
+    for _ in range(n - 2):
+        above = Fraction(0)
+        layer = {}
+        for t in range(n - 1, 1, -1):
+            above += layers[-1].get(t + 1, 0)
+            if above:
+                layer[t] = above / (t - 1)
+        layers.append(layer)
+    return layers
 
 
 def _ac_at_one(m: int, n: int) -> ClosedForm:
     out = exact.ZERO
     lead = (-1) ** m * math.factorial(m)
-    for y in range(n - 1):
-        weight = sum(
-            (_chain_weight(n, c) for c in NestedSumPlan(y, _descending_bounds(n), lambda _: exact.ZERO).chains()),
-            Fraction(0),
-        )
-        if weight:
-            out = out + ClosedForm.of(exact.zeta(m - y), coeff=lead * weight)
+    for y, layer in enumerate(_descending_weights(n)):
+        out = out + ClosedForm.of(exact.zeta(m - y), coeff=lead * sum(layer.values()))
     return out
 
 
 def _a_general_symbolic(m: int, n: int) -> ClosedForm:
-    total = exact.ZERO
-    for y in range(n - 1):
+    parts = []
+    for y, layer in enumerate(_descending_weights(n)):
         c_y = math.comb(m, y) * math.factorial(y)
         c_y1 = math.comb(m, y + 1) * math.factorial(y + 1)
-
-        def body(chain: tuple[int, ...], y=y, c_y=c_y, c_y1=c_y1) -> ClosedForm:
-            w = _chain_weight(n, chain)
-            tail = chain[-1] if chain else n
-            out = _term(
+        for tail, w in layer.items():
+            parts.append(_term(
                 w * c_y * (-1) ** (y + 1),
                 (exact.log_1mx(), m - y),
                 (exact.x_pow(-(tail - 1)), 1),
-            )
-            out = out + _term(w * c_y * (-1) ** y, (exact.log_1mx(), m - y))
-            return out + _a_base_symbolic(m - y - 1).scale(w * c_y1 * (-1) ** (y + 1))
-
-        total = total + NestedSumPlan(y, _descending_bounds(n), body).evaluate()
-    return total
+            ))
+        w = sum(layer.values())
+        parts.append(_term(w * c_y * (-1) ** y, (exact.log_1mx(), m - y)))
+        parts.append(_a_base_symbolic(m - y - 1).scale(w * c_y1 * (-1) ** (y + 1)))
+    return _sum(parts)
 
 
 def A_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
@@ -318,8 +329,10 @@ def A_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
 
     n = 1 dispatches to A_base.  For n >= 2 the expansion runs over strictly
     descending index chains n > i_1 > ... > i_y >= 2 weighted by
-    prod 1/(i_j - 1), terminating in A_base(m-y-1, 1, x) pieces; at x = 1
-    only the zeta layer survives:
+    prod 1/(i_j - 1), terminating in A_base(m-y-1, 1, x) pieces.  A chain
+    enters only through its weight and its last index i_y, so the weights
+    are summed per (y, i_y) once (_descending_weights) instead of per chain.
+    At x = 1 only the zeta layer survives:
     A(m,n,1) = ((-1)^m m!/(n-1)) sum_y zeta(m-y) * (chain weights).
     """
     _require_int("m", m, 1)
@@ -354,26 +367,22 @@ def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
 
 
 def _b_general(m: int, n: int, at_one: bool) -> ClosedForm:
-    total = exact.ZERO
-    for y in range(n - 1):
+    log_atom = exact.log_two() if at_one else exact.log_1px()
+    parts = []
+    for y, layer in enumerate(_descending_weights(n)):
         c_y = math.comb(m, y) * math.factorial(y)
         c_y1 = math.comb(m, y + 1) * math.factorial(y + 1)
-
-        def body(chain: tuple[int, ...], y=y, c_y=c_y, c_y1=c_y1) -> ClosedForm:
-            w = _chain_weight(n, chain)
-            tail = chain[-1] if chain else n
-            log_atom = exact.log_two() if at_one else exact.log_1px()
-            out = _term(
+        for tail, w in layer.items():
+            parts.append(_term(
                 w * c_y * (-1) ** (n + tail + y + 1),
                 (log_atom, m - y),
                 *(() if at_one else ((exact.x_pow(-(tail - 1)), 1),)),
-            )
-            out = out + _term(w * c_y * (-1) ** (n + y + 1), (log_atom, m - y))
-            terminal = B_base(m - y - 1, 1) if at_one else _b_base_symbolic(m - y - 1)
-            return out + terminal.scale(w * c_y1 * (-1) ** (n + y))
-
-        total = total + NestedSumPlan(y, _descending_bounds(n), body).evaluate()
-    return total
+            ))
+        w = sum(layer.values())
+        parts.append(_term(w * c_y * (-1) ** (n + y + 1), (log_atom, m - y)))
+        terminal = B_base(m - y - 1, 1) if at_one else _b_base_symbolic(m - y - 1)
+        parts.append(terminal.scale(w * c_y1 * (-1) ** (n + y)))
+    return _sum(parts)
 
 
 def B_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
@@ -437,21 +446,16 @@ def J1_zero(m: int, x: EvalPoint = 1) -> ClosedForm:
     return form
 
 
-def _nonneg_prefix_bounds(m: int) -> Bounds:
-    def bounds(level: int, prefix: tuple[int, ...]) -> tuple[int, int]:
-        return (0, m - sum(prefix) - 1)
-
-    return bounds
-
-
 def J1_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
     """integral_0^x of log^m(t) Li_p(t) dt.
 
     p = 0 dispatches to J1_zero and m = 0 to the plain polylog integral.
     Otherwise three chain families over indices i_j >= 0 with partial sums
-    capped at m-1: boundary terms x Li_(p-y+1)(x) log^(m-s)(x), re-entries
-    into the p' = 0 column (all vanishing log factors at x = 1), and the
-    chain-counted multiples of J1(0, p-y+1, x).
+    capped at m-1, each body depending on a chain only through its sum s:
+    boundary terms x Li_(p-y+1)(x) log^(m-s)(x) (all vanishing at x = 1),
+    re-entries J1(m-s, 0, x) into the p' = 0 column, and multiples of
+    J1(0, p-y+1, x) weighted by the number of chains of depth y-1.  A sum s
+    is shared by C(s+y-1, y-1) chains of depth y.
     """
     _require_int("m", m, 0)
     _require_int("p", p, 0)
@@ -460,35 +464,23 @@ def J1_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
         return J1_zero(m, x)
     if m == 0:
         return J0_eval(0, p, x)
-    bounds = _nonneg_prefix_bounds(m)
-    total = exact.ZERO
-    if x != 1:
-        # boundary family; every term carries log^(m-s)(x) with s <= m-1,
-        # so the whole family vanishes at x = 1
-        for y in range(1, p + 1):
-
-            def body(chain: tuple[int, ...], y=y) -> ClosedForm:
-                s = sum(chain)
-                coeff = _falling(m, s) * (-1) ** (s + y - 1)
-                return _term(
+    parts = []
+    for y in range(1, p + 1):
+        if x != 1:
+            for s in range(m):
+                coeff = _compositions(s, y) * _falling(m, s) * (-1) ** (s + y - 1)
+                parts.append(_term(
                     coeff,
                     (exact.x_pow(1), 1),
                     (exact.li_x(p - y + 1), 1),
                     (exact.log_x(), m - s),
-                )
-
-            total = total + NestedSumPlan(y, bounds, body).evaluate()
-    for y in range(1, p + 1):
-        count = _chain_count(y - 1, bounds)
-        if count:
-            coeff = count * math.factorial(m) * (-1) ** (m + y - 1)
-            total = total + J0_eval(0, p - y + 1, x).scale(coeff)
-
-    def tail_body(chain: tuple[int, ...]) -> ClosedForm:
-        s = sum(chain)
-        return J1_zero(m - s, x).scale(_falling(m, s) * (-1) ** (s + p))
-
-    return total + NestedSumPlan(p, bounds, tail_body).evaluate()
+                ))
+        coeff = _compositions(m - 1, y) * math.factorial(m) * (-1) ** (m + y - 1)
+        parts.append(J0_eval(0, p - y + 1, x).scale(coeff))
+    for s in range(m):
+        coeff = _compositions(s, p) * _falling(m, s) * (-1) ** (s + p)
+        parts.append(J1_zero(m - s, x).scale(coeff))
+    return _sum(parts)
 
 
 # -- products of two polylogarithms ------------------------------------------------
@@ -593,20 +585,15 @@ def _j_base(m: int, p: int) -> ClosedForm:
     return J_at_one_v1(m, p)
 
 
-def _nonneg_gap2_bounds(p: int) -> Bounds:
-    def bounds(level: int, prefix: tuple[int, ...]) -> tuple[int, int]:
-        return (0, p - sum(prefix) - 2)
-
-    return bounds
-
-
 def J_eval(m: int, p: int, q: int) -> ClosedForm:
     """integral_0^1 of x^m Li_p(x) Li_q(x) dx for m >= -2, m != -1.
 
     Symmetric in p and q (normalized to p >= q).  q = 1 is a base case;
-    q >= 2 expands over index chains with layer factors
-    (-1)^(i+1)/(m+1)^(i+1), terminating in zeta products and J(m,s,1) bases.
-    The output is always zeta values and rationals.
+    q >= 2 expands over index chains of entries >= 0 with partial sums capped
+    at p-2, with layer factors (-1)^(i+1)/(m+1)^(i+1), terminating in zeta
+    products and J(m,s,1) bases.  Each body depends on a chain only through
+    its sum s, shared by C(s+d-1, d-1) chains of depth d.  The output is
+    always zeta values and rationals.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < -2 or m == -1:
         raise ParameterError(f"m must be -2 or a nonnegative int, got {m!r}")
@@ -616,42 +603,27 @@ def J_eval(m: int, p: int, q: int) -> ClosedForm:
         p, q = q, p
     if q == 1:
         return _j_base(m, p)
-    bounds = _nonneg_gap2_bounds(p)
-    total = exact.ZERO
+    parts = []
     for stage in range(1, q):
-
-        def zeta_body(chain: tuple[int, ...], stage=stage) -> ClosedForm:
-            s = sum(chain)
+        for s in range(p - 1):
             coeff = Fraction((-1) ** (s + stage - 1), (m + 1) ** (s + stage))
-            return _zz(p - s, q - stage + 1).scale(coeff)
-
-        total = total + NestedSumPlan(stage, bounds, zeta_body).evaluate()
-        count = _chain_count(stage - 1, bounds)
-        if count:
-            coeff = Fraction((-1) ** (p - 2 + stage), (m + 1) ** (p - 2 + stage))
-            total = total + _j_base(m, q - stage + 1).scale(coeff * count)
-
-    def base_body(chain: tuple[int, ...]) -> ClosedForm:
-        s = sum(chain)
+            parts.append(_zz(p - s, q - stage + 1).scale(coeff * _compositions(s, stage)))
+        coeff = Fraction((-1) ** (p - 2 + stage), (m + 1) ** (p - 2 + stage))
+        parts.append(_j_base(m, q - stage + 1).scale(coeff * _compositions(p - 2, stage)))
+    for s in range(p - 1):
         coeff = Fraction((-1) ** (s + q - 1), (m + 1) ** (s + q - 1))
-        return _j_base(m, p - s).scale(coeff)
-
-    return total + NestedSumPlan(q - 1, bounds, base_body).evaluate()
-
-
-def _pos_prefix_bounds(p: int) -> Bounds:
-    def bounds(level: int, prefix: tuple[int, ...]) -> tuple[int, int]:
-        return (1, p - sum(prefix) + level)
-
-    return bounds
+        parts.append(_j_base(m, p - s).scale(coeff * _compositions(s, q - 1)))
+    return _sum(parts)
 
 
 def K_eval(m: int, p: int, q: int) -> ClosedForm:
     """integral_0^1 of log^m(x) Li_p(x) Li_q(x) / x dx for m >= 1, p+q >= 1.
 
     Symmetric in p and q (normalized to p >= q; q = 0 is the K_base case).
-    Index chains carry Pochhammer factors 1/(m+1)_s; every terminal is a
-    K_base value, so the result is EulerSum-free whenever m+p+q is even.
+    Index chains of entries >= 1 carry Pochhammer factors 1/(m+1)_s; a chain
+    of depth q with sum s (q <= s <= p+q-1) is one of C(s-1, q-1).  Every
+    terminal is a K_base value, so the result is EulerSum-free whenever
+    m+p+q is even.
     """
     _require_int("m", m, 1)
     _require_int("p", p, 0)
@@ -662,20 +634,15 @@ def K_eval(m: int, p: int, q: int) -> ClosedForm:
         p, q = q, p
     if q == 0:
         return K_base(m, p)
-    bounds = _pos_prefix_bounds(p)
-    total = exact.ZERO
+    parts = []
     for stage in range(1, q + 1):
-        count = _chain_count(stage - 1, bounds)
-        if count:
-            coeff = Fraction((-1) ** (p + stage - 1), _rising(m + 1, p + stage - 1))
-            total = total + K_base(m + p + stage - 1, q - stage + 1).scale(coeff * count)
-
-    def base_body(chain: tuple[int, ...]) -> ClosedForm:
-        s = sum(chain)
+        coeff = Fraction((-1) ** (p + stage - 1), _rising(m + 1, p + stage - 1))
+        parts.append(K_base(m + p + stage - 1, q - stage + 1).scale(
+            coeff * _compositions(p - 1, stage)))
+    for s in range(q, p + q):
         coeff = Fraction((-1) ** s, _rising(m + 1, s))
-        return K_base(m + s, p + q - s).scale(coeff)
-
-    return total + NestedSumPlan(q, bounds, base_body).evaluate()
+        parts.append(K_base(m + s, p + q - s).scale(coeff * _compositions(s - q, q)))
+    return _sum(parts)
 
 
 # -- recurrence route (verification only) -------------------------------------------

@@ -355,6 +355,22 @@ def _atom_value(atom: exact.Atom, x: Optional[Fraction], digits: int) -> mpf:
     raise ParameterError(f"no numeric rule for atom {atom!r}")  # pragma: no cover
 
 
+def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
+               digits: int) -> tuple[mpf, mpf]:
+    """The form's value and the sum of its terms' magnitudes, with the atoms
+    at `digits` and the arithmetic at digits + GUARD_DIGITS."""
+    with mp.workdps(digits + GUARD_DIGITS):
+        total = mp.zero
+        magnitude = mp.zero
+        for term in form.terms:
+            val = frac_mpf(term.coeff)
+            for atom, expn in term.factors:
+                val *= _atom_value(atom, x, digits) ** expn
+            total += val
+            magnitude += abs(val)
+        return total, magnitude
+
+
 def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
                  digits: int = 30) -> mpf:
     """Evaluate a closed form numerically.
@@ -363,6 +379,10 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
     omitted for constant forms.  At x = 1 the form is first pushed through
     its x -> 1- limit, so removable factors cancel exactly and genuinely
     divergent forms raise DivergentAtOne.
+
+    When the terms cancel so far that sum |term| / |value| exceeds
+    10^GUARD_DIGITS, the guard digits cannot cover the loss; the form is then
+    evaluated once more with the working digits raised by that many digits.
     """
     if x is not None:
         x = Fraction(x)
@@ -373,11 +393,9 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
             x = None
     if x is None and not form.is_constant:
         raise ParameterError("closed form depends on x but no point was given")
+    total, magnitude = _sum_terms(form, x, digits)
     with mp.workdps(digits + GUARD_DIGITS):
-        total = mp.zero
-        for term in form.terms:
-            val = frac_mpf(term.coeff)
-            for atom, expn in term.factors:
-                val *= _atom_value(atom, x, digits) ** expn
-            total += val
+        if total and magnitude > abs(total) * mpf(10) ** GUARD_DIGITS:
+            lost = math.ceil(mp.log10(magnitude / abs(total)))
+            total, _ = _sum_terms(form, x, digits + lost)
         return +total

@@ -23,7 +23,7 @@ emission so --jobs never changes the output.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from decimal import ROUND_HALF_EVEN, Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -59,7 +59,11 @@ def format_value(v: mpf) -> str:
     """Render a numeric value with ten decimal places, round half to even."""
     with mp.workdps(25):
         text = mp.nstr(v, 20)
-    d = Decimal(text).quantize(Decimal("1e-10"), rounding=ROUND_HALF_EVEN)
+    d = Decimal(text)
+    with localcontext() as ctx:
+        # room for every integer digit plus the ten decimals
+        ctx.prec = max(ctx.prec, d.adjusted() + 11)
+        d = d.quantize(Decimal("1e-10"), rounding=ROUND_HALF_EVEN)
     if d == 0:
         return "0.0000000000"
     return str(d)

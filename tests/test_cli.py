@@ -5,11 +5,18 @@ import os
 import subprocess
 import sys
 
+import plint
 from plint import exact
+
+# the directory this test run imports plint from, so the subprocesses run the
+# same code whether or not the package is installed
+SRC = os.path.dirname(os.path.dirname(plint.__file__))
 
 
 def run_cli(*argv, env=None):
     merged = dict(os.environ)
+    merged["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, merged.get("PYTHONPATH"))))
     merged.update(env or {})
     return subprocess.run([sys.executable, "-m", "plint", *argv],
                           capture_output=True, text=True, env=merged)
@@ -25,6 +32,19 @@ class TestEval:
         out = run_cli("eval", "--family", "J0", "--m", "0", "--p", "2")
         assert out.returncode == 0
         assert out.stdout == "z2 - 1 = 0.6449340668\n"
+
+    def test_value_of_24_factorial(self):
+        out = run_cli("eval", "--family", "L", "--n", "0", "--m", "24", "--x", "1")
+        assert out.returncode == 0
+        assert out.stdout == (
+            "620448401733239439360000 = 620448401733239439360000.0000000000\n")
+
+    def test_deep_descending_chains(self):
+        # 2^28 index chains if enumerated one by one; the value is
+        # 722.04941778885148... by mp.quad at 50 digits
+        out = run_cli("eval", "--family", "A", "--m", "30", "--n", "30", "--x", "0.5")
+        assert out.returncode == 0
+        assert out.stdout.endswith(" = 722.0494177889\n")
 
     def test_order_violation_exits_two(self):
         out = run_cli("eval", "--family", "A", "--m", "1", "--n", "2")

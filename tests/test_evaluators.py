@@ -94,6 +94,180 @@ class TestNestedSumPlan:
         assert plan.evaluate() == num(len(chains))
 
 
+# -- brute-force reference: every index chain walked through NestedSumPlan ------
+#
+# These rebuild the chain families by enumerating each chain and its body, as
+# the nested-sum expansions read.  The evaluators count the chains instead;
+# on a small grid the two must agree term for term.
+
+
+def capped_bounds(cap, low=0):
+    """Entries >= low whose partial sums, less low per entry, stay <= cap."""
+    return lambda level, prefix: (low, cap - sum(prefix) + low * (level + 1))
+
+
+def descending_bounds(n):
+    return lambda level, prefix: (2, (prefix[-1] if prefix else n) - 1)
+
+
+def chain_count(depth, bounds):
+    return sum(1 for _ in NestedSumPlan(depth, bounds, lambda _: exact.ZERO).chains())
+
+
+def chain_weight(n, chain):
+    return Fraction(1, n - 1) * math.prod(Fraction(1, i - 1) for i in chain)
+
+
+def ref_ac_at_one(m, n):
+    out = exact.ZERO
+    for y in range(n - 1):
+        weight = sum(chain_weight(n, c)
+                     for c in NestedSumPlan(y, descending_bounds(n), None).chains())
+        out = out + zf(m - y, (-1) ** m * math.factorial(m) * weight)
+    return out
+
+
+def ref_a_symbolic(m, n):
+    total = exact.ZERO
+    for y in range(n - 1):
+        c_y, c_y1 = ev._falling(m, y), ev._falling(m, y + 1)
+
+        def body(chain, y=y, c_y=c_y, c_y1=c_y1):
+            w = chain_weight(n, chain)
+            tail = chain[-1] if chain else n
+            out = ev._term(w * c_y * (-1) ** (y + 1), (exact.log_1mx(), m - y),
+                           (exact.x_pow(-(tail - 1)), 1))
+            out = out + ev._term(w * c_y * (-1) ** y, (exact.log_1mx(), m - y))
+            return out + ev._a_base_symbolic(m - y - 1).scale(w * c_y1 * (-1) ** (y + 1))
+
+        total = total + NestedSumPlan(y, descending_bounds(n), body).evaluate()
+    return total
+
+
+def ref_b(m, n, at_one):
+    log_atom = exact.log_two() if at_one else exact.log_1px()
+    total = exact.ZERO
+    for y in range(n - 1):
+        c_y, c_y1 = ev._falling(m, y), ev._falling(m, y + 1)
+
+        def body(chain, y=y, c_y=c_y, c_y1=c_y1):
+            w = chain_weight(n, chain)
+            tail = chain[-1] if chain else n
+            power = () if at_one else ((exact.x_pow(-(tail - 1)), 1),)
+            out = ev._term(w * c_y * (-1) ** (n + tail + y + 1), (log_atom, m - y), *power)
+            out = out + ev._term(w * c_y * (-1) ** (n + y + 1), (log_atom, m - y))
+            terminal = ev.B_base(m - y - 1, 1) if at_one else ev._b_base_symbolic(m - y - 1)
+            return out + terminal.scale(w * c_y1 * (-1) ** (n + y))
+
+        total = total + NestedSumPlan(y, descending_bounds(n), body).evaluate()
+    return total
+
+
+def ref_j1(m, p, x):
+    bounds = capped_bounds(m - 1)
+    total = exact.ZERO
+    for y in range(1, p + 1):
+        if x != 1:
+            def body(chain, y=y):
+                s = sum(chain)
+                return ev._term(ev._falling(m, s) * (-1) ** (s + y - 1), (exact.x_pow(1), 1),
+                                (exact.li_x(p - y + 1), 1), (exact.log_x(), m - s))
+
+            total = total + NestedSumPlan(y, bounds, body).evaluate()
+        coeff = chain_count(y - 1, bounds) * math.factorial(m) * (-1) ** (m + y - 1)
+        total = total + ev.J0_eval(0, p - y + 1, x).scale(coeff)
+
+    def tail_body(chain):
+        s = sum(chain)
+        return ev.J1_zero(m - s, x).scale(ev._falling(m, s) * (-1) ** (s + p))
+
+    return total + NestedSumPlan(p, bounds, tail_body).evaluate()
+
+
+def ref_j(m, p, q):
+    bounds = capped_bounds(p - 2)
+    total = exact.ZERO
+    for stage in range(1, q):
+        def zeta_body(chain, stage=stage):
+            s = sum(chain)
+            coeff = Fraction((-1) ** (s + stage - 1), (m + 1) ** (s + stage))
+            return ev._zz(p - s, q - stage + 1).scale(coeff)
+
+        total = total + NestedSumPlan(stage, bounds, zeta_body).evaluate()
+        coeff = Fraction((-1) ** (p - 2 + stage), (m + 1) ** (p - 2 + stage))
+        total = total + ev._j_base(m, q - stage + 1).scale(coeff * chain_count(stage - 1, bounds))
+
+    def base_body(chain):
+        s = sum(chain)
+        return ev._j_base(m, p - s).scale(Fraction((-1) ** (s + q - 1), (m + 1) ** (s + q - 1)))
+
+    return total + NestedSumPlan(q - 1, bounds, base_body).evaluate()
+
+
+def ref_k(m, p, q):
+    bounds = capped_bounds(p - 1, low=1)
+    total = exact.ZERO
+    for stage in range(1, q + 1):
+        coeff = Fraction((-1) ** (p + stage - 1), ev._rising(m + 1, p + stage - 1))
+        total = total + ev.K_base(m + p + stage - 1, q - stage + 1).scale(
+            coeff * chain_count(stage - 1, bounds))
+
+    def base_body(chain):
+        s = sum(chain)
+        return ev.K_base(m + s, p + q - s).scale(Fraction((-1) ** s, ev._rising(m + 1, s)))
+
+    return total + NestedSumPlan(q, bounds, base_body).evaluate()
+
+
+# the interior forms do not depend on the point, so one stands for all
+THIRD = Fraction(1, 3)
+
+
+class TestCountedChainsMatchEnumeration:
+    def test_capped_bounds_count_compositions(self):
+        # chains of depth d, entries >= 0, partial sums <= c: C(c+d, d)
+        for cap in range(4):
+            for depth in range(4):
+                assert chain_count(depth, capped_bounds(cap)) == math.comb(cap + depth, depth)
+                assert chain_count(depth, capped_bounds(cap, low=1)) == math.comb(cap + depth, depth)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_a_and_c(self, m):
+        for n in range(2, m + 1):
+            assert ev.A_general(m, n, 1) == ref_ac_at_one(m, n)
+            assert ev.C_general(m, n, 1) == ref_ac_at_one(m, n)
+            sym = ref_a_symbolic(m, n)
+            assert ev.A_general(m, n, THIRD) == sym, (m, n)
+            assert ev.C_general(m, n, THIRD) == (
+                ref_ac_at_one(m, n) - exact.subst_one_minus_x(sym)), (m, n)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_b(self, m):
+        for n in range(2, m + 1):
+            assert ev.B_general(m, n, 1) == ref_b(m, n, True), (m, n)
+            assert ev.B_general(m, n, THIRD) == ref_b(m, n, False), (m, n)
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_j1(self, m):
+        for p in range(1, 5):
+            for x in (1, THIRD):
+                assert ev.J1_eval(m, p, x) == ref_j1(m, p, x), (m, p, x)
+
+    @pytest.mark.parametrize("m", [-2, 0, 1, 3])
+    def test_j(self, m):
+        for p in range(2, 7):
+            for q in range(2, min(p, 8 - p) + 1):
+                assert ev.J_eval(m, p, q) == ref_j(m, p, q), (m, p, q)
+                assert ev.J_eval(m, q, p) == ref_j(m, p, q), (m, q, p)
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_k(self, m):
+        for p in range(1, 6):
+            for q in range(1, min(p, 7 - p) + 1):
+                assert ev.K_eval(m, p, q) == ref_k(m, p, q), (m, p, q)
+                assert ev.K_eval(m, q, p) == ref_k(m, p, q), (m, q, p)
+
+
 class TestLogPowerIntegrals:
     def test_l_particular_value(self):
         assert ev.L_integral(1, 1, 1) == num(Fraction(-1, 4))
@@ -456,6 +630,32 @@ class TestKEval:
             ev.K_eval(1, 0, 0)
         with pytest.raises(ParameterError):
             ev.K_eval(1, -1, 2)
+
+
+class TestLargeParameters:
+    """Parameters far past the oracle grid, at 30 digits, against mp.quad of
+    the integrand at 50 digits: a third route sharing no code with plint."""
+
+    @pytest.mark.parametrize("name,build,x,integrand", [
+        ("A(30,30,1/2)", lambda: ev.A_general(30, 30, HALF), HALF,
+         lambda t: mp.log(1 - t) ** 30 / t ** 30),
+        ("B(20,20,1/3)", lambda: ev.B_general(20, 20, THIRD), THIRD,
+         lambda t: mp.log(1 + t) ** 20 / t ** 20),
+        ("C(16,12,1/3)", lambda: ev.C_general(16, 12, THIRD), THIRD,
+         lambda t: mp.log(t) ** 16 / (1 - t) ** 12),
+        ("J1(10,10,1/3)", lambda: ev.J1_eval(10, 10, THIRD), THIRD,
+         lambda t: mp.log(t) ** 10 * mp.polylog(10, t)),
+        ("J(1,12,12)", lambda: ev.J_eval(1, 12, 12), 1,
+         lambda t: t * mp.polylog(12, t) ** 2),
+        ("K(1,10,10)", lambda: ev.K_eval(1, 10, 10), 1,
+         lambda t: mp.log(t) * mp.polylog(10, t) ** 2 / t),
+    ])
+    def test_against_mp_quad(self, name, build, x, integrand):
+        got = numeric_eval(build(), x=x, digits=30)
+        with mp.workdps(50):
+            x = Fraction(x)
+            want = mp.quad(integrand, [0, mpf(x.numerator) / x.denominator])
+        assert abs(got - want) <= mpf("1e-25") * abs(want), name
 
 
 class TestRecurrenceRoute:

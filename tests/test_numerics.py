@@ -254,3 +254,12 @@ class TestNumericEval:
             num.numeric_eval(ex.ONE, Fraction(3, 2))
         with pytest.raises(ParameterError):
             num.numeric_eval(ex.ONE, 0)
+
+    def test_cancelling_terms_keep_the_asked_digits(self):
+        # 10^25 zeta(2) - r with r = floor(10^25 zeta(2)) - 1: the two terms
+        # cancel 25 digits, far more than the guard digits cover
+        r = 16449340668482264364724150
+        f = ex.ClosedForm.of(ex.zeta(2), coeff=10**25) - ex.ClosedForm.number(r)
+        want = num.numeric_eval(f, digits=80)
+        assert close(want, mpf("1.66646025189218949901206798437735558"), mpf(10) ** -34)
+        assert close(num.numeric_eval(f, digits=20), want, mpf(10) ** -20)

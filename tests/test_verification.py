@@ -86,6 +86,14 @@ class TestFormatting:
         assert vf.format_value(mpf("-1e-25")) == "0.0000000000"
         assert vf.format_value(mpf(0)) == "0.0000000000"
 
+    def test_values_past_the_decimal_context(self):
+        # 24! and beyond need more than the default 28 significant digits
+        with mp.workdps(30):
+            assert vf.format_value(mp.factorial(24)) == (
+                "620448401733239439360000.0000000000")
+            assert vf.format_value(-mpf(10) ** 30) == (
+                "-1000000000000000000000000000000.0000000000")
+
 
 class TestRunSuite:
     def test_records_come_back_sorted(self):
