@@ -5,8 +5,11 @@ and is independent of the closed-form evaluators: zeta values come from
 the Borwein alternating-series acceleration, polylogarithms from the
 defining series (small argument) or the expansion around the logarithmic
 singularity at 1 (large argument), and linear Euler sums from direct
-partial sums with Euler-Maclaurin tail corrections.  The quadrature
-oracle and the CLI sit on top of this module.
+partial sums with Euler-Maclaurin tail corrections.  Those partial sums
+are computed exactly in integers scaled by 2^shift (fixed point); their
+floor divisions leave them short by fewer than 2 n_cut units of 2^-shift,
+and they are rounded to an mpf once.  The quadrature oracle and the CLI sit
+on top of this module.
 
 All public functions take a decimal `digits` target and compute with
 guard digits internally; returned mpf values carry the guard precision.
@@ -225,7 +228,9 @@ def _zeta_tail(s: int, n0: int) -> mpf:
         if abs(term) >= prev:
             break  # asymptotic series started to grow
         total += term
-        if abs(term) < eps * max(1, abs(total)):
+        # relative to the (tiny, positive) total: the Euler-sum tails
+        # multiply high-s tails by large Bernoulli coefficients
+        if abs(term) < eps * total:
             break
         prev = abs(term)
         rising *= (s + 2 * j - 1) * (s + 2 * j)
@@ -269,10 +274,12 @@ _euler_cache: dict[tuple[int, int, int], mpf] = {}
 def euler_sum_value(p: int, q: int, digits: int = 30) -> mpf:
     """S_{p,q} = sum_{n >= 1} H_n^(p) / n^q, numerically.
 
-    Partial sum to N, then a tail from the asymptotics of H_n^(p): for
-    p = 1 the log/gamma expansion of H_n, for p >= 2 the expansion of
-    zeta(p) - H_n^(p) as a zeta tail; both reduce the remainder to
-    Euler-Maclaurin zeta tails evaluated at N.
+    Partial sum to N = n_cut, computed exactly in integers scaled by
+    2^shift; its floor divisions leave it short by fewer than 2 N units of
+    2^-shift, and it is rounded to an mpf once.  Then a tail from the
+    asymptotics of H_n^(p): for p = 1 the log/gamma expansion of H_n, for
+    p >= 2 the expansion of zeta(p) - H_n^(p) as a zeta tail; both reduce
+    the remainder to Euler-Maclaurin zeta tails evaluated at N.
     """
     if not isinstance(p, int) or p < 1:
         raise InvalidOrder(f"euler_sum_value requires integer p >= 1, got {p!r}")
@@ -283,11 +290,16 @@ def euler_sum_value(p: int, q: int, digits: int = 30) -> mpf:
         return _euler_cache[key]
     n_cut = 2000 + 120 * digits
     with mp.workdps(digits + GUARD_DIGITS + 5):
-        partial = mp.zero
-        h = mp.zero
+        # guard bits: n_cut's bit length plus a margin keeps the 2 n_cut
+        # units that the floor divisions can lose below the last bit of
+        # the working precision at any digits
+        shift = mp.prec + n_cut.bit_length() + 16
+        one = 1 << shift
+        h = acc = 0
         for n in range(1, n_cut + 1):
-            h += mpf(n) ** (-p)
-            partial += h * mpf(n) ** (-q)
+            h += one // n**p
+            acc += h // n**q
+        partial = mp.ldexp(mpf(acc), -shift)
         if p == 1:
             # H_n = log n + gamma + 1/(2n) - sum_j B_2j / (2j n^2j)
             tail = _log_zeta_tail(q, n_cut)

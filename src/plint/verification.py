@@ -66,7 +66,8 @@ def format_value(v: mpf) -> str:
         d = d.quantize(Decimal("1e-10"), rounding=ROUND_HALF_EVEN)
     if d == 0:
         return "0.0000000000"
-    return str(d)
+    # str() would switch to exponent form below 1e-6
+    return format(d, "f")
 
 
 def _fmt_err(e: mpf) -> str:

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface through real subprocesses."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -45,6 +46,13 @@ class TestEval:
         out = run_cli("eval", "--family", "A", "--m", "30", "--n", "30", "--x", "0.5")
         assert out.returncode == 0
         assert out.stdout.endswith(" = 722.0494177889\n")
+
+    def test_high_weight_euler_sums(self):
+        # 60 Euler-sum and zeta atoms that cancel 19 digits, so they are
+        # evaluated twice (30 and 50 digits)
+        out = run_cli("eval", "--family", "K", "--m", "1", "--p", "30", "--q", "30")
+        assert out.returncode == 0
+        assert out.stdout.endswith(" = -0.2500000002\n")
 
     def test_order_violation_exits_two(self):
         out = run_cli("eval", "--family", "A", "--m", "1", "--n", "2")
@@ -134,6 +142,14 @@ class TestVerify:
                          "--jobs", "2")
         assert first.returncode == again.returncode == fanned.returncode == 0
         assert first.stdout == again.stdout == fanned.stdout
+
+    def test_full_report_is_pinned(self):
+        # sha256 of the whole `verify --suite all` stdout: a change that
+        # alters any record, value string or rel_err shows up here
+        out = run_cli("verify", "--suite", "all", "--jobs", "2")
+        assert out.returncode == 0
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+            "7eb4a7b9124ccec09f1d86af623beae1bb1829a11b7108ce2bbbc62c03beff29")
 
     def test_unknown_suite_exits_two(self):
         out = run_cli("verify", "--suite", "everything")

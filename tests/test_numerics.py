@@ -200,6 +200,29 @@ class TestEulerSums:
         # remainder below 4000^-3 * zeta(2) / 3 ~ 1e-11
         assert close(num.euler_sum_value(2, 4, 30), brute, mpf(10) ** -9)
 
+    @pytest.mark.parametrize("digits", [20, 50, 200])
+    @pytest.mark.parametrize("p", [2, 5, 30])
+    def test_symmetric_sums_at_high_digits(self, digits, p):
+        # S(p,p) = (zeta(p)^2 + zeta(2p)) / 2
+        with mp.workdps(digits + 30):
+            want = (mp.zeta(p) ** 2 + mp.zeta(2 * p)) / 2
+            got = num.euler_sum_value(p, p, digits)
+            tol = mpf(10) ** -(digits + num.GUARD_DIGITS)
+            assert abs(got - want) < tol * want
+
+    @pytest.mark.parametrize("digits", [20, 50, 200])
+    @pytest.mark.parametrize("q", [2, 5, 30])
+    def test_euler_reduction_at_high_digits(self, digits, q):
+        # Euler: S(1,q) = (1 + q/2) zeta(q+1)
+        #                 - 1/2 sum_{k=1}^{q-2} zeta(k+1) zeta(q-k)
+        with mp.workdps(digits + 30):
+            want = (1 + mpf(q) / 2) * mp.zeta(q + 1) - sum(
+                (mp.zeta(k + 1) * mp.zeta(q - k) for k in range(1, q - 1)),
+                mp.zero) / 2
+            got = num.euler_sum_value(1, q, digits)
+            tol = mpf(10) ** -(digits + num.GUARD_DIGITS)
+            assert abs(got - want) < tol * want
+
     def test_precision_ladder(self):
         lo = num.euler_sum_value(3, 2, 15)
         hi = num.euler_sum_value(3, 2, 35)

@@ -86,6 +86,11 @@ class TestFormatting:
         assert vf.format_value(mpf("-1e-25")) == "0.0000000000"
         assert vf.format_value(mpf(0)) == "0.0000000000"
 
+    def test_small_values_keep_fixed_point(self):
+        # str() of a quantized Decimal switches to exponent form below 1e-6
+        assert vf.format_value(mpf("2.4e-9")) == "0.0000000024"
+        assert vf.format_value(mpf("-6.996e-7")) == "-0.0000006996"
+
     def test_values_past_the_decimal_context(self):
         # 24! and beyond need more than the default 28 significant digits
         with mp.workdps(30):
