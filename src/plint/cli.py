@@ -3,6 +3,10 @@
 The families, their parameter flags and endpoints come from the family
 table (families.TABLE); `eval` and `table` read it and nothing else.
 
+Working precision is at least 5 and at most MAX_DIGITS (2000) digits,
+from `--digits` or `PLINT_DIGITS`; `verify --tol` must be a finite number
+>= 0.  Anything outside those limits is a parameter problem.
+
 Exit codes: 0 success, 1 verification failure, 2 parameter problems,
 3 genuinely divergent requests.  Identical invocations print identical
 bytes, so outputs can be frozen as goldens.
@@ -18,6 +22,8 @@ import os
 import sys
 from fractions import Fraction
 
+from mpmath import mp, mpf
+
 from . import exact
 from .errors import (DivergentAtOne, DivergentValue, NonIntegrable,
                      ParameterError, PlintError)
@@ -28,6 +34,8 @@ from .verification import SUITES, all_passed, format_value, run_suite
 FAMILIES = tuple(name for name, entry in TABLE.items() if entry.cli)
 
 DEFAULT_DIGITS = 30
+# one evaluation at 2000 digits takes seconds; at 10^4 digits minutes
+MAX_DIGITS = 2000
 
 
 def _resolve_digits(flag_value: int | None, fallback: int = DEFAULT_DIGITS) -> int:
@@ -43,7 +51,18 @@ def _resolve_digits(flag_value: int | None, fallback: int = DEFAULT_DIGITS) -> i
             raise ParameterError(f"PLINT_DIGITS must be an integer, got {text!r}")
     if digits < 5:
         raise ParameterError(f"digits must be at least 5, got {digits}")
+    if digits > MAX_DIGITS:
+        raise ParameterError(f"digits must be at most {MAX_DIGITS}, got {digits}")
     return digits
+
+
+def _check_tol(text: str) -> None:
+    try:
+        tol = mpf(text)
+    except ValueError:
+        raise ParameterError(f"--tol must be a number, got {text!r}")
+    if not (mp.isfinite(tol) and tol >= 0):
+        raise ParameterError(f"--tol must be finite and at least 0, got {text}")
 
 
 def _parse_point(text: str) -> Fraction:
@@ -94,6 +113,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be at least 1, got {args.jobs}")
+    _check_tol(args.tol)
     digits = _resolve_digits(args.digits, fallback=20)
     records = run_suite(args.suite, tol=args.tol, grid=args.grid,
                         digits=digits, jobs=args.jobs)

@@ -67,11 +67,10 @@ def _falling(m: int, s: int) -> int:
 
 def _term(coeff, *factors: tuple[exact.Atom, int]) -> ClosedForm:
     """One product term; factors with exponent 0 are dropped."""
-    out = ClosedForm.number(coeff)
-    for atom, exp in factors:
-        if exp:
-            out = out * ClosedForm.of(atom, exp=exp)
-    return out
+    coeff = Fraction(coeff)
+    if coeff == 0:
+        return exact.ZERO
+    return ClosedForm((exact.Term(coeff, exact._merge_factors(factors)),))
 
 
 def _sum(parts: list[ClosedForm]) -> ClosedForm:
@@ -79,8 +78,9 @@ def _sum(parts: list[ClosedForm]) -> ClosedForm:
     return ClosedForm(term for part in parts for term in part.terms)
 
 
-def _zz(a: int, b: int) -> ClosedForm:
-    return ClosedForm.of(exact.zeta(a)) * ClosedForm.of(exact.zeta(b))
+def _zz(a: int, b: int, coeff=1) -> ClosedForm:
+    """coeff * zeta(a) * zeta(b), one term (a squared atom when a == b)."""
+    return _term(coeff, (exact.zeta(a), 1), (exact.zeta(b), 1))
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,7 @@ class NestedSumPlan:
         return descend(())
 
     def evaluate(self) -> ClosedForm:
-        total = exact.ZERO
-        for chain in self.chains():
-            total = total + self.body(chain)
-        return total
+        return _sum([self.body(chain) for chain in self.chains()])
 
 
 def _compositions(s: int, parts: int) -> int:
@@ -129,11 +126,11 @@ def _compositions(s: int, parts: int) -> int:
 
 
 def _l_symbolic(n: int, m: int) -> ClosedForm:
-    out = exact.ZERO
+    parts = []
     for j in range(m + 1):
         coeff = Fraction((-1) ** j * _rising(m + 1 - j, j), (n + 1) ** (j + 1))
-        out = out + _term(coeff, (exact.x_pow(n + 1), 1), (exact.log_x(), m - j))
-    return out
+        parts.append(_term(coeff, (exact.x_pow(n + 1), 1), (exact.log_x(), m - j)))
+    return _sum(parts)
 
 
 def L_integral(n: int, m: int, at: EvalPoint = 1) -> ClosedForm:
@@ -153,13 +150,14 @@ def L_integral(n: int, m: int, at: EvalPoint = 1) -> ClosedForm:
 
 
 def _m_symbolic(n: int, m: int) -> ClosedForm:
-    out = exact.ZERO
+    parts = []
     for j in range(n + 1):
         outer = Fraction((-1) ** j * math.comb(n, j), j + 1)
         for i in range(m + 1):
             coeff = outer * Fraction((-1) ** i * _rising(m + 1 - i, i), (j + 1) ** i)
-            out = out + _term(coeff, (exact.one_minus_x_pow(j + 1), 1), (exact.log_1mx(), m - i))
-    return out
+            parts.append(_term(coeff, (exact.one_minus_x_pow(j + 1), 1),
+                               (exact.log_1mx(), m - i)))
+    return _sum(parts)
 
 
 def _m_at_zero(n: int, m: int) -> Fraction:
@@ -199,12 +197,13 @@ def head_log1m_integral(n: int, m: int, x: EvalPoint) -> ClosedForm:
 
 
 def _a_base_symbolic(m: int) -> ClosedForm:
-    out = _term(1, (exact.log_x(), 1), (exact.log_1mx(), m))
+    parts = [_term(1, (exact.log_x(), 1), (exact.log_1mx(), m))]
     for k in range(m - 1):
         coeff = (-1) ** k * _rising(m - k, k + 1)
-        out = out + _term(coeff, (exact.log_1mx(), m - k - 1), (exact.li_1mx(k + 2), 1))
-    out = out + _term((-1) ** (m - 1) * math.factorial(m), (exact.li_1mx(m + 1), 1))
-    return out + _a_particular(m)
+        parts.append(_term(coeff, (exact.log_1mx(), m - k - 1), (exact.li_1mx(k + 2), 1)))
+    parts.append(_term((-1) ** (m - 1) * math.factorial(m), (exact.li_1mx(m + 1), 1)))
+    parts.append(_a_particular(m))
+    return _sum(parts)
 
 
 def _a_particular(m: int) -> ClosedForm:
@@ -226,13 +225,15 @@ def A_base(m: int, x: EvalPoint = 1) -> ClosedForm:
 
 
 def _b_base_symbolic(m: int) -> ClosedForm:
-    out = _term(1, (exact.log_x(), 1), (exact.log_1px(), m))
-    out = out + _term(Fraction(-m, m + 1), (exact.log_1px(), m + 1))
-    out = out + ClosedForm.of(exact.zeta(m + 1), coeff=math.factorial(m))
+    parts = [
+        _term(1, (exact.log_x(), 1), (exact.log_1px(), m)),
+        _term(Fraction(-m, m + 1), (exact.log_1px(), m + 1)),
+        ClosedForm.of(exact.zeta(m + 1), coeff=math.factorial(m)),
+    ]
     for i in range(1, m + 1):
         coeff = -math.comb(m, i) * math.factorial(i)
-        out = out + _term(coeff, (exact.log_1px(), m - i), (exact.li_inv_1px(i + 1), 1))
-    return out
+        parts.append(_term(coeff, (exact.log_1px(), m - i), (exact.li_inv_1px(i + 1), 1)))
+    return _sum(parts)
 
 
 def B_base(m: int, x: EvalPoint = 1) -> ClosedForm:
@@ -246,21 +247,23 @@ def B_base(m: int, x: EvalPoint = 1) -> ClosedForm:
     x = _check_point("x", x)
     if x != 1:
         return _b_base_symbolic(m)
-    out = _term(Fraction(-m, m + 1), (exact.log_two(), m + 1))
-    out = out + ClosedForm.of(exact.zeta(m + 1), coeff=math.factorial(m))
+    parts = [
+        _term(Fraction(-m, m + 1), (exact.log_two(), m + 1)),
+        ClosedForm.of(exact.zeta(m + 1), coeff=math.factorial(m)),
+    ]
     for i in range(1, m + 1):
         coeff = -math.comb(m, i) * math.factorial(i)
-        out = out + _term(coeff, (exact.log_two(), m - i), (exact.li_at_half(i + 1), 1))
-    return out
+        parts.append(_term(coeff, (exact.log_two(), m - i), (exact.li_at_half(i + 1), 1)))
+    return _sum(parts)
 
 
 def _c_base_symbolic(m: int) -> ClosedForm:
     # valid for m >= 0; degenerates to -log(1-x) when m = 0
-    out = _term(-1, (exact.log_1mx(), 1), (exact.log_x(), m))
+    parts = [_term(-1, (exact.log_1mx(), 1), (exact.log_x(), m))]
     for i in range(2, m + 2):
         coeff = m * (-1) ** (i - 1) * math.comb(m - 1, i - 2) * math.factorial(i - 2)
-        out = out + _term(coeff, (exact.log_x(), m + 1 - i), (exact.li_x(i), 1))
-    return out
+        parts.append(_term(coeff, (exact.log_x(), m + 1 - i), (exact.li_x(i), 1)))
+    return _sum(parts)
 
 
 def C_base(m: int, x: EvalPoint = 1) -> ClosedForm:
@@ -300,11 +303,9 @@ def _descending_weights(n: int) -> list[dict[int, Fraction]]:
 
 
 def _ac_at_one(m: int, n: int) -> ClosedForm:
-    out = exact.ZERO
     lead = (-1) ** m * math.factorial(m)
-    for y, layer in enumerate(_descending_weights(n)):
-        out = out + ClosedForm.of(exact.zeta(m - y), coeff=lead * sum(layer.values()))
-    return out
+    return _sum([ClosedForm.of(exact.zeta(m - y), coeff=lead * sum(layer.values()))
+                 for y, layer in enumerate(_descending_weights(n))])
 
 
 def _a_general_symbolic(m: int, n: int) -> ClosedForm:
@@ -415,20 +416,22 @@ def J0_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
     _require_int("m", m, 0)
     _require_int("p", p, 1)
     x = _check_point("x", x)
+    parts = []
     if x == 1:
-        out = exact.ZERO
         for j in range(2, p + 1):
-            out = out + ClosedForm.of(
+            parts.append(ClosedForm.of(
                 exact.zeta(j), coeff=Fraction((-1) ** (p - j), (m + 1) ** (p + 1 - j))
-            )
+            ))
         head = Fraction((-1) ** (p - 1), (m + 1) ** p) * harmonic_value(m + 1)
-        return out + ClosedForm.number(head)
-    out = exact.ZERO
+        parts.append(ClosedForm.number(head))
+        return _sum(parts)
     for j in range(2, p + 1):
         coeff = Fraction((-1) ** (p - j), (m + 1) ** (p + 1 - j))
-        out = out + _term(coeff, (exact.x_pow(m + 1), 1), (exact.li_x(j), 1))
-    tail = _m_symbolic(m, 1) - ClosedForm.number(_m_at_zero(m, 1))
-    return out + tail.scale(Fraction((-1) ** (p - 1), (m + 1) ** (p - 1)))
+        parts.append(_term(coeff, (exact.x_pow(m + 1), 1), (exact.li_x(j), 1)))
+    tail_scale = Fraction((-1) ** (p - 1), (m + 1) ** (p - 1))
+    parts.append(_m_symbolic(m, 1).scale(tail_scale))
+    parts.append(ClosedForm.number(-_m_at_zero(m, 1) * tail_scale))
+    return _sum(parts)
 
 
 def J1_zero(m: int, x: EvalPoint = 1) -> ClosedForm:
@@ -502,13 +505,12 @@ def J_at_one_v1(m: int, p: int) -> ClosedForm:
     """
     _require_int("m", m, 0)
     _require_int("p", p, 1)
-    out = exact.ZERO
+    parts = []
     for j in range(2, p + 1):
-        inner = exact.ZERO
-        for i in range(2, p + 2 - j):
-            inner = inner - ClosedForm.of(
-                exact.zeta(i), coeff=Fraction(1, (m + 1) ** (p + 2 - j - i))
-            )
+        inner = [
+            ClosedForm.of(exact.zeta(i), coeff=Fraction(-1, (m + 1) ** (p + 2 - j - i)))
+            for i in range(2, p + 2 - j)
+        ]
         rational = sum(
             (
                 Fraction(1, (m + 1) ** (p + 2 - j - i)) * harmonic_value(m + 1, i)
@@ -516,17 +518,17 @@ def J_at_one_v1(m: int, p: int) -> ClosedForm:
             ),
             Fraction(0),
         )
-        inner = inner + ClosedForm.number(rational)
-        out = out + (ClosedForm.of(exact.zeta(j)) * inner).scale((-1) ** (p - j))
-    block = exact.ZERO
+        inner.append(ClosedForm.number(rational))
+        parts.append(ClosedForm.of(exact.zeta(j), coeff=(-1) ** (p - j)) * _sum(inner))
+    sign = (-1) ** (p - 1)
     for i in range(2, p + 1):
         partial = sum(
             (harmonic_value(n) / Fraction(n**i) for n in range(1, m + 2)), Fraction(0)
         )
         piece = reduce_S1(i) - ClosedForm.number(partial)
-        block = block - piece.scale(Fraction(1, (m + 1) ** (p - i + 1)))
-    block = block + ClosedForm.number(Fraction(1, (m + 1) ** p) * _h_square_block(m))
-    return out + block.scale((-1) ** (p - 1))
+        parts.append(piece.scale(Fraction(-sign, (m + 1) ** (p - i + 1))))
+    parts.append(ClosedForm.number(Fraction(sign, (m + 1) ** p) * _h_square_block(m)))
+    return _sum(parts)
 
 
 def J_at_one_v2(m: int, p: int) -> ClosedForm:
@@ -537,20 +539,21 @@ def J_at_one_v2(m: int, p: int) -> ClosedForm:
     """
     _require_int("m", m, 0)
     _require_int("p", p, 1)
-    out = exact.ZERO
+    parts = []
     for i in range(2, p + 1):
-        inner = reduce_S1(i)
+        inner = [reduce_S1(i)]
         rational = Fraction(0)
         for k in range(2, i + 1):
-            inner = inner + ClosedForm.of(
+            inner.append(ClosedForm.of(
                 exact.zeta(k), coeff=(-1) ** (i - k) * harmonic_value(m + 1, i - k + 1)
-            )
+            ))
         for j in range(1, m + 2):
             rational += Fraction((-1) ** (i - 1), j**i) * harmonic_value(j)
-        inner = inner + ClosedForm.number(rational)
-        out = out + inner.scale(Fraction((-1) ** (p - i), (m + 1) ** (p - i + 1)))
+        inner.append(ClosedForm.number(rational))
+        parts.append(_sum(inner).scale(Fraction((-1) ** (p - i), (m + 1) ** (p - i + 1))))
     head = Fraction((-1) ** (p - 1), (m + 1) ** p) * _h_square_block(m)
-    return out + ClosedForm.number(head)
+    parts.append(ClosedForm.number(head))
+    return _sum(parts)
 
 
 def J_at_one_devoto(m: int) -> ClosedForm:
@@ -569,13 +572,13 @@ def J_neg2_at_one(p: int) -> ClosedForm:
     + (1/2) sum_{i=3}^p sum_{k=1}^{i-2} zeta(k+1) zeta(i-k).
     """
     _require_int("p", p, 1)
-    out = ClosedForm.of(exact.zeta(2), coeff=2)
+    parts = [ClosedForm.of(exact.zeta(2), coeff=2)]
     for i in range(2, p + 1):
-        out = out - ClosedForm.of(exact.zeta(i + 1), coeff=Fraction(i, 2))
+        parts.append(ClosedForm.of(exact.zeta(i + 1), coeff=Fraction(-i, 2)))
     for i in range(3, p + 1):
         for k in range(1, i - 1):
-            out = out + _zz(k + 1, i - k).scale(Fraction(1, 2))
-    return out
+            parts.append(_zz(k + 1, i - k, Fraction(1, 2)))
+    return _sum(parts)
 
 
 @lru_cache(maxsize=None)
@@ -607,7 +610,7 @@ def J_eval(m: int, p: int, q: int) -> ClosedForm:
     for stage in range(1, q):
         for s in range(p - 1):
             coeff = Fraction((-1) ** (s + stage - 1), (m + 1) ** (s + stage))
-            parts.append(_zz(p - s, q - stage + 1).scale(coeff * _compositions(s, stage)))
+            parts.append(_zz(p - s, q - stage + 1, coeff * _compositions(s, stage)))
         coeff = Fraction((-1) ** (p - 2 + stage), (m + 1) ** (p - 2 + stage))
         parts.append(_j_base(m, q - stage + 1).scale(coeff * _compositions(p - 2, stage)))
     for s in range(p - 1):

@@ -16,6 +16,14 @@ Equal construction histories therefore yield identical tuples, so ``==``
 on ClosedForm is structural identity of the canonical form and the JSON
 serialization is byte-deterministic.
 
+The public ``Term(coeff, factors)`` validates its parts (nonzero
+coefficient, factors strictly sorted, exponents >= 1), because terms can
+come from outside, as in ``from_dict``/``loads``.  The terms this module
+builds itself from parts that are already canonical (merging in
+``ClosedForm``, ``*``, unary ``-``, ``scale``, the x -> 1-x substitution and
+the x -> 1- limit) go through ``_trusted_term``, which skips those checks.
+Each atom computes its sort key and hash once, when it is made.
+
 Coefficients are `fractions.Fraction`; its invariants (normalized sign,
 gcd-reduced, nonzero denominator) are exactly what is needed, so no
 wrapper type is introduced.
@@ -24,7 +32,7 @@ wrapper type is introduced.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -103,13 +111,18 @@ class Atom:
 
     kind: str
     args: tuple[int, ...] = ()
+    sort_key: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    # hash of sort_key: ints only, so the same in every process
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_args(self.kind, self.args)
+        key = (_KIND_INDEX[self.kind], self.args)
+        object.__setattr__(self, "sort_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
-    @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (_KIND_INDEX[self.kind], self.args)
+    def __hash__(self) -> int:
+        return self._hash
 
     def __lt__(self, other: "Atom") -> bool:
         return self.sort_key < other.sort_key
@@ -221,6 +234,16 @@ class Term:
         return all(atom.is_constant for atom, _ in self.factors)
 
 
+def _trusted_term(coeff: Fraction, factors: Factors) -> Term:
+    """A Term from parts that are already canonical: a nonzero Fraction and
+    factors as _merge_factors or an existing Term leaves them.  Skips the
+    public constructor's checks."""
+    term = object.__new__(Term)
+    object.__setattr__(term, "coeff", coeff)
+    object.__setattr__(term, "factors", factors)
+    return term
+
+
 class ClosedForm:
     """Canonical sum of terms.  Immutable; the empty sum represents 0."""
 
@@ -231,10 +254,12 @@ class ClosedForm:
     def __init__(self, terms: Iterable[Term] = ()) -> None:
         acc: dict[Factors, Fraction] = {}
         for term in terms:
-            acc[term.factors] = acc.get(term.factors, Fraction(0)) + term.coeff
+            factors = term.factors
+            coeff = acc.get(factors)
+            acc[factors] = term.coeff if coeff is None else coeff + term.coeff
         # bare rational term (no factors) sorts last so forms read "z2 - 1"
         canon = tuple(
-            Term(coeff, factors)
+            _trusted_term(coeff, factors)
             for factors, coeff in sorted(
                 acc.items(),
                 key=lambda kv: (not kv[0], tuple((a.sort_key, e) for a, e in kv[0])),
@@ -278,7 +303,7 @@ class ClosedForm:
         return self + (-other)
 
     def __neg__(self) -> "ClosedForm":
-        return ClosedForm(Term(-t.coeff, t.factors) for t in self.terms)
+        return ClosedForm(_trusted_term(-t.coeff, t.factors) for t in self.terms)
 
     def __mul__(self, other: "ClosedForm") -> "ClosedForm":
         if not isinstance(other, ClosedForm):
@@ -286,7 +311,8 @@ class ClosedForm:
         out = []
         for a in self.terms:
             for b in other.terms:
-                out.append(Term(a.coeff * b.coeff, _merge_factors(a.factors, b.factors)))
+                out.append(_trusted_term(a.coeff * b.coeff,
+                                         _merge_factors(a.factors, b.factors)))
         return ClosedForm(out)
 
     def __pow__(self, n: int) -> "ClosedForm":
@@ -301,7 +327,7 @@ class ClosedForm:
         c = Fraction(c)
         if c == 0:
             return ClosedForm(())
-        return ClosedForm(Term(t.coeff * c, t.factors) for t in self.terms)
+        return ClosedForm(_trusted_term(t.coeff * c, t.factors) for t in self.terms)
 
     # -- queries ---------------------------------------------------------------
 
@@ -372,7 +398,7 @@ def subst_one_minus_x(form: ClosedForm) -> ClosedForm:
     out = []
     for term in form.terms:
         factors = _merge_factors(tuple((_subst_atom(a), e) for a, e in term.factors))
-        out.append(Term(term.coeff, factors))
+        out.append(_trusted_term(term.coeff, factors))
     return ClosedForm(out)
 
 
@@ -436,7 +462,7 @@ def eval_at_one(form: ClosedForm) -> ClosedForm:
             raise DivergentAtOne(
                 f"term {compact(ClosedForm((term,)))!r} diverges as x -> 1-"
             )
-        out.append(Term(term.coeff * sign * extra, _merge_factors(tuple(kept))))
+        out.append(_trusted_term(term.coeff * sign * extra, _merge_factors(tuple(kept))))
     return ClosedForm(out)
 
 

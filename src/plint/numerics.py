@@ -370,14 +370,19 @@ def _atom_value(atom: exact.Atom, x: Optional[Fraction], digits: int) -> mpf:
 def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
                digits: int) -> tuple[mpf, mpf]:
     """The form's value and the sum of its terms' magnitudes, with the atoms
-    at `digits` and the arithmetic at digits + GUARD_DIGITS."""
+    at `digits` and the arithmetic at digits + GUARD_DIGITS.  Each distinct
+    atom is valued once per call, however many terms share it."""
+    values: dict[exact.Atom, mpf] = {}
     with mp.workdps(digits + GUARD_DIGITS):
         total = mp.zero
         magnitude = mp.zero
         for term in form.terms:
             val = frac_mpf(term.coeff)
             for atom, expn in term.factors:
-                val *= _atom_value(atom, x, digits) ** expn
+                atom_val = values.get(atom)
+                if atom_val is None:
+                    atom_val = values[atom] = _atom_value(atom, x, digits)
+                val *= atom_val ** expn
             total += val
             magnitude += abs(val)
         return total, magnitude
@@ -392,9 +397,11 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
     its x -> 1- limit, so removable factors cancel exactly and genuinely
     divergent forms raise DivergentAtOne.
 
-    When the terms cancel so far that sum |term| / |value| exceeds
-    10^GUARD_DIGITS, the guard digits cannot cover the loss; the form is then
-    evaluated once more with the working digits raised by that many digits.
+    Each distinct atom is valued once per pass over the terms, whatever the
+    number of terms it occurs in.  When the terms cancel so far that
+    sum |term| / |value| exceeds 10^GUARD_DIGITS, the guard digits cannot
+    cover the loss; the form is then evaluated in a second pass with the
+    working digits raised by that many digits.
     """
     if x is not None:
         x = Fraction(x)

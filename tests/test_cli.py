@@ -6,8 +6,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import plint
-from plint import exact
+from plint import cli, exact
+from plint.errors import ParameterError
 
 # the directory this test run imports plint from, so the subprocesses run the
 # same code whether or not the package is installed
@@ -114,6 +117,21 @@ class TestEval:
                       env={"PLINT_DIGITS": "nonsense"})
         assert out.returncode == 2
 
+    def test_digits_above_the_cap_exit_two(self):
+        # 10^9 digits ran out of memory; 10^4 ran for minutes
+        out = run_cli("eval", "--family", "J0", "--m", "0", "--p", "2",
+                      "--digits", "1000000000")
+        assert out.returncode == 2
+        assert "at most 2000" in out.stderr
+        out = run_cli("eval", "--family", "J0", "--m", "0", "--p", "2",
+                      env={"PLINT_DIGITS": "2001"})
+        assert out.returncode == 2
+
+    def test_digits_cap_is_inclusive(self):
+        assert cli._resolve_digits(cli.MAX_DIGITS) == 2000
+        with pytest.raises(ParameterError):
+            cli._resolve_digits(cli.MAX_DIGITS + 1)
+
 
 class TestVerify:
     def test_identities_suite_green(self):
@@ -150,6 +168,17 @@ class TestVerify:
         assert out.returncode == 0
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
             "7eb4a7b9124ccec09f1d86af623beae1bb1829a11b7108ce2bbbc62c03beff29")
+
+    @pytest.mark.parametrize("tol", ["abc", "-1", "nan", "inf"])
+    def test_bad_tolerance_exits_two(self, tol):
+        out = run_cli("verify", "--suite", "identities", f"--tol={tol}")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "--tol" in out.stderr
+
+    def test_zero_tolerance_accepted(self):
+        out = run_cli("verify", "--suite", "identities", "--tol", "0")
+        assert out.returncode == 0
 
     def test_unknown_suite_exits_two(self):
         out = run_cli("verify", "--suite", "everything")

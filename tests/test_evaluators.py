@@ -1,6 +1,7 @@
 """Closed-form evaluators: frozen oracle values, structural identities,
 route cross-checks, and the x -> 1 continuity guards."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -706,3 +707,45 @@ class TestContinuityAtOne:
         assert self.gap(ev.J0_eval(1, 2, HALF), ev.J0_eval(1, 2)) < mpf("1e-4")
         assert self.gap(ev.J1_zero(2, HALF), ev.J1_zero(2)) < mpf("1e-9")
         assert self.gap(ev.J1_eval(2, 2, HALF), ev.J1_eval(2, 2)) < mpf("1e-9")
+
+
+def _dumps_battery():
+    """(label, form) for the fixed battery whose serialized bytes are pinned:
+    A, B, C for m <= 8, n <= m and J0, J1 for m, p <= 5 at four points, J for
+    m in {-2, 0, 1, 2, 3} and p + q <= 8, K for m <= 4 and 1 <= p + q <= 6."""
+    points = (Fraction(1), HALF, THIRD, Fraction(9, 10))
+    for x in points:
+        for name, build in (("A", ev.A_general), ("B", ev.B_general),
+                            ("C", ev.C_general)):
+            for m in range(1, 9):
+                for n in range(1, m + 1):
+                    yield f"{name}({m},{n},{x})", build(m, n, x)
+        for m in range(6):
+            for p in range(6):
+                if p >= 1:
+                    yield f"J0({m},{p},{x})", ev.J0_eval(m, p, x)
+                if (m, p, x) != (0, 0, 1):  # J1(0, 0, 1) diverges
+                    yield f"J1({m},{p},{x})", ev.J1_eval(m, p, x)
+    for m in (-2, 0, 1, 2, 3):
+        for p in range(1, 8):
+            for q in range(1, 9 - p):
+                yield f"J({m},{p},{q})", ev.J_eval(m, p, q)
+    for m in range(1, 5):
+        for p in range(7):
+            for q in range(7 - p):
+                if p + q >= 1:
+                    yield f"K({m},{p},{q})", ev.K_eval(m, p, q)
+
+
+class TestSerializedFormsArePinned:
+    def test_dumps_bytes_are_pinned(self):
+        # sha256 of exact.dumps over the battery: a change that alters any
+        # canonical term, coefficient or the term order shows up here
+        digest = hashlib.sha256()
+        count = 0
+        for label, form in _dumps_battery():
+            digest.update(f"{label} {exact.dumps(form)}\n".encode())
+            count += 1
+        assert count == 943
+        assert digest.hexdigest() == (
+            "8ebbcbebe50c9c0d4bd301d6383b80f852445e6c621fc36ee59a3293fca2bcf6")

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plint import exact as ex
-from plint.errors import DivergentAtOne, UnsupportedAtom
+from plint.errors import DivergentAtOne, PlintError, UnsupportedAtom
+from plint.families import TABLE, closed_form
 
 
 def cf_atom(atom, exp=1, coeff=1):
@@ -288,3 +289,51 @@ class TestCompact:
              * cf_atom(ex.li_at_half(4)) * cf_atom(ex.log_two())
              * cf_atom(ex.li_inv_1px(2)) * cf_atom(ex.log_1px()))
         assert ex.compact(f) == "l2*Li4(h)*H(5,2)*S(2,2)*l1px*Li2(1/(1+x))"
+
+
+def _assert_canonical(form):
+    """Every term would pass the public Term checks unchanged, and building
+    the form again from its own terms changes nothing."""
+    for t in form.terms:
+        assert type(t) is ex.Term and type(t.coeff) is Fraction
+        assert all(type(e) is int for _, e in t.factors)
+        assert ex.Term(t.coeff, t.factors) == t
+    assert ex.ClosedForm(form.terms).terms == form.terms
+
+
+class TestTrustedTerms:
+    """The operations inside `exact` build their terms without the public
+    checks; every term they make must still pass them."""
+
+    @given(_FORMS, _FORMS, st.fractions(min_value=-4, max_value=4))
+    def test_operations_keep_terms_canonical(self, a, b, c):
+        built = [a + b, a - b, -a, a * b, a.scale(c), ex.from_dict(ex.to_dict(a))]
+        for f in (a, a * b):
+            try:
+                built.append(ex.subst_one_minus_x(f))
+            except UnsupportedAtom:
+                pass
+            try:
+                built.append(ex.eval_at_one(f))
+            except DivergentAtOne:
+                pass
+        for form in built:
+            _assert_canonical(form)
+
+    def test_evaluator_outputs_are_canonical(self):
+        count = 0
+        for family, entry in TABLE.items():
+            points = (None,) if entry.endpoint is None else (Fraction(1), Fraction(1, 3))
+            grid = [()]
+            for _ in entry.params:
+                grid = [g + (v,) for g in grid for v in range(5)]
+            for params in grid:
+                for x in points:
+                    try:
+                        form = (closed_form(family, params) if x is None
+                                else closed_form(family, params, x))
+                    except PlintError:
+                        continue
+                    _assert_canonical(form)
+                    count += 1
+        assert count > 500
