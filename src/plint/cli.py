@@ -5,7 +5,8 @@ table (families.TABLE); `eval` and `table` read it and nothing else.
 
 Working precision is at least 5 and at most MAX_DIGITS (2000) digits,
 from `--digits` or `PLINT_DIGITS`; `verify --tol` must be a finite number
->= 0.  Anything outside those limits is a parameter problem.
+>= 0 and defaults to 10^-digits.  Anything outside those limits is a
+parameter problem.
 
 Exit codes: 0 success, 1 verification failure, 2 parameter problems,
 3 genuinely divergent requests.  Identical invocations print identical
@@ -113,7 +114,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ParameterError(f"--jobs must be at least 1, got {args.jobs}")
-    _check_tol(args.tol)
+    if args.tol is not None:
+        _check_tol(args.tol)
     digits = _resolve_digits(args.digits, fallback=20)
     records = run_suite(args.suite, tol=args.tol, grid=args.grid,
                         digits=digits, jobs=args.jobs)
@@ -212,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", default="all", choices=SUITES)
-    p_verify.add_argument("--tol", default="1e-9")
+    p_verify.add_argument("--tol", help="relative tolerance (default 10^-digits)")
     p_verify.add_argument("--grid", default="full", choices=("small", "full"))
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--digits", type=int)

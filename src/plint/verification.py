@@ -16,8 +16,13 @@ Closed forms of the integral families come from the family table
 
 A record is {"spec": {"family", "params", "x"}, "symbolic", "value",
 "oracle", "rel_err", "pass"}; "oracle" always holds the independent route's
-number, whatever that route is.  Records are sorted by spec key before
-emission so --jobs never changes the output.
+number, whatever that route is.  A record passes when its relative error is
+at most the tolerance, 10^-digits unless one is given.  "rel_err" prints
+any error below 10^-digits as "<1e-{digits}", zero included: digits past
+the asked-for precision are rounding noise of the numeric routes, so they
+stay off stdout.  Only the identities suite, whose two sides are exact
+rationals, prints an exact agreement as "0".  Records are sorted by spec key before emission so --jobs never
+changes the output.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from mpmath import mp, mpf
 
@@ -40,7 +45,8 @@ from .quadrature import oracle_value
 SUITES = ("oracle", "dual-route", "two-formula", "identities", "euler", "all")
 DEFAULT_DIGITS = 20
 
-Tol = Union[str, float]
+# None means the default, 10^-digits
+Tol = Optional[Union[str, float]]
 
 _X_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 
@@ -70,21 +76,27 @@ def format_value(v: mpf) -> str:
     return format(d, "f")
 
 
-def _fmt_err(e: mpf) -> str:
+def _fmt_err(e: mpf, digits: Optional[int]) -> str:
+    if digits is not None and e < mpf(f"1e-{digits}"):
+        return f"<1e-{digits}"
     if e == 0:
         return "0"
     return f"{float(e):.0e}"
 
 
 def _record(family: str, params: tuple[int, ...], x: Fraction, symbolic: str,
-            value: mpf, other: mpf, tol: mpf, structural_ok: bool = True) -> dict:
+            value: mpf, other: mpf, tol: mpf, digits: Optional[int],
+            structural_ok: bool = True) -> dict:
+    """One record; `digits` is the precision of the numeric routes, below
+    which rel_err prints as "<1e-{digits}", or None when both sides are
+    exact rationals."""
     err = abs(value - other) / max(1, abs(other))
     return {
         "spec": {"family": family, "params": list(params), "x": _x_str(x)},
         "symbolic": symbolic,
         "value": format_value(value),
         "oracle": format_value(other),
-        "rel_err": _fmt_err(err),
+        "rel_err": _fmt_err(err, digits),
         "pass": bool(structural_ok and err <= tol),
     }
 
@@ -226,14 +238,15 @@ def _numeric(form, x: Fraction, digits: int) -> mpf:
     return numeric_eval(form, x=feed, digits=digits)
 
 
-def run_case(case: Case, tol: Tol = "1e-9", digits: int = DEFAULT_DIGITS) -> dict:
+def run_case(case: Case, tol: Tol = None, digits: int = DEFAULT_DIGITS) -> dict:
     suite, family, params, x = case
-    tol = mpf(str(tol))
+    tol = mpf(f"1e-{digits}" if tol is None else str(tol))
     if suite == "oracle":
         form = closed_form(family, params, x)
         value = _numeric(form, x, digits)
         want = oracle_value(family, params, x, digits)
-        return _record(family, params, x, exact.compact(form), value, want, tol)
+        return _record(family, params, x, exact.compact(form), value, want,
+                       tol, digits)
     if suite == "dual-route":
         direct = closed_form(family, params)
         if family == "J0":
@@ -248,7 +261,7 @@ def run_case(case: Case, tol: Tol = "1e-9", digits: int = DEFAULT_DIGITS) -> dic
         value = _numeric(direct, x, digits)
         want = _numeric(other, x, digits)
         return _record(family, params, x, exact.compact(direct), value, want,
-                       tol, structural_ok=structural)
+                       tol, digits, structural_ok=structural)
     if suite == "two-formula":
         m, p = params
         v1 = ev.J_at_one_v1(m, p)
@@ -260,7 +273,7 @@ def run_case(case: Case, tol: Tol = "1e-9", digits: int = DEFAULT_DIGITS) -> dic
         value = _numeric(v1, x, digits)
         want = _numeric(v2, x, digits)
         return _record(family, params, x, exact.compact(v1), value, want,
-                       tol, structural_ok=structural)
+                       tol, digits, structural_ok=structural)
     if suite == "identities":
         m = params[0]
         if family == "SquaredHarmonic":
@@ -271,7 +284,7 @@ def run_case(case: Case, tol: Tol = "1e-9", digits: int = DEFAULT_DIGITS) -> dic
             value = mpf(lhs.numerator) / lhs.denominator
             want = mpf(rhs.numerator) / rhs.denominator
         return _record(family, params, x, str(lhs), value, want, tol,
-                       structural_ok=lhs == rhs)
+                       None, structural_ok=lhs == rhs)
     if suite == "euler":
         p, q = params
         form = reduce_S(p, q)
@@ -281,7 +294,7 @@ def run_case(case: Case, tol: Tol = "1e-9", digits: int = DEFAULT_DIGITS) -> dic
         if (p, q) == (1, 2):
             structural = form == exact.ClosedForm.of(exact.zeta(3), coeff=2)
         return _record(family, params, x, exact.compact(form), value, want,
-                       tol, structural_ok=structural)
+                       tol, digits, structural_ok=structural)
     raise ParameterError(f"unknown suite {suite!r}")
 
 
@@ -305,7 +318,7 @@ def _sort_key(record: dict):
     return (spec["family"], spec["params"], spec["x"])
 
 
-def run_suite(suite: str, tol: Tol = "1e-9", grid: str = "full",
+def run_suite(suite: str, tol: Tol = None, grid: str = "full",
               digits: int = DEFAULT_DIGITS, jobs: int = 1) -> list[dict]:
     """Run one suite (or 'all') and return its sorted records."""
     cases = build_cases(suite, grid)
@@ -313,14 +326,14 @@ def run_suite(suite: str, tol: Tol = "1e-9", grid: str = "full",
         # processes, not threads: the numeric substrate keeps global
         # precision state that must not be shared
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_case_runner, [(c, str(tol), digits) for c in cases],
+            records = list(pool.map(_case_runner, [(c, tol, digits) for c in cases],
                                     chunksize=8))
     else:
         records = [_run_case_guarded(c, tol, digits) for c in cases]
     return sorted(records, key=_sort_key)
 
 
-def _case_runner(packed: tuple[Case, str, int]) -> dict:
+def _case_runner(packed: tuple[Case, Tol, int]) -> dict:
     case, tol, digits = packed
     return _run_case_guarded(case, tol, digits)
 

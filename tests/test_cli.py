@@ -167,7 +167,7 @@ class TestVerify:
         out = run_cli("verify", "--suite", "all", "--jobs", "2")
         assert out.returncode == 0
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-            "7eb4a7b9124ccec09f1d86af623beae1bb1829a11b7108ce2bbbc62c03beff29")
+            "5948a752bccdfa3c2d2e5f9b47f2082c43f1f3df1a4561e21223171aef632c1e")
 
     @pytest.mark.parametrize("tol", ["abc", "-1", "nan", "inf"])
     def test_bad_tolerance_exits_two(self, tol):
