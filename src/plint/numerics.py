@@ -2,7 +2,7 @@
 
 Everything here works on mpmath floats at an explicit decimal precision
 and is independent of the closed-form evaluators: zeta values come from
-the Borwein alternating-series acceleration, polylogarithms from the
+mpmath's zeta, computed once per (s, precision), polylogarithms from the
 defining series (small argument) or the expansion around the logarithmic
 singularity at 1 (large argument), and linear Euler sums from direct
 partial sums with Euler-Maclaurin tail corrections.  Those partial sums
@@ -44,55 +44,34 @@ def frac_mpf(q: Number) -> mpf:
 _zeta_cache: dict[tuple[int, int], mpf] = {}
 
 
-def _borwein_eta_zeta(s: int) -> mpf:
-    """zeta(s), s >= 2, via Borwein's acceleration of eta(s), at the
-    current working precision.
-
-    With n terms the error shrinks like (3 + sqrt(8))^-n, so n is about
-    1.31 times the digit target.  The d_k are exact integers.
-    """
-    key = (s, mp.prec)
-    if key in _zeta_cache:
-        return _zeta_cache[key]
-    n = int(mp.dps / math.log10(3.0 + math.sqrt(8.0))) + 3
-    d = [0] * (n + 1)
-    acc = 0
-    num = math.factorial(n - 1)  # (n+i-1)! running value, i = 0
-    for i in range(n + 1):
-        acc += num * 4**i // (math.factorial(n - i) * math.factorial(2 * i))
-        d[i] = n * acc
-        num *= n + i
-    total = mp.zero
-    sign = 1
-    for k in range(n):
-        total += sign * mpf(d[k] - d[n]) / mpf(k + 1) ** s
-        sign = -sign
-    eta = -total / d[n]
-    _zeta_cache[key] = eta / (1 - mpf(2) ** (1 - s))
-    return _zeta_cache[key]
-
-
 def zeta_value(s: int, digits: int = 30) -> mpf:
     """Riemann zeta at an integer s >= 2."""
     if not isinstance(s, int) or s < 2:
         raise InvalidOrder(f"zeta_value requires integer s >= 2, got {s!r}")
     with mp.workdps(digits + GUARD_DIGITS):
-        return _borwein_eta_zeta(s)
+        return _zeta_any(s)
 
 
 def _zeta_any(s: int) -> mpf:
-    """zeta at any integer except 1, at the current working precision.
+    """zeta at any integer except 1, at the current working precision,
+    computed once per (s, precision).
 
     Negative and zero arguments come from Bernoulli numbers; they feed the
     polylogarithm expansion around argument 1.
     """
-    if s >= 2:
-        return _borwein_eta_zeta(s)
-    if s == 1:
-        raise DivergentValue("zeta(1) diverges")
-    if s == 0:
-        return mpf(-1) / 2
-    return -mp.bernoulli(1 - s) / (1 - s)
+    key = (s, mp.prec)
+    value = _zeta_cache.get(key)
+    if value is None:
+        if s == 1:
+            raise DivergentValue("zeta(1) diverges")
+        if s >= 2:
+            value = mp.zeta(s)
+        elif s == 0:
+            value = mpf(-1) / 2
+        else:
+            value = -mp.bernoulli(1 - s) / (1 - s)
+        _zeta_cache[key] = value
+    return value
 
 
 # -- harmonic numbers -----------------------------------------------------------
@@ -314,7 +293,7 @@ def euler_sum_value(p: int, q: int, digits: int = 30) -> mpf:
         else:
             # H_n^(p) = zeta(p) - r_n,  r_n = sum_{k > n} k^-p expanded by
             # Euler-Maclaurin in powers of 1/n
-            tail = _borwein_eta_zeta(p) * _zeta_tail(q, n_cut)
+            tail = _zeta_any(p) * _zeta_tail(q, n_cut)
             tail -= _zeta_tail(p + q - 1, n_cut) / (p - 1)
             tail += _zeta_tail(p + q, n_cut) / 2
             eps = mpf(10) ** (-(mp.dps + 2))
