@@ -1,15 +1,20 @@
 """High-precision numeric values for the symbolic atoms.
 
 Everything here works on mpmath floats at an explicit decimal precision
-and is independent of the closed-form evaluators: zeta values come from
-mpmath's zeta, computed once per (s, precision), polylogarithms from the
-defining series (small argument) or the expansion around the logarithmic
-singularity at 1 (large argument), and linear Euler sums from direct
-partial sums with Euler-Maclaurin tail corrections.  Those partial sums
-are computed exactly in integers scaled by 2^shift (fixed point); their
-floor divisions leave them short by fewer than 2 n_cut units of 2^-shift,
-and they are rounded to an mpf once.  The quadrature oracle and the CLI sit
-on top of this module.
+and is independent of the closed-form evaluators.  Zeta values come from
+mpmath's zeta, computed once per (s, precision).  Polylogarithms come in
+runs: one pass yields every order Li_0(t)..Li_k(t) of one argument, cached
+together.  For t <= 1/2 the pass sums the defining series for all orders at
+once in integers scaled by 2^shift (fixed point), with the factor t taken
+out so that each sum lies in [1, 2) and keeps its relative accuracy at
+arguments near 0; its floor divisions and the dropped tail leave each sum
+short by less than 2^-(prec+1) relative.  For t > 1/2 it uses the
+expansion around the logarithmic singularity at 1, sharing the powers of
+log t and the zeta values among orders.  Linear Euler sums come from direct
+partial sums with Euler-Maclaurin tail corrections; those partial sums are
+computed exactly in integers scaled by 2^shift, their floor divisions leave
+them short by fewer than 2 n_cut units of 2^-shift, and they are rounded to
+an mpf once.  The quadrature oracle and the CLI sit on top of this module.
 
 All public functions take a decimal `digits` target and compute with
 guard digits internally; returned mpf values carry the guard precision.
@@ -94,62 +99,113 @@ def harmonic_value(n: int, m: int = 1) -> Fraction:
 
 # -- polylogarithms --------------------------------------------------------------
 
-_MAX_SERIES_TERMS = 10**7
-
-_polylog_cache: dict[tuple, mpf] = {}
-
-
-def _polylog_series(k: int, t: mpf) -> mpf:
-    """Direct defining series; good for |t| <= 1/2 (geometric tail)."""
-    eps = mpf(10) ** (-(mp.dps + 2))
-    total = mp.zero
-    power = mpf(1)
-    one_minus = 1 - t
-    for n in range(1, _MAX_SERIES_TERMS):
-        power *= t
-        total += power / mpf(n) ** k
-        # tail bound: sum_{m>n} t^m/m^k < t^{n+1} / ((n+1)^k (1-t)); the
-        # stop must be relative to the (tiny, positive) total because
-        # integrands divide Li_k(t) by powers of t
-        if abs(power * t) / (mpf(n + 1) ** k * one_minus) < eps * abs(total):
-            return total
-    raise NonConvergent(f"polylog series did not converge for k={k}, t={t}")
+# (t, one_minus_t, digits) -> (Li_0(t), ..., Li_K(t)), K the highest order
+# asked for at that argument so far
+_polylog_cache: dict[tuple, tuple[mpf, ...]] = {}
 
 
-def _polylog_log_branch(k: int, mu: mpf) -> mpf:
-    """Li_k(e^mu) for small negative mu, from the expansion around 1:
+def _polylog_orders(kmax: int, t: Union[Fraction, mpf],
+                    comp: mpf) -> tuple[mpf, ...]:
+    """Li_0(t), ..., Li_kmax(t) for 0 <= t < 1 at the current working
+    precision prec, given t exactly (a Fraction, or an mpf at prec) and
+    comp = 1 - t at full relative accuracy.
+
+    For t > 1/2 the orders from 2 up come from the expansion around 1
+    (`_polylog_log_branch`), and Li_1 = -log(1-t).  For t <= 1/2 every order
+    from 1 up comes from one integer pass over the defining series:
+    Li_j(t) = t S_j with S_j = sum_{n >= 1} t^(n-1) / n^j, which lies in
+    [1, 2), so a fixed point scaled by 2^shift, shift = prec + guard, keeps
+    the full relative accuracy of S_j however small t is.  The running
+    power P = t^(n-1) 2^shift is floored at each step (P <- P a // b for
+    t = a/b, an mpf being man / 2^-exp), which keeps it within 2 units of
+    its exact value because t <= 1/2; each term floor(P / n^j) then loses
+    fewer than 3 units.  The pass stops once P < 2^(guard-3), after at most
+    prec + 4 terms, and the geometric tail it drops is below
+    2^(guard-2) + 4 units.  With guard = bit_length(prec) + 5 each S_j is
+    short by less than 2^-(prec+1) relative, and is rounded to an mpf once.
+    """
+    rational = isinstance(t, Fraction)
+    tv = frac_mpf(t) if rational else t
+    orders = [tv / comp]
+    if kmax == 0:
+        return tuple(orders)
+    if tv > 0.5:
+        orders.append(-mp.log(comp))
+        orders += _polylog_log_branch(kmax, mp.log1p(-comp))
+        return tuple(orders)
+    if rational:
+        a, b = t.numerator, t.denominator
+    else:
+        _, man, exp, _ = t._mpf_
+        a, b = int(man), 1 << -exp
+    guard = mp.prec.bit_length() + 5
+    shift = mp.prec + guard
+    stop = 1 << (guard - 3)
+    sums = [0] * kmax
+    power = 1 << shift
+    n = 1
+    while power >= stop:
+        term = power
+        for j in range(kmax):
+            term //= n  # floor(power / n^(j+1)), exactly
+            sums[j] += term
+        n += 1
+        power = power * a // b
+    orders += (tv * mp.ldexp(mpf(acc), -shift) for acc in sums)
+    return tuple(orders)
+
+
+def _polylog_log_branch(kmax: int, mu: mpf) -> list[mpf]:
+    """Li_2(e^mu), ..., Li_kmax(e^mu) for small negative mu, from the
+    expansion around 1:
 
         Li_k(e^mu) = sum_{j >= 0, j != k-1} zeta(k-j) mu^j / j!
                      + mu^(k-1)/(k-1)! (H_{k-1} - log(-mu))
 
-    Valid for |mu| < 2 pi; here mu = log t with t in (1/2, 1).
+    Valid for |mu| < 2 pi; here mu = log t with t in (1/2, 1).  The powers
+    mu^j / j! and the zeta values are shared by all orders.
     """
     eps = mpf(10) ** (-(mp.dps + 2))
-    total = mpf(mu) ** (k - 1) / mp.factorial(k - 1) * (
-        frac_mpf(harmonic_value(k - 1)) - mp.log(-mu)
-    )
-    power = mpf(1)  # mu^j / j!
-    small_run = 0
-    for j in range(0, 400):
-        if j > 0:
-            power *= mu / j
-        if j == k - 1:
-            continue
-        term = _zeta_any(k - j) * power
-        total += term
-        # zeta vanishes at negative even integers, so require a run of
-        # small terms before stopping
-        if j > k and abs(term) < eps * max(1, abs(total)):
-            small_run += 1
-            if small_run >= 3:
-                return total
+    log_neg_mu = mp.log(-mu)
+    powers = [mpf(1)]  # mu^j / j!, extended as far as some order needs
+
+    def power(j: int) -> mpf:
+        while len(powers) <= j:
+            powers.append(powers[-1] * mu / len(powers))
+        return powers[j]
+
+    out = []
+    for k in range(2, kmax + 1):
+        total = power(k - 1) * (frac_mpf(harmonic_value(k - 1)) - log_neg_mu)
+        small_run = 0
+        for j in range(0, 400):
+            if j == k - 1:
+                continue
+            term = _zeta_any(k - j) * power(j)
+            total += term
+            # zeta vanishes at negative even integers, so require a run of
+            # small terms before stopping
+            if j > k and abs(term) < eps * max(1, abs(total)):
+                small_run += 1
+                if small_run >= 3:
+                    break
+            else:
+                small_run = 0
         else:
-            small_run = 0
-    raise NonConvergent(f"polylog expansion did not converge for k={k}, mu={mu}")
+            raise NonConvergent(f"polylog expansion did not converge for k={k}, mu={mu}")
+        out.append(total)
+    return out
 
 
 def polylog_value(k: int, t, digits: int = 30, *, one_minus_t=None) -> mpf:
     """Li_k(t) for real 0 <= t <= 1 (t < 1 when k < 2).
+
+    All orders 0..k of one argument come from one pass and are cached
+    together per (argument, digits), so asking for an argument's highest
+    order first makes its lower orders cache hits.  For t <= 1/2 the pass
+    is the fixed-point series of `_polylog_orders`, whose sums are short by
+    less than 2^-(prec+1) relative before their one rounding each; above
+    1/2 it is the expansion around 1, with Li_1 = -log(1-t).
 
     `one_minus_t`, when given, is a precomputed 1-t carrying full relative
     accuracy; pass it when t is so close to 1 that forming 1-t by
@@ -160,37 +216,31 @@ def polylog_value(k: int, t, digits: int = 30, *, one_minus_t=None) -> mpf:
     # memoize on both sides of the argument: near 0 the complement rounds
     # to exactly 1 for many distinct t, near 1 it is t that degenerates,
     # so neither alone is collision-free (mpf values hash consistently)
-    if isinstance(t, (int, Fraction)):
-        cache_key = (k, Fraction(t), None, digits)
+    rational = isinstance(t, (int, Fraction))
+    if rational:
+        t = Fraction(t)
+        cache_key = (t, None, digits)
     else:
-        cache_key = (k, t, one_minus_t, digits)
-    if cache_key in _polylog_cache:
-        return _polylog_cache[cache_key]
+        cache_key = (t, one_minus_t, digits)
+    orders = _polylog_cache.get(cache_key)
+    if orders is not None and k < len(orders):
+        return orders[k]
     with mp.workdps(digits + GUARD_DIGITS):
-        tv = frac_mpf(t) if isinstance(t, (int, Fraction)) else mpf(t)
+        if not rational:
+            t = mpf(t)  # rounded to the working precision
+        tv = frac_mpf(t) if rational else t
         if one_minus_t is not None:
             comp = mpf(one_minus_t)
         else:
-            comp = frac_mpf(1 - Fraction(t)) if isinstance(t, (int, Fraction)) else 1 - tv
+            comp = frac_mpf(1 - t) if rational else 1 - tv
         if not (0 <= tv <= 1) or comp < 0:
             raise ParameterError(f"polylog_value expects 0 <= t <= 1, got {t!r}")
         if comp == 0:
             if k >= 2:
-                value = zeta_value(k, digits)
-            else:
-                raise DivergentValue(f"Li_{k}(1) diverges")
-        elif tv == 0:
-            value = mp.zero
-        elif k == 0:
-            value = tv / comp
-        elif k == 1:
-            value = -mp.log(comp)
-        elif tv <= 0.5:
-            value = _polylog_series(k, tv)
-        else:
-            value = _polylog_log_branch(k, mp.log1p(-comp))
-    _polylog_cache[cache_key] = value
-    return value
+                return zeta_value(k, digits)
+            raise DivergentValue(f"Li_{k}(1) diverges")
+        orders = _polylog_cache[cache_key] = _polylog_orders(k, t, comp)
+    return orders[k]
 
 
 # -- Euler-Maclaurin zeta tails ---------------------------------------------------
@@ -312,14 +362,24 @@ def euler_sum_value(p: int, q: int, digits: int = 30) -> mpf:
 
 # -- closed-form evaluation -----------------------------------------------------------
 
+# polylogarithm atom kind -> its argument at the point x
+_LI_ARGUMENTS = {
+    "LiAtHalf": lambda x: Fraction(1, 2),
+    "LiX": lambda x: x,
+    "Li1mX": lambda x: 1 - x,
+    "LiInv1pX": lambda x: 1 / (1 + x),
+}
+
+
 def _atom_value(atom: exact.Atom, x: Optional[Fraction], digits: int) -> mpf:
     kind, args = atom.kind, atom.args
+    li_argument = _LI_ARGUMENTS.get(kind)
+    if li_argument is not None:
+        return polylog_value(args[0], li_argument(x), digits)
     if kind == "Zeta":
         return zeta_value(args[0], digits)
     if kind == "LogTwo":
         return mp.log(2)
-    if kind == "LiAtHalf":
-        return polylog_value(args[0], Fraction(1, 2), digits)
     if kind == "Harmonic":
         return frac_mpf(harmonic_value(args[0], args[1]))
     if kind == "EulerSum":
@@ -337,12 +397,6 @@ def _atom_value(atom: exact.Atom, x: Optional[Fraction], digits: int) -> mpf:
         return frac_mpf(1 - x) ** args[0]
     if kind == "OnePlusXPow":
         return frac_mpf(1 + x) ** args[0]
-    if kind == "LiX":
-        return polylog_value(args[0], x, digits)
-    if kind == "Li1mX":
-        return polylog_value(args[0], 1 - x, digits)
-    if kind == "LiInv1pX":
-        return polylog_value(args[0], Fraction(1, 1 + x), digits)
     raise ParameterError(f"no numeric rule for atom {atom!r}")  # pragma: no cover
 
 
@@ -350,18 +404,19 @@ def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
                digits: int) -> tuple[mpf, mpf]:
     """The form's value and the sum of its terms' magnitudes, with the atoms
     at `digits` and the arithmetic at digits + GUARD_DIGITS.  Each distinct
-    atom is valued once per call, however many terms share it."""
-    values: dict[exact.Atom, mpf] = {}
+    atom is valued once per call, however many terms share it.  Polylog
+    atoms are valued highest order first, so the one pass that yields an
+    argument's highest order also yields every lower order of it."""
+    atoms = dict.fromkeys(atom for term in form.terms for atom, _ in term.factors)
+    ordered = sorted(atoms, key=lambda a: -a.args[0] if a.kind in _LI_ARGUMENTS else 0)
     with mp.workdps(digits + GUARD_DIGITS):
+        values = {atom: _atom_value(atom, x, digits) for atom in ordered}
         total = mp.zero
         magnitude = mp.zero
         for term in form.terms:
             val = frac_mpf(term.coeff)
             for atom, expn in term.factors:
-                atom_val = values.get(atom)
-                if atom_val is None:
-                    atom_val = values[atom] = _atom_value(atom, x, digits)
-                val *= atom_val ** expn
+                val *= values[atom] ** expn
             total += val
             magnitude += abs(val)
         return total, magnitude

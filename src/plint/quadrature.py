@@ -205,6 +205,14 @@ def _j1(m, p, x, omb, digits):
     return f_j1
 
 
+def _li_product(p: int, q: int, t: mpf, one_minus_t: mpf, digits: int) -> mpf:
+    """Li_p(t) Li_q(t) from one polylog pass: the higher order is asked for
+    first, and its pass caches every lower order, so the other is a hit."""
+    lo, hi = (p, q) if p <= q else (q, p)
+    li_hi = polylog_value(hi, t, digits, one_minus_t=one_minus_t)
+    return polylog_value(lo, t, digits, one_minus_t=one_minus_t) * li_hi
+
+
 def _j(m, p, q, x, omb, digits):
     if m < -2 or m == -1:
         raise ParameterError(f"J needs m >= -2 and m != -1, got m={m}")
@@ -212,8 +220,7 @@ def _j(m, p, q, x, omb, digits):
         raise ParameterError(f"J needs p >= 1, q >= 1, got p={p}, q={q}")
 
     def f_j(t, dm, dp):
-        li = (polylog_value(p, dm, digits, one_minus_t=dp)
-              * polylog_value(q, dm, digits, one_minus_t=dp))
+        li = _li_product(p, q, dm, dp, digits)
         return dm**m * li
 
     return f_j
@@ -226,8 +233,7 @@ def _k(r, p, q, x, omb, digits):
         raise ParameterError(f"K needs p, q >= 0 with p + q >= 1, got p={p}, q={q}")
 
     def f_k(t, dm, dp):
-        li = (polylog_value(p, dm, digits, one_minus_t=dp)
-              * polylog_value(q, dm, digits, one_minus_t=dp))
+        li = _li_product(p, q, dm, dp, digits)
         return mp.log1p(-dp) ** r * li / dm if dp < dm else \
             mp.log(dm) ** r * li / dm
 

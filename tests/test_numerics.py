@@ -8,6 +8,7 @@ mpmath's own zeta/polylog implementations, classical identities
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from plint import exact as ex
@@ -138,6 +139,102 @@ class TestPolylog:
             num.polylog_value(2, Fraction(3, 2))
         with pytest.raises(InvalidOrder):
             num.polylog_value(-1, Fraction(1, 2))
+
+
+class TestPolylogOrders:
+    """The one-pass kernel behind polylog_value: every order of one argument
+    at once, fixed point for t <= 1/2."""
+
+    @staticmethod
+    def bound(digits):
+        # the docstring's bound: sums short by < 2^-(prec+1), then at most
+        # four roundings of half an ulp each (t, the sum, the product)
+        with mp.workdps(digits + num.GUARD_DIGITS):
+            return 8 * mpf(2) ** -mp.prec
+
+    @pytest.mark.parametrize("digits", [20, 50, 200])
+    @pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(1, 3),
+                                   Fraction(1, 10), Fraction(3, 7)])
+    def test_every_order_against_mpmath(self, monkeypatch, digits, t):
+        monkeypatch.setattr(num, "_polylog_cache", {})
+        got = [num.polylog_value(k, t, digits) for k in range(12, 0, -1)]
+        with mp.workdps(digits + 30):
+            tv = num.frac_mpf(t)
+            for k, value in zip(range(12, 0, -1), got):
+                want = mp.polylog(k, tv)
+                assert abs(value - want) < self.bound(digits) * want, (k, t)
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    def test_relative_accuracy_at_tiny_nodes(self, monkeypatch, digits):
+        # quadrature nodes near 0: the K integrand divides Li_p Li_q by t,
+        # so the values must keep their relative accuracy there
+        monkeypatch.setattr(num, "_polylog_cache", {})
+        with mp.workdps(digits + num.GUARD_DIGITS):
+            nodes = (mpf("1e-60"), mpf(2) ** -200)
+        for node in nodes:
+            for k in range(12, 0, -1):
+                got = num.polylog_value(k, node, digits)
+                with mp.workdps(digits + 100):
+                    want = sum(node**n / mpf(n) ** k for n in range(1, 6))
+                assert abs(got - want) < self.bound(digits) * want, (node, k)
+
+    def test_one_pass_serves_every_lower_order(self, monkeypatch):
+        monkeypatch.setattr(num, "_polylog_cache", {})
+        calls = []
+        kernel = num._polylog_orders
+        monkeypatch.setattr(num, "_polylog_orders",
+                            lambda *args: calls.append(args[0]) or kernel(*args))
+        top = num.polylog_value(7, Fraction(1, 3), 30)
+        lower = [num.polylog_value(k, Fraction(1, 3), 30) for k in range(7)]
+        assert calls == [7]
+        assert len(num._polylog_cache) == 1
+        # a higher order extends the one entry
+        num.polylog_value(9, Fraction(1, 3), 30)
+        assert calls == [7, 9]
+        assert len(num._polylog_cache) == 1
+        assert num.polylog_value(7, Fraction(1, 3), 30) == top
+        assert [num.polylog_value(k, Fraction(1, 3), 30) for k in range(7)] == lower
+
+    def test_orders_do_not_depend_on_the_highest_order(self, monkeypatch):
+        for t in (Fraction(1, 3), Fraction(4, 5)):
+            monkeypatch.setattr(num, "_polylog_cache", {})
+            low = [num.polylog_value(k, t, 30) for k in range(5)]
+            monkeypatch.setattr(num, "_polylog_cache", {})
+            num.polylog_value(12, t, 30)
+            assert [num.polylog_value(k, t, 30) for k in range(5)] == low
+
+    def test_numeric_eval_runs_one_pass_per_argument(self, monkeypatch):
+        monkeypatch.setattr(num, "_polylog_cache", {})
+        calls = []
+        kernel = num._polylog_orders
+        monkeypatch.setattr(num, "_polylog_orders",
+                            lambda *args: calls.append(args[0]) or kernel(*args))
+        # at x = 1/3: Li1, Li2, Li3, Li5 of 1/3, Li2 and Li4 of 2/3, Li3(1/2)
+        f = ex.ONE
+        for atom in (ex.li_x(1), ex.li_x(3), ex.li_x(5), ex.li_x(2),
+                     ex.li_1mx(2), ex.li_1mx(4), ex.li_at_half(3)):
+            f = f + ex.ClosedForm.of(atom)
+        num.numeric_eval(f, Fraction(1, 3), 30)
+        assert sorted(calls) == [3, 4, 5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(0, 8), digits=st.integers(10, 60),
+       t=st.fractions(min_value=0, max_value=1, max_denominator=1000)
+       .filter(lambda t: t < 1),
+       as_node=st.booleans())
+def test_polylog_does_not_depend_on_ambient_precision(k, digits, t, as_node):
+    """polylog_value(k, t, digits) is the same under ambient mp.dps 15 and
+    100, for exact arguments and for mpf nodes alike."""
+    if as_node:
+        with mp.workdps(digits + num.GUARD_DIGITS):
+            t = num.frac_mpf(t)
+    values = []
+    for ambient in (15, 100):
+        num._polylog_cache.clear()
+        with mp.workdps(ambient):
+            values.append(num.polylog_value(k, t, digits))
+    assert values[0] == values[1]
 
 
 class TestEulerMaclaurinTails:

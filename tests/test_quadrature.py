@@ -134,6 +134,26 @@ class TestFamilies:
             got = quad.oracle_value(family, params, x, 30)
         assert got == want
 
+    @pytest.mark.parametrize("family, params", [("J", (1, 2, 5)), ("K", (1, 3, 0))])
+    def test_one_polylog_pass_per_node(self, monkeypatch, family, params):
+        # Li_p and Li_q at a node come from one kernel pass (near t = 1
+        # distinct nodes share t and differ in 1 - t)
+        monkeypatch.setattr(num, "_polylog_cache", {})
+        passes = []
+        kernel = num._polylog_orders
+        monkeypatch.setattr(num, "_polylog_orders",
+                            lambda *args: passes.append(args[0]) or kernel(*args))
+        spec = quad.family_spec(family, params, 1, 20)
+        nodes = []
+
+        def counted(t, dm, dp):
+            nodes.append((dm, dp))
+            return spec.integrand(t, dm, dp)
+
+        quad.integrate(quad.IntegralSpec(spec.a, spec.b, counted), 20)
+        assert len(set(nodes)) == len(nodes) > 100
+        assert passes == [max(params[1:])] * len(nodes)
+
     def test_integrand_value_spot(self):
         v = quad.integrand_value("A", (2, 1), 1, Fraction(1, 2), 30)
         with mp.workdps(40):
