@@ -21,8 +21,8 @@ at most the tolerance, 10^-digits unless one is given.  "rel_err" prints
 any error below 10^-digits as "<1e-{digits}", zero included: digits past
 the asked-for precision are rounding noise of the numeric routes, so they
 stay off stdout.  Only the identities suite, whose two sides are exact
-rationals, prints an exact agreement as "0".  Records are sorted by spec key before emission so --jobs never
-changes the output.
+rationals, prints an exact agreement as "0".  Records are sorted by spec
+key before emission so --jobs never changes the output.
 """
 
 from __future__ import annotations
