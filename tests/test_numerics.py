@@ -147,8 +147,9 @@ class TestPolylogOrders:
 
     @staticmethod
     def bound(digits):
-        # the docstring's bound: sums short by < 2^-(prec+1), then at most
-        # four roundings of half an ulp each (t, the sum, the product)
+        # the docstring's bound: sums short by < 2^-(prec+1), then three
+        # roundings of at most 2^-prec each (t, the sum, the product), with
+        # room left for the reference's own rounding
         with mp.workdps(digits + num.GUARD_DIGITS):
             return 8 * mpf(2) ** -mp.prec
 
