@@ -9,8 +9,11 @@ once in integers scaled by 2^shift (fixed point), with the factor t taken
 out so that each sum lies in [1, 2) and keeps its relative accuracy at
 arguments near 0; its floor divisions and the dropped tail leave each sum
 short by less than 2^-(prec+1) relative.  For t > 1/2 it uses the
-expansion around the logarithmic singularity at 1, sharing the powers of
-log t and the zeta values among orders.  Linear Euler sums come from direct
+expansion around the logarithmic singularity at 1, also in fixed point:
+the powers of log t are shared among orders, the coefficients
+zeta(k-j)/j! are cached per precision, and each order lands within
+N + 70 units of 2^-shift for N terms summed, again under 2^-(prec+1)
+relative.  Linear Euler sums come from direct
 partial sums with Euler-Maclaurin tail corrections; those partial sums are
 computed exactly in integers scaled by 2^shift, their floor divisions leave
 them short by fewer than 2 n_cut units of 2^-shift, and they are rounded to
@@ -29,7 +32,7 @@ from typing import Optional, Union
 from mpmath import mp, mpf
 
 from . import exact
-from .errors import DivergentValue, InvalidOrder, NonConvergent, ParameterError
+from .errors import DivergentValue, InvalidOrder, ParameterError
 
 GUARD_DIGITS = 10
 
@@ -155,45 +158,71 @@ def _polylog_orders(kmax: int, t: Union[Fraction, mpf],
     return tuple(orders)
 
 
+# (k, shift) -> [c_0, c_1, ...], c_j = 2^shift zeta(k-j)/j! floored, except
+# c_{k-1} = 2^shift H_{k-1}/(k-1)!; shift is set by the working precision
+# (_polylog_log_branch), and the list is long enough for any mu in (-log 2, 0)
+_log_branch_coeffs: dict[tuple[int, int], list[int]] = {}
+
+
+def _log_branch_coefficients(k: int, shift: int) -> list[int]:
+    key = (k, shift)
+    coeffs = _log_branch_coeffs.get(key)
+    if coeffs is None:
+        # 8 bits past the fixed point leave each c_j within 3 units
+        with mp.workprec(shift + 8):
+            coeffs = [
+                int(mp.ldexp(frac_mpf(harmonic_value(k - 1)) if j == k - 1
+                             else _zeta_any(k - j), shift)) // math.factorial(j)
+                for j in range(k + shift // 3 + 2)]
+        _log_branch_coeffs[key] = coeffs
+    return coeffs
+
+
 def _polylog_log_branch(kmax: int, mu: mpf) -> list[mpf]:
-    """Li_2(e^mu), ..., Li_kmax(e^mu) for small negative mu, from the
-    expansion around 1:
+    """Li_2(e^mu), ..., Li_kmax(e^mu) for mu in (-log 2, 0) at the current
+    working precision prec, from the expansion around 1:
 
         Li_k(e^mu) = sum_{j >= 0, j != k-1} zeta(k-j) mu^j / j!
                      + mu^(k-1)/(k-1)! (H_{k-1} - log(-mu))
 
-    Valid for |mu| < 2 pi; here mu = log t with t in (1/2, 1).  The powers
-    mu^j / j! and the zeta values are shared by all orders.
+    summed in integers scaled by 2^shift (fixed point), shift = prec +
+    guard, guard = bit_length(prec) + 5; a unit below is 2^-shift.  The
+    coefficients c_j of mu^j (H_{k-1}/(k-1)! for j = k-1) depend only on k
+    and prec and are cached (`_log_branch_coeffs`); each lies below 2 and
+    within 3 units, and together they sum to less than 6.  The powers
+    P_j = P_{j-1} M >> shift, from M = mu truncated, stay within 5 units
+    because |mu| < log 2.  The log term, -P_{k-2} Q / (k-1)! with
+    Q = mu log(-mu) within 1 unit (|Q| < 1/e), is within 4 units however
+    close t is to 1.  Past j = 1 the terms shrink by a factor of at least
+    0.65, some being 0 (zeta vanishes at negative even integers), so the
+    sum stops on a run of three terms of at most 2 units and leaves less
+    than 25 units behind.  With one unit per floored product, an order of
+    N terms is within N + 70 units, and N <= kmax + shift/3 + 2: for
+    kmax < 4 prec that is below 2^-(prec+2), or 2^-(prec+1) relative, as
+    Li_k(e^mu) > 1/2.  Each order is rounded to an mpf once.
     """
-    eps = mpf(10) ** (-(mp.dps + 2))
-    log_neg_mu = mp.log(-mu)
-    powers = [mpf(1)]  # mu^j / j!, extended as far as some order needs
-
-    def power(j: int) -> mpf:
-        while len(powers) <= j:
-            powers.append(powers[-1] * mu / len(powers))
-        return powers[j]
-
+    prec = mp.prec
+    shift = prec + prec.bit_length() + 5
+    with mp.workprec(shift + 8):
+        m = int(mp.ldexp(mu, shift))
+        q = int(mp.ldexp(mu * mp.log(-mu), shift))
+    powers = [1 << shift]  # mu^j, extended as far as some order needs
     out = []
     for k in range(2, kmax + 1):
-        total = power(k - 1) * (frac_mpf(harmonic_value(k - 1)) - log_neg_mu)
-        small_run = 0
-        for j in range(0, 400):
+        total = small_run = 0
+        for j, c in enumerate(_log_branch_coefficients(k, shift)):
+            if j == len(powers):
+                powers.append(powers[-1] * m >> shift)
+            term = c * powers[j] >> shift
             if j == k - 1:
-                continue
-            term = _zeta_any(k - j) * power(j)
+                term -= (powers[k - 2] * q >> shift) // math.factorial(k - 1)
             total += term
             # zeta vanishes at negative even integers, so require a run of
             # small terms before stopping
-            if j > k and abs(term) < eps * max(1, abs(total)):
-                small_run += 1
-                if small_run >= 3:
-                    break
-            else:
-                small_run = 0
-        else:
-            raise NonConvergent(f"polylog expansion did not converge for k={k}, mu={mu}")
-        out.append(total)
+            small_run = small_run + 1 if -2 <= term <= 2 else 0
+            if small_run == 3:
+                break
+        out.append(mp.ldexp(mpf(total), -shift))
     return out
 
 
@@ -205,7 +234,8 @@ def polylog_value(k: int, t, digits: int = 30, *, one_minus_t=None) -> mpf:
     order first makes its lower orders cache hits.  For t <= 1/2 the pass
     is the fixed-point series of `_polylog_orders`, whose sums are short by
     less than 2^-(prec+1) relative before their one rounding each; above
-    1/2 it is the expansion around 1, with Li_1 = -log(1-t).
+    1/2 it is the fixed-point expansion around 1 of `_polylog_log_branch`,
+    within 2^-(prec+1) relative too, with Li_1 = -log(1-t).
 
     `one_minus_t`, when given, is a precomputed 1-t carrying full relative
     accuracy; pass it when t is so close to 1 that forming 1-t by
@@ -213,6 +243,19 @@ def polylog_value(k: int, t, digits: int = 30, *, one_minus_t=None) -> mpf:
     """
     if not isinstance(k, int) or k < 0:
         raise InvalidOrder(f"polylog_value requires integer k >= 0, got {k!r}")
+    orders = _polylog_run(k, t, digits, one_minus_t)
+    if orders is None:
+        if k >= 2:
+            return zeta_value(k, digits)
+        raise DivergentValue(f"Li_{k}(1) diverges")
+    return orders[k]
+
+
+def _polylog_run(k: int, t, digits: int,
+                 one_minus_t=None) -> Optional[tuple[mpf, ...]]:
+    """(Li_0(t), ..., Li_K(t)) with K >= k, from one `_polylog_cache` lookup,
+    or on a miss from one pass that is then cached; None at t = 1.  A
+    caller that needs two orders of one argument takes both from here."""
     # memoize on both sides of the argument: near 0 the complement rounds
     # to exactly 1 for many distinct t, near 1 it is t that degenerates,
     # so neither alone is collision-free (mpf values hash consistently)
@@ -224,7 +267,7 @@ def polylog_value(k: int, t, digits: int = 30, *, one_minus_t=None) -> mpf:
         cache_key = (t, one_minus_t, digits)
     orders = _polylog_cache.get(cache_key)
     if orders is not None and k < len(orders):
-        return orders[k]
+        return orders
     with mp.workdps(digits + GUARD_DIGITS):
         if not rational:
             t = mpf(t)  # rounded to the working precision
@@ -236,11 +279,9 @@ def polylog_value(k: int, t, digits: int = 30, *, one_minus_t=None) -> mpf:
         if not (0 <= tv <= 1) or comp < 0:
             raise ParameterError(f"polylog_value expects 0 <= t <= 1, got {t!r}")
         if comp == 0:
-            if k >= 2:
-                return zeta_value(k, digits)
-            raise DivergentValue(f"Li_{k}(1) diverges")
+            return None
         orders = _polylog_cache[cache_key] = _polylog_orders(k, t, comp)
-    return orders[k]
+    return orders
 
 
 # -- Euler-Maclaurin zeta tails ---------------------------------------------------

@@ -1,12 +1,16 @@
 """Independent numeric route: tanh-sinh quadrature for the integral families.
 
 The engine substitutes t = tanh((pi/2) sinh(u)) and applies the trapezoid
-rule in u, halving the step per level and reusing previous nodes.  Node
-positions are stored as distances to both interval endpoints, computed
-directly from exp(2s) rather than by subtraction, so integrands see the
-distance to an endpoint at full relative accuracy even when it is far
-below the working epsilon.  That is what lets log(1-t) and Li_k(t) be
-evaluated honestly at nodes within 1e-60 of 1.
+rule in u, halving the step per level and reusing previous nodes.  It
+stops when two successive levels agree to 10^(2 - digits), or sooner on
+the Bailey-Jeyabalan-Li error estimate from the last three levels, which
+it trusts only from level 3 on, once the last two levels agree to half
+the digits, and when it predicts an error below 10^-(digits + 3) (see
+`integrate`).  Node positions are stored as distances to both interval
+endpoints, computed directly from exp(2s) rather than by subtraction, so
+integrands see the distance to an endpoint at full relative accuracy even
+when it is far below the working epsilon.  That is what lets log(1-t) and
+Li_k(t) be evaluated honestly at nodes within 1e-60 of 1.
 
 Integrands receive (t, t - a, b - t) and must use the distance arguments
 near the endpoints.  Each family's parameter names and endpoint kind come
@@ -26,7 +30,7 @@ from mpmath import mp, mpf
 
 from .errors import NoConvergence, NonIntegrable, ParameterError
 from .families import LOWER, TABLE
-from .numerics import frac_mpf, polylog_value
+from .numerics import _polylog_run, frac_mpf, polylog_value
 
 Number = Union[int, Fraction]
 Integrand = Callable[[mpf, mpf, mpf], mpf]
@@ -76,8 +80,16 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf, mpf]]:
 def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) -> mpf:
     """Tanh-sinh value of the integral, aiming at `digits` good digits.
 
-    Levels halve the step until two successive estimates agree to
-    10^(2 - digits) relative; raises NoConvergence if max_level is hit.
+    Levels halve the step.  A level's estimate is accepted when it agrees
+    with the previous one to 10^(2 - digits) relative, or sooner on the
+    error estimate of Bailey, Jeyabalan and Li (2005): with D1 and D2 the
+    log10 relative differences of the newest estimate from the two before
+    it, the error is about 10^(D1^2 / D2), as each level about doubles the
+    good digits.  That estimate is trusted only when
+    - the level is at least 3,
+    - the last relative difference is at most 10^-(digits // 2), and
+    - the predicted error is below 10^-(digits + 3).
+    Raises NoConvergence if max_level is hit.
     """
     a, b = Fraction(spec.a), Fraction(spec.b)
     if b < a:
@@ -89,7 +101,8 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
         scale = frac_mpf(b - a)
         a_val = frac_mpf(a)
         tol = mpf(10) ** (2 - digits)
-        est = None
+        settled = mpf(10) ** -(digits // 2)
+        ests: list[mpf] = []
         for level in range(0, max_level + 1):
             nodes = _level_nodes(level)
             part = mp.zero
@@ -112,11 +125,18 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
                     f"integrand not finite on [{a}, {b}] at level {level}"
                 )
             step_part = mpf(2) ** (-level) * scale * part
-            new_est = step_part if est is None else est / 2 + step_part
-            if est is not None and level >= 2:
-                if abs(new_est - est) <= tol * max(1, abs(new_est)):
-                    return +new_est
-            est = new_est
+            est = step_part if level == 0 else ests[-1] / 2 + step_part
+            if level >= 2:
+                size = max(1, abs(est))
+                diff = abs(est - ests[-1])
+                if diff <= tol * size:
+                    return +est
+                if level >= 3 and diff <= settled * size:
+                    d1 = mp.log10(diff / size)
+                    d2 = mp.log10(abs(est - ests[-2]) / size)
+                    if d2 < 0 and d1 * d1 / d2 < -(digits + 3):
+                        return +est
+            ests.append(est)
         raise NoConvergence(
             f"tanh-sinh did not reach {digits} digits within level {max_level}"
         )
@@ -206,11 +226,10 @@ def _j1(m, p, x, omb, digits):
 
 
 def _li_product(p: int, q: int, t: mpf, one_minus_t: mpf, digits: int) -> mpf:
-    """Li_p(t) Li_q(t) from one polylog pass: the higher order is asked for
-    first, and its pass caches every lower order, so the other is a hit."""
-    lo, hi = (p, q) if p <= q else (q, p)
-    li_hi = polylog_value(hi, t, digits, one_minus_t=one_minus_t)
-    return polylog_value(lo, t, digits, one_minus_t=one_minus_t) * li_hi
+    """Li_p(t) Li_q(t) from one cached polylog run: one cache lookup per
+    node, and on a miss one kernel pass for the higher order and all below."""
+    orders = _polylog_run(max(p, q), t, digits, one_minus_t)
+    return orders[p] * orders[q]
 
 
 def _j(m, p, q, x, omb, digits):

@@ -155,7 +155,10 @@ class TestPolylogOrders:
 
     @pytest.mark.parametrize("digits", [20, 50, 200])
     @pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(1, 3),
-                                   Fraction(1, 10), Fraction(3, 7)])
+                                   Fraction(1, 10), Fraction(3, 7),
+                                   Fraction(3, 5), Fraction(2, 3),
+                                   Fraction(3, 4), Fraction(4, 5),
+                                   Fraction(9, 10), Fraction(99, 100)])
     def test_every_order_against_mpmath(self, monkeypatch, digits, t):
         monkeypatch.setattr(num, "_polylog_cache", {})
         got = [num.polylog_value(k, t, digits) for k in range(12, 0, -1)]
@@ -164,6 +167,24 @@ class TestPolylogOrders:
             for k, value in zip(range(12, 0, -1), got):
                 want = mp.polylog(k, tv)
                 assert abs(value - want) < self.bound(digits) * want, (k, t)
+
+    @pytest.mark.parametrize("digits", [20, 50, 200])
+    @pytest.mark.parametrize("e", [10, 30, 60])
+    def test_every_order_near_one(self, monkeypatch, digits, e):
+        # quadrature nodes near t = 1, given with their 1 - t: the fixed-point
+        # expansion around 1 must keep the bound however small 1 - t is
+        monkeypatch.setattr(num, "_polylog_cache", {})
+        with mp.workdps(digits + num.GUARD_DIGITS):
+            comp = 3 * mpf(10) ** -e
+            node = 1 - comp
+        got = [num.polylog_value(k, node, digits, one_minus_t=comp)
+               for k in range(12, 0, -1)]
+        # 1 - comp needs e more digits to be exact
+        with mp.workdps(digits + 30 + e):
+            tv = 1 - comp
+            for k, value in zip(range(12, 0, -1), got):
+                want = mp.polylog(k, tv)
+                assert abs(value - want) < self.bound(digits) * want, (k, e)
 
     @pytest.mark.parametrize("digits", [20, 50])
     def test_relative_accuracy_at_tiny_nodes(self, monkeypatch, digits):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from plint import families
 from plint import numerics as num
 from plint import quadrature as quad
 from plint.errors import NoConvergence, NonIntegrable, ParameterError
@@ -70,6 +71,28 @@ class TestEngine:
         spec = quad.IntegralSpec(Fraction(0), Fraction(1), lambda t, dm, dp: 1 / dm)
         with pytest.raises(NoConvergence):
             quad.integrate(spec, 20, max_level=5)
+
+    def test_error_estimate_waits_for_its_guards(self):
+        # accepted on the error estimate from level 2 on, with no guard on
+        # the last difference, this case stops early and is off by 2e-8
+        got = quad.oracle_value("A", (5, 3), Fraction(3, 4), 20)
+        want = num.numeric_eval(families.closed_form("A", (5, 3), Fraction(3, 4)),
+                                Fraction(3, 4), 30)
+        assert abs(got - want) < mpf(10) ** -20 * abs(want)
+
+    def test_smooth_case_stops_on_the_error_estimate(self):
+        # int_0^1 t log t dt at 20 digits: levels 0-3 hold 9 + 8 + 18 + 36
+        # nodes, and level 4 would add 72
+        spec = quad.family_spec("L", (1, 1), 1, 20)
+        calls = []
+
+        def counted(t, dm, dp):
+            calls.append(t)
+            return spec.integrand(t, dm, dp)
+
+        got = quad.integrate(quad.IntegralSpec(spec.a, spec.b, counted), 20)
+        assert len(calls) == 71
+        assert close(got, Fraction(-1, 4), mpf(10) ** -20)
 
     def test_inverted_interval_rejected(self):
         spec = quad.IntegralSpec(Fraction(1), Fraction(0), lambda t, dm, dp: t)
@@ -151,7 +174,8 @@ class TestFamilies:
             return spec.integrand(t, dm, dp)
 
         quad.integrate(quad.IntegralSpec(spec.a, spec.b, counted), 20)
-        assert len(set(nodes)) == len(nodes) > 100
+        # 71 nodes: levels 0-3, stopped at level 3 on the error estimate
+        assert len(set(nodes)) == len(nodes) == 71
         assert passes == [max(params[1:])] * len(nodes)
 
     def test_integrand_value_spot(self):
