@@ -1,7 +1,8 @@
 """Tests for the tanh-sinh engine and the family integrands.
 
 Reference values are either elementary (exact antiderivatives), classical
-constants, or mp.quad as a second, unrelated quadrature implementation.
+constants, mp.quad as a second, unrelated quadrature implementation, or,
+for one stop-rule regression case, the closed form.
 """
 
 from fractions import Fraction
