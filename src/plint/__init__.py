@@ -10,7 +10,7 @@ numeric route for cross-checking every closed form.
 
 from __future__ import annotations
 
-from .errors import (DivergentAtOne, DivergentValue, DomainError, InvalidOrder,
+from .errors import (DivergentAtOne, DivergentValue, InvalidOrder,
                      NoConvergence, NonConvergent, NonIntegrable,
                      ParameterError, PlintError, UnsupportedAtom)
 from .exact import (CONSTANT_KINDS, Atom, ClosedForm, compact, dumps,
@@ -30,7 +30,7 @@ from .verification import all_passed, build_cases, run_case, run_suite
 
 __all__ = [
     "PlintError", "ParameterError", "UnsupportedAtom", "DivergentAtOne",
-    "InvalidOrder", "DivergentValue", "NonConvergent", "DomainError",
+    "InvalidOrder", "DivergentValue", "NonConvergent",
     "NoConvergence", "NonIntegrable",
     "Atom", "ClosedForm", "CONSTANT_KINDS", "zeta", "log_two", "li_at_half",
     "harmonic", "euler_sum", "eval_at_one", "subst_one_minus_x", "compact",

@@ -36,10 +36,6 @@ class NonConvergent(PlintError, ArithmeticError):
     """An iterative numeric scheme failed to meet its tolerance."""
 
 
-class DomainError(PlintError, ValueError):
-    """A numeric evaluation point lies outside the valid domain."""
-
-
 class NoConvergence(PlintError, ArithmeticError):
     """Adaptive quadrature hit its refinement cap before converging."""
 

@@ -26,27 +26,17 @@ from .exact import ClosedForm
 from .numerics import harmonic_value
 
 
-def _zeta_term(k: int, coeff) -> exact.Term:
-    """coeff * zeta(k) as a single term."""
-    return exact.Term(Fraction(coeff), ((exact.zeta(k), 1),))
-
-
-def _zeta_product(a: int, b: int, coeff=1) -> exact.Term:
-    """coeff * zeta(a) * zeta(b) as a single term (squared atom when a == b)."""
-    return exact.Term(Fraction(coeff),
-                      exact._merge_factors(((exact.zeta(a), 1), (exact.zeta(b), 1))))
-
-
 def reduce_S1(i: int) -> ClosedForm:
     """S(1,i) = sum H_n / n^i in zeta values, for i >= 2.
 
     S(1,i) = (1 + i/2) zeta(i+1) - (1/2) sum_{k=1}^{i-2} zeta(k+1) zeta(i-k).
     """
     _require_int("i", i, 2, exc=InvalidOrder)
-    terms = [_zeta_term(i + 1, Fraction(i + 2, 2))]
+    parts = [exact.monomial(Fraction(i + 2, 2), (exact.zeta(i + 1), 1))]
     for k in range(1, i - 1):
-        terms.append(_zeta_product(k + 1, i - k, Fraction(-1, 2)))
-    return ClosedForm(terms)
+        parts.append(exact.monomial(Fraction(-1, 2),
+                                    (exact.zeta(k + 1), 1), (exact.zeta(i - k), 1)))
+    return exact.total(parts)
 
 
 def _odd_weight_reduction(p: int, q: int) -> ClosedForm:
@@ -63,16 +53,17 @@ def _odd_weight_reduction(p: int, q: int) -> ClosedForm:
     w = p + q
     sign = (-1) ** p
     head = Fraction(1, 2) - Fraction(sign, 2) * (math.comb(w - 1, p) + math.comb(w - 1, q))
-    terms = [_zeta_term(w, head)]
+    parts = [exact.monomial(head, (exact.zeta(w), 1))]
     if p % 2 == 1:
-        terms.append(_zeta_product(p, q))
+        parts.append(exact.monomial(1, (exact.zeta(p), 1), (exact.zeta(q), 1)))
     for bound, other in ((p, q), (q, p)):
         for k in range(1, bound // 2 + 1):
             if w - 2 * k < 2:
                 continue
             coeff = sign * math.comb(w - 2 * k - 1, other - 1)
-            terms.append(_zeta_product(2 * k, w - 2 * k, coeff))
-    return ClosedForm(terms)
+            parts.append(exact.monomial(coeff, (exact.zeta(2 * k), 1),
+                                        (exact.zeta(w - 2 * k), 1)))
+    return exact.total(parts)
 
 
 def reduce_S(p: int, q: int) -> ClosedForm:
@@ -121,7 +112,8 @@ def freitas_K0_recurrence(r: int, q: int) -> ClosedForm:
     swapped = K_base(q - 1, r + 1).scale(
         Fraction((-1) ** (r + q) * math.factorial(r), math.factorial(q - 1))
     )
-    residual = ClosedForm((_zeta_product(r + 1, q), _zeta_term(r + q + 1, -1)))
+    residual = (exact.monomial(1, (exact.zeta(r + 1), 1), (exact.zeta(q), 1))
+                - ClosedForm.of(exact.zeta(r + q + 1)))
     return swapped + residual.scale((-1) ** r * math.factorial(r))
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Union
 from . import exact
 from .errors import InvalidOrder, ParameterError, _require_int
 from .eulersums import K_base, reduce_S1
-from .exact import ClosedForm
+from .exact import ClosedForm, monomial as _term, total as _sum
 from .numerics import harmonic_value
 
 EvalPoint = Union[Fraction, int]
@@ -63,19 +63,6 @@ def _rising(t: int, n: int) -> int:
 def _falling(m: int, s: int) -> int:
     """m (m-1) ... (m-s+1)."""
     return math.prod(range(m - s + 1, m + 1))
-
-
-def _term(coeff, *factors: tuple[exact.Atom, int]) -> ClosedForm:
-    """One product term; factors with exponent 0 are dropped."""
-    coeff = Fraction(coeff)
-    if coeff == 0:
-        return exact.ZERO
-    return ClosedForm((exact.Term(coeff, exact._merge_factors(factors)),))
-
-
-def _sum(parts: list[ClosedForm]) -> ClosedForm:
-    """parts[0] + parts[1] + ..., canonicalized once rather than per addition."""
-    return ClosedForm(term for part in parts for term in part.terms)
 
 
 def _zz(a: int, b: int, coeff=1) -> ClosedForm:

@@ -4,11 +4,16 @@ A closed form here is a finite sum of terms
 
     coeff * atom_1^e_1 * ... * atom_r^e_r
 
-with exact rational coefficients and atoms drawn from a closed list:
+with exact rational coefficients and atoms drawn from a closed vocabulary:
 constants (zeta values, log 2, polylogs at 1/2, harmonic numbers, linear
 Euler sums) and functions of a single variable x on (0, 1] (log x,
 log(1-x), log(1+x), integer powers of x, 1-x, 1+x, and polylogs at x,
-1-x, 1/(1+x)).
+1-x, 1/(1+x)).  The table ``VOCABULARY`` declares it once: each row gives
+a kind's place in the canonical factor order, the minimum of each of its
+arguments, whether it is constant, its ``compact`` spelling and its
+x -> 1-x image.  Adding a kind takes one row there, one factory below it,
+one value rule in ``numerics`` and, for an x-dependent kind, one entry in
+``_LIMITS``.
 
 Construction always canonicalizes: factors sorted by a total atom order,
 exponents positive, like terms merged, zero terms dropped, terms sorted.
@@ -34,80 +39,63 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import DivergentAtOne, UnsupportedAtom
 
 RationalLike = Union[int, Fraction]
 
-# Atom vocabulary.  The declaration order below is the canonical sort order
-# for factors within a term: constants first, then x-dependent atoms.
-_KIND_ORDER = (
-    "Zeta",
-    "LogTwo",
-    "LiAtHalf",
-    "Harmonic",
-    "EulerSum",
-    "LogX",
-    "Log1mX",
-    "Log1pX",
-    "XPow",
-    "OneMinusXPow",
-    "OnePlusXPow",
-    "LiX",
-    "Li1mX",
-    "LiInv1pX",
-)
-_KIND_INDEX = {kind: i for i, kind in enumerate(_KIND_ORDER)}
-
-# kind -> number of integer arguments
-_ARITY = {
-    "Zeta": 1,
-    "LogTwo": 0,
-    "LiAtHalf": 1,
-    "Harmonic": 2,
-    "EulerSum": 2,
-    "LogX": 0,
-    "Log1mX": 0,
-    "Log1pX": 0,
-    "XPow": 1,
-    "OneMinusXPow": 1,
-    "OnePlusXPow": 1,
-    "LiX": 1,
-    "Li1mX": 1,
-    "LiInv1pX": 1,
-}
-
-# Atoms that do not depend on x.
-CONSTANT_KINDS = frozenset({"Zeta", "LogTwo", "LiAtHalf", "Harmonic", "EulerSum"})
+# The minimum of a power atom's exponent: any integer but 0, since a zeroth
+# power is the constant 1.
+NONZERO = None
 
 
-def _check_args(kind: str, args: tuple[int, ...]) -> None:
-    if kind not in _ARITY:
-        raise UnsupportedAtom(f"unknown atom kind {kind!r}")
-    if len(args) != _ARITY[kind]:
-        raise UnsupportedAtom(f"{kind} takes {_ARITY[kind]} argument(s), got {args!r}")
-    if any(not isinstance(a, int) or isinstance(a, bool) for a in args):
-        raise UnsupportedAtom(f"{kind} arguments must be plain ints, got {args!r}")
-    if kind == "Zeta" and args[0] < 2:
-        raise UnsupportedAtom("Zeta requires order >= 2 (zeta(1) diverges)")
-    if kind == "LiAtHalf" and args[0] < 2:
-        raise UnsupportedAtom("LiAtHalf requires order >= 2; use LogTwo for order 1")
-    if kind == "Harmonic" and (args[0] < 1 or args[1] < 1):
-        raise UnsupportedAtom("Harmonic requires index >= 1 and order >= 1")
-    if kind == "EulerSum" and (args[0] < 1 or args[1] < 2):
-        raise UnsupportedAtom("EulerSum requires p >= 1 and q >= 2 for convergence")
-    if kind in ("XPow", "OneMinusXPow", "OnePlusXPow") and args[0] == 0:
-        raise UnsupportedAtom(f"{kind} with exponent 0 is the constant 1; omit it")
-    if kind == "LiX" and args[0] < 0:
-        raise UnsupportedAtom("LiX requires order >= 0")
-    if kind in ("Li1mX", "LiInv1pX") and args[0] < 2:
-        raise UnsupportedAtom(f"{kind} requires order >= 2")
+class AtomKind(NamedTuple):
+    """One row of VOCABULARY: all that the algebra knows about an atom kind."""
+
+    index: int            # declaration order, the canonical factor order
+    spelling: str         # compact rendering, formatted with the arguments
+    minimums: tuple[Optional[int], ...]  # least value of each argument
+    constant: bool        # does not depend on x
+    image: Optional[str]  # kind of the x -> 1-x image; None: no image
+
+
+# The atom vocabulary: constants first, then x-dependent atoms.  A power
+# kind (minimum NONZERO) renders as its base raised to the argument.  An
+# image must admit the arguments too: Li_0(1-x) and Li_1(1-x) leave the
+# vocabulary, so LiX below order 2 has none.
+VOCABULARY = {kind: AtomKind(i, *row) for i, (kind, *row) in enumerate((
+    # kind           spelling          minimums     constant  x -> 1-x image
+    ("Zeta",         "z{0}",           (2,),        True,     "Zeta"),
+    ("LogTwo",       "l2",             (),          True,     "LogTwo"),
+    ("LiAtHalf",     "Li{0}(h)",       (2,),        True,     "LiAtHalf"),
+    ("Harmonic",     "H({0},{1})",     (1, 1),      True,     "Harmonic"),
+    ("EulerSum",     "S({0},{1})",     (1, 2),      True,     "EulerSum"),
+    ("LogX",         "lx",             (),          False,    "Log1mX"),
+    ("Log1mX",       "l1mx",           (),          False,    "LogX"),
+    ("Log1pX",       "l1px",           (),          False,    None),
+    ("XPow",         "x",              (NONZERO,),  False,    "OneMinusXPow"),
+    ("OneMinusXPow", "(1-x)",          (NONZERO,),  False,    "XPow"),
+    ("OnePlusXPow",  "(1+x)",          (NONZERO,),  False,    None),
+    ("LiX",          "Li{0}(x)",       (0,),        False,    "Li1mX"),
+    ("Li1mX",        "Li{0}(1-x)",     (2,),        False,    "LiX"),
+    ("LiInv1pX",     "Li{0}(1/(1+x))", (2,),        False,    None),
+))}
+
+CONSTANT_KINDS = frozenset(kind for kind, row in VOCABULARY.items() if row.constant)
+
+
+def _args_error(kind: str, args: tuple) -> UnsupportedAtom:
+    wants = ", ".join("nonzero" if low is NONZERO else f">= {low}"
+                      for low in VOCABULARY[kind].minimums)
+    return UnsupportedAtom(f"{kind} takes int arguments ({wants}), got {args!r}")
 
 
 @dataclass(frozen=True)
 class Atom:
-    """One symbolic factor, identified by kind plus integer arguments."""
+    """One symbolic factor, identified by kind plus integer arguments, which
+    its VOCABULARY row admits: plain ints, one per minimum, each at or above
+    it."""
 
     kind: str
     args: tuple[int, ...] = ()
@@ -116,8 +104,16 @@ class Atom:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_args(self.kind, self.args)
-        key = (_KIND_INDEX[self.kind], self.args)
+        row = VOCABULARY.get(self.kind)
+        if row is None:
+            raise UnsupportedAtom(f"unknown atom kind {self.kind!r}")
+        args = self.args
+        if len(args) != len(row.minimums):
+            raise _args_error(self.kind, args)
+        for a, low in zip(args, row.minimums):
+            if type(a) is not int or (a == 0 if low is NONZERO else a < low):
+                raise _args_error(self.kind, args)
+        key = (row.index, args)
         object.__setattr__(self, "sort_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
@@ -129,7 +125,7 @@ class Atom:
 
     @property
     def is_constant(self) -> bool:
-        return self.kind in CONSTANT_KINDS
+        return VOCABULARY[self.kind].constant
 
     def __repr__(self) -> str:  # keep test failure output readable
         if not self.args:
@@ -279,16 +275,11 @@ class ClosedForm:
 
     @classmethod
     def number(cls, value: RationalLike) -> "ClosedForm":
-        value = Fraction(value)
-        if value == 0:
-            return cls(())
-        return cls((Term(value),))
+        return monomial(value)
 
     @classmethod
     def of(cls, atom: Atom, exp: int = 1, coeff: RationalLike = 1) -> "ClosedForm":
-        if exp == 0:
-            return cls.number(coeff)
-        return cls((Term(Fraction(coeff), ((atom, exp),)),))
+        return monomial(coeff, (atom, exp))
 
     # -- ring operations ------------------------------------------------------
 
@@ -365,32 +356,34 @@ class ClosedForm:
         return f"ClosedForm({compact(self)!r})"
 
 
+def monomial(coeff: RationalLike, *factors: tuple[Atom, int]) -> ClosedForm:
+    """coeff times a product of atom powers, as a one-term form; ZERO when
+    coeff is 0, and an atom whose exponents sum to 0 drops out."""
+    coeff = Fraction(coeff)
+    if coeff == 0:
+        return ZERO
+    return ClosedForm((Term(coeff, _merge_factors(factors)),))
+
+
+def total(parts: Iterable[ClosedForm]) -> ClosedForm:
+    """parts[0] + parts[1] + ..., canonicalized once rather than per addition."""
+    return ClosedForm(t for part in parts for t in part.terms)
+
+
 ZERO = ClosedForm(())
 ONE = ClosedForm.number(1)
 
 
 # -- substitution x -> 1-x ----------------------------------------------------
 
-_SUBST_SWAP = {
-    "LogX": "Log1mX",
-    "Log1mX": "LogX",
-    "XPow": "OneMinusXPow",
-    "OneMinusXPow": "XPow",
-    "LiX": "Li1mX",
-    "Li1mX": "LiX",
-}
-
-
 def _subst_atom(atom: Atom) -> Atom:
-    if atom.is_constant:
+    image = VOCABULARY[atom.kind].image
+    if image == atom.kind:
         return atom
-    if atom.kind in ("Log1pX", "OnePlusXPow", "LiInv1pX"):
-        raise UnsupportedAtom(f"{atom!r} depends on 1+x; x -> 1-x is not closed on it")
-    if atom.kind == "LiX" and atom.args[0] < 2:
-        # Li_0(1-x) and Li_1(1-x) leave the atom vocabulary (they are
-        # (1-x)/x and -log x); callers never need them substituted.
-        raise UnsupportedAtom(f"{atom!r} has no x -> 1-x image in the vocabulary")
-    return Atom(_SUBST_SWAP[atom.kind], atom.args)
+    try:
+        return Atom(image, atom.args)
+    except UnsupportedAtom:  # no image kind, or one that refuses the arguments
+        raise UnsupportedAtom(f"{atom!r} has no x -> 1-x image in the vocabulary") from None
 
 
 def subst_one_minus_x(form: ClosedForm) -> ClosedForm:
@@ -404,14 +397,32 @@ def subst_one_minus_x(form: ClosedForm) -> ClosedForm:
 
 # -- limit x -> 1- ------------------------------------------------------------
 
+# x-dependent atom kind -> its leading behavior as x -> 1-, from its
+# arguments: (c, lead, p, q) for c * lead * u^p * log(u)^q with u = 1-x, where
+# c is rational and lead is a constant atom or None
+_LIMITS = {
+    "LogX": lambda: (-1, None, 1, 0),  # log x = -u (1 + u/2 + ...)
+    "Log1mX": lambda: (1, None, 0, 1),
+    "Log1pX": lambda: (1, log_two(), 0, 0),
+    "XPow": lambda j: (1, None, 0, 0),
+    "OneMinusXPow": lambda j: (1, None, j, 0),
+    "OnePlusXPow": lambda j: (Fraction(2) ** j, None, 0, 0),
+    "LiX": lambda k: ((1, None, -1, 0) if k == 0      # x/(1-x) ~ 1/u
+                      else (-1, None, 0, 1) if k == 1  # Li_1(x) = -log u
+                      else (1, zeta(k), 0, 0)),
+    "Li1mX": lambda k: (1, None, 1, 0),  # Li_k(u) ~ u
+    "LiInv1pX": lambda k: (1, li_at_half(k), 0, 0),
+}
+
+
 def eval_at_one(form: ClosedForm) -> ClosedForm:
     """The x -> 1- limit of a closed form, as a constants-only closed form.
 
     Each term is a product of factors with known leading behavior in
-    u = 1-x, so the term limit is decided by its net algebraic order and
-    log order: order > 0 kills the term, order < 0 diverges, order 0 with
-    bare log(1-x) powers diverges, and order 0 otherwise leaves the
-    constant factors times a sign from log(x)^e ~ (-u)^e.
+    u = 1-x (`_LIMITS`), so the term limit is decided by its net algebraic
+    order and log order: order > 0 kills the term, order < 0 diverges,
+    order 0 with bare log(1-x) powers diverges, and order 0 otherwise
+    leaves the constant factors times the leading coefficients.
 
     Raises DivergentAtOne if any term (after canonical merging) diverges.
     Cancellation of divergences across distinct atom spellings (for
@@ -419,50 +430,27 @@ def eval_at_one(form: ClosedForm) -> ClosedForm:
     """
     out = []
     for term in form.terms:
+        coeff = term.coeff
         alg_order = 0      # net power of u = 1-x
         log_order = 0      # net power of log u
-        sign = 1
         kept: list[tuple[Atom, int]] = []
-        extra = Fraction(1)
         for atom, exp in term.factors:
-            kind = atom.kind
-            if kind in CONSTANT_KINDS:
+            if atom.is_constant:
                 kept.append((atom, exp))
-            elif kind == "LogX":
-                # log x = -u (1 + u/2 + ...) near x = 1
-                alg_order += exp
-                sign = -sign if exp % 2 else sign
-            elif kind == "Log1mX":
-                log_order += exp
-            elif kind == "XPow":
-                pass  # x^j -> 1
-            elif kind == "OneMinusXPow":
-                alg_order += atom.args[0] * exp
-            elif kind == "Log1pX":
-                kept.append((log_two(), exp))
-            elif kind == "OnePlusXPow":
-                extra *= Fraction(2) ** (atom.args[0] * exp)
-            elif kind == "LiX":
-                k = atom.args[0]
-                if k == 0:
-                    alg_order -= exp      # x/(1-x) ~ 1/u
-                elif k == 1:
-                    log_order += exp      # Li_1(x) = -log(1-x)
-                else:
-                    kept.append((zeta(k), exp))
-            elif kind == "Li1mX":
-                alg_order += exp          # Li_k(1-x) ~ u
-            elif kind == "LiInv1pX":
-                kept.append((li_at_half(atom.args[0]), exp))
-            else:  # pragma: no cover - vocabulary is closed
-                raise UnsupportedAtom(f"unhandled atom {atom!r}")
+                continue
+            c, lead, p, q = _LIMITS[atom.kind](*atom.args)
+            coeff *= Fraction(c) ** exp
+            alg_order += p * exp
+            log_order += q * exp
+            if lead is not None:
+                kept.append((lead, exp))
         if alg_order > 0:
             continue
         if alg_order < 0 or log_order > 0:
             raise DivergentAtOne(
                 f"term {compact(ClosedForm((term,)))!r} diverges as x -> 1-"
             )
-        out.append(_trusted_term(term.coeff * sign * extra, _merge_factors(tuple(kept))))
+        out.append(_trusted_term(coeff, _merge_factors(tuple(kept))))
     return ClosedForm(out)
 
 
@@ -509,24 +497,11 @@ def loads(text: str) -> ClosedForm:
 # -- compact rendering ----------------------------------------------------------
 
 def _render_factor(atom: Atom, exp: int) -> str:
-    kind, args = atom.kind, atom.args
-    if kind in ("XPow", "OneMinusXPow", "OnePlusXPow"):
-        base = {"XPow": "x", "OneMinusXPow": "(1-x)", "OnePlusXPow": "(1+x)"}[kind]
-        power = args[0] * exp
-        return base if power == 1 else f"{base}^{power}"
-    body = {
-        "Zeta": lambda: f"z{args[0]}",
-        "LogTwo": lambda: "l2",
-        "LiAtHalf": lambda: f"Li{args[0]}(h)",
-        "Harmonic": lambda: f"H({args[0]},{args[1]})",
-        "EulerSum": lambda: f"S({args[0]},{args[1]})",
-        "LogX": lambda: "lx",
-        "Log1mX": lambda: "l1mx",
-        "Log1pX": lambda: "l1px",
-        "LiX": lambda: f"Li{args[0]}(x)",
-        "Li1mX": lambda: f"Li{args[0]}(1-x)",
-        "LiInv1pX": lambda: f"Li{args[0]}(1/(1+x))",
-    }[kind]()
+    row = VOCABULARY[atom.kind]
+    if row.minimums == (NONZERO,):  # a power: its exponent folds into exp
+        body, exp = row.spelling, atom.args[0] * exp
+    else:
+        body = row.spelling.format(*atom.args)
     return body if exp == 1 else f"{body}^{exp}"
 
 

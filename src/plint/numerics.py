@@ -411,34 +411,22 @@ _LI_ARGUMENTS = {
     "LiInv1pX": lambda x: 1 / (1 + x),
 }
 
-
-def _atom_value(atom: exact.Atom, x: Optional[Fraction], digits: int) -> mpf:
-    kind, args = atom.kind, atom.args
-    li_argument = _LI_ARGUMENTS.get(kind)
-    if li_argument is not None:
-        return polylog_value(args[0], li_argument(x), digits)
-    if kind == "Zeta":
-        return zeta_value(args[0], digits)
-    if kind == "LogTwo":
-        return mp.log(2)
-    if kind == "Harmonic":
-        return frac_mpf(harmonic_value(args[0], args[1]))
-    if kind == "EulerSum":
-        return euler_sum_value(args[0], args[1], digits)
-    assert x is not None
-    if kind == "LogX":
-        return mp.log(frac_mpf(x))
-    if kind == "Log1mX":
-        return mp.log(frac_mpf(1 - x))
-    if kind == "Log1pX":
-        return mp.log(frac_mpf(1 + x))
-    if kind == "XPow":
-        return frac_mpf(x) ** args[0]
-    if kind == "OneMinusXPow":
-        return frac_mpf(1 - x) ** args[0]
-    if kind == "OnePlusXPow":
-        return frac_mpf(1 + x) ** args[0]
-    raise ParameterError(f"no numeric rule for atom {atom!r}")  # pragma: no cover
+# atom kind -> its value from (x, digits, *args), x None for a constant;
+# called at the working precision of digits + GUARD_DIGITS
+_VALUE_RULES = {
+    "Zeta": lambda x, digits, s: zeta_value(s, digits),
+    "LogTwo": lambda x, digits: mp.log(2),
+    "Harmonic": lambda x, digits, n, m: frac_mpf(harmonic_value(n, m)),
+    "EulerSum": lambda x, digits, p, q: euler_sum_value(p, q, digits),
+    "LogX": lambda x, digits: mp.log(frac_mpf(x)),
+    "Log1mX": lambda x, digits: mp.log(frac_mpf(1 - x)),
+    "Log1pX": lambda x, digits: mp.log(frac_mpf(1 + x)),
+    "XPow": lambda x, digits, j: frac_mpf(x) ** j,
+    "OneMinusXPow": lambda x, digits, j: frac_mpf(1 - x) ** j,
+    "OnePlusXPow": lambda x, digits, j: frac_mpf(1 + x) ** j,
+    **{kind: lambda x, digits, k, argument=argument: polylog_value(k, argument(x), digits)
+       for kind, argument in _LI_ARGUMENTS.items()},
+}
 
 
 def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
@@ -451,7 +439,7 @@ def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
     atoms = dict.fromkeys(atom for term in form.terms for atom, _ in term.factors)
     ordered = sorted(atoms, key=lambda a: -a.args[0] if a.kind in _LI_ARGUMENTS else 0)
     with mp.workdps(digits + GUARD_DIGITS):
-        values = {atom: _atom_value(atom, x, digits) for atom in ordered}
+        values = {atom: _VALUE_RULES[atom.kind](x, digits, *atom.args) for atom in ordered}
         total = mp.zero
         magnitude = mp.zero
         for term in form.terms:

@@ -749,3 +749,15 @@ class TestSerializedFormsArePinned:
         assert count == 943
         assert digest.hexdigest() == (
             "8ebbcbebe50c9c0d4bd301d6383b80f852445e6c621fc36ee59a3293fca2bcf6")
+
+    def test_compact_strings_are_pinned(self):
+        # sha256 of exact.compact over the same battery: the dumps pin does
+        # not see the rendering rule (spellings, powers, signs)
+        digest = hashlib.sha256()
+        count = 0
+        for label, form in _dumps_battery():
+            digest.update(f"{label} {exact.compact(form)}\n".encode())
+            count += 1
+        assert count == 943
+        assert digest.hexdigest() == (
+            "2246033c3a055cad5d5dc0e00bc2f7e45178f56ada758a3bfe3a437ade220389")

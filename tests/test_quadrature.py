@@ -8,12 +8,13 @@ for one stop-rule regression case, the closed form.
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from plint import families
 from plint import numerics as num
 from plint import quadrature as quad
-from plint.errors import NoConvergence, NonIntegrable, ParameterError
+from plint.errors import NoConvergence, NonIntegrable, ParameterError, PlintError
 
 
 @pytest.fixture(autouse=True)
@@ -158,6 +159,20 @@ class TestFamilies:
             got = quad.oracle_value(family, params, x, 30)
         assert got == want
 
+    @pytest.mark.parametrize("family, params, x", [
+        ("A", (3, 2), Fraction(2, 7)), ("B", (1, 1), Fraction(9, 10)),
+        ("C", (2, 2), Fraction(2, 7)), ("J0", (1, 3), Fraction(1, 3)),
+        ("J1", (3, 1), Fraction(2, 7)), ("L", (2, 3), Fraction(9, 10)),
+        ("M", (3, 1), Fraction(2, 7)),
+    ])
+    def test_ambient_precision_does_not_leak_past_cold_caches(self, family, params, x):
+        values = []
+        for ambient in (15, 100):
+            _clear_caches()
+            with mp.workdps(ambient):
+                values.append(quad.oracle_value(family, params, x, 20)._mpf_)
+        assert values[0] == values[1]
+
     @pytest.mark.parametrize("family, params", [("J", (1, 2, 5)), ("K", (1, 3, 0))])
     def test_one_polylog_pass_per_node(self, monkeypatch, family, params):
         # Li_p and Li_q at a node come from one kernel pass (near t = 1
@@ -210,6 +225,39 @@ class TestFamilies:
             quad.family_spec("Q", (1, 1), 1)
         with pytest.raises(ParameterError):
             quad.oracle_value("A", (1, 1), Fraction(3, 2))
+
+
+def _clear_caches():
+    """Empty every precision-keyed cache, so that a value computed under one
+    ambient precision cannot be served to a run under another."""
+    for cache in (num._polylog_cache, num._zeta_cache, num._euler_cache,
+                  num._log_branch_coeffs, quad._node_cache):
+        cache.clear()
+
+
+_MEMBERS = st.sampled_from(sorted(families.TABLE)).flatmap(
+    lambda family: st.tuples(st.just(family), st.tuples(
+        *[st.integers(1, 4)] * len(families.TABLE[family].params))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(member=_MEMBERS,
+       x=st.sampled_from([Fraction(1), Fraction(1, 3), Fraction(2, 7), Fraction(9, 10)]))
+def test_numeric_eval_does_not_depend_on_ambient_precision(member, x):
+    """numeric_eval(form, x, 20) of any family member gives the same mpf
+    under ambient mp.dps 15 and 100, with every cache cold both times."""
+    family, params = member
+    try:
+        form = families.closed_form(family, params, x)
+    except PlintError:
+        assume(False)
+    point = None if families.TABLE[family].endpoint is None else x
+    values = []
+    for ambient in (15, 100):
+        _clear_caches()
+        with mp.workdps(ambient):
+            values.append(num.numeric_eval(form, point, digits=20)._mpf_)
+    assert values[0] == values[1]
 
 
 def _mp_quad_reference(family, params, x):
