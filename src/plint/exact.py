@@ -222,10 +222,6 @@ class Term:
             raise ValueError("Term exponents must be >= 1")
 
     @property
-    def sort_key(self) -> tuple:
-        return tuple((atom.sort_key, exp) for atom, exp in self.factors)
-
-    @property
     def is_constant(self) -> bool:
         return all(atom.is_constant for atom, _ in self.factors)
 
@@ -268,10 +264,6 @@ class ClosedForm:
         raise AttributeError("ClosedForm is immutable")
 
     # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "ClosedForm":
-        return cls(())
 
     @classmethod
     def number(cls, value: RationalLike) -> "ClosedForm":

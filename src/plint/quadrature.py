@@ -12,11 +12,16 @@ integrands see the distance to an endpoint at full relative accuracy even
 when it is far below the working epsilon.  That is what lets log(1-t) and
 Li_k(t) be evaluated honestly at nodes within 1e-60 of 1.
 
-Integrands receive (t, t - a, b - t) and must use the distance arguments
-near the endpoints.  Each family's parameter names and endpoint kind come
-from the family table (families.TABLE); this module adds one integrand
-builder per family.  Nothing here calls the closed-form evaluators; it
-exists to check them.
+Integrands take one argument, a `Node`: the point t with its distances
+dm = t - a and dp = b - t, and the values the families need at t (1 - t,
+log t, log(1 - t), log(1 + t), log(dp) and a run of polylog orders), each
+computed on first use and kept.  The nodes of one level on one interval
+at one working precision form a table cached per (mp.prec, level, a, b),
+so every case on that interval and precision reads the same values and
+computes only its own powers and products.  Each family's parameter names
+and endpoint kind come from the family table (families.TABLE); this
+module adds one integrand builder per family.  Nothing here calls the
+closed-form evaluators; it exists to check them.
 """
 
 from __future__ import annotations
@@ -30,21 +35,61 @@ from mpmath import mp, mpf
 
 from .errors import NoConvergence, NonIntegrable, ParameterError
 from .families import LOWER, TABLE
-from .numerics import _polylog_run, frac_mpf, polylog_value
+from .numerics import _polylog_run, frac_mpf
 
 Number = Union[int, Fraction]
-Integrand = Callable[[mpf, mpf, mpf], mpf]
+Integrand = Callable[["Node"], mpf]
 
 MAX_LEVEL = 12
 
 
 @dataclass(frozen=True)
 class IntegralSpec:
-    """An integral over [a, b] of integrand(t, t - a, b - t)."""
+    """An integral over [a, b] of integrand(node), node a `Node` of (a, b)."""
 
     a: Fraction
     b: Fraction
     integrand: Integrand
+
+
+# value name -> rule: a Node computes each of these on first use and keeps
+# it.  All but log_dp read t as dm, so they hold on intervals [0, b] only;
+# log_dp is log(1 - t) on [x, 1].
+_RULES: dict[str, Callable[["Node"], mpf]] = {
+    # 1 - t at full relative accuracy: (1 - b) + dp near b, else 1 - dm exactly
+    "one_minus": lambda n: n.omb + n.dp if n.dp < n.dm else mp.fsub(1, n.dm, exact=True),
+    "log_t": lambda n: mp.log1p(-n.one_minus) if n.dp < n.dm else mp.log(n.dm),
+    "log1m": lambda n: mp.log(n.one_minus),
+    "log1p": lambda n: mp.log(mp.fadd(1, n.dm, exact=True)),
+    "log_dp": lambda n: mp.log(n.dp),
+}
+
+
+class Node:
+    """One point t of (a, b): t, dm = t - a, dp = b - t and omb = 1 - b, plus
+    the `_RULES` values and the `polylogs` run, computed on first use and kept."""
+
+    __slots__ = ("t", "dm", "dp", "omb", "run", *_RULES)
+
+    def __init__(self, t: mpf, dm: mpf, dp: mpf, omb: mpf) -> None:
+        self.t, self.dm, self.dp, self.omb = t, dm, dp, omb
+        self.run: tuple[mpf, ...] = ()
+
+    def __getattr__(self, name: str) -> mpf:
+        # reached only while the slot of a `_RULES` value is still empty
+        rule = _RULES.get(name)
+        if rule is None:
+            raise AttributeError(name)
+        value = rule(self)
+        setattr(self, name, value)
+        return value
+
+    def polylogs(self, k: int, digits: int) -> tuple[mpf, ...]:
+        """(Li_0(t), ..., Li_K(t)) with K >= k and t = dm: one kernel pass
+        serves every order up to the highest asked for so far."""
+        if len(self.run) <= k:
+            self.run = _polylog_run(k, self.dm, digits, self.one_minus)
+        return self.run
 
 
 # (mp.prec, level) -> [(sigma, 1 - sigma, unit weight), ...] with sigma the
@@ -77,8 +122,35 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf, mpf]]:
     return nodes
 
 
+# (mp.prec, level, a, b) -> [(unit weight, node, mirror node), ...], the
+# mirror at a + b - t being None only for the centre node of level 0
+_table_cache: dict[tuple[int, int, Fraction, Fraction], list[tuple]] = {}
+
+
+def _level_table(level: int, a: Fraction, b: Fraction) -> list[tuple]:
+    key = (mp.prec, level, a, b)
+    rows = _table_cache.get(key)
+    if rows is not None:
+        return rows
+    scale, a_val = frac_mpf(b - a), frac_mpf(a)
+    # 1 - b at this precision, whatever the caller's ambient one: rounded to
+    # fewer bits it stalls convergence at non-dyadic b
+    omb = frac_mpf(1 - b)
+    rows = []
+    for k, (sig, csig, w) in enumerate(_level_nodes(level)):
+        dm, dp = scale * sig, scale * csig
+        mirror = None if level == k == 0 else Node(a_val + dp, dp, dm, omb)
+        rows.append((w, Node(a_val + dm, dm, dp, omb), mirror))
+    _table_cache[key] = rows
+    return rows
+
+
 def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) -> mpf:
     """Tanh-sinh value of the integral, aiming at `digits` good digits.
+
+    The integrand is called with each `Node` of the table for (working
+    precision, level, a, b), which is built on first use and kept, so the
+    values one integrand made a node compute serve the next one too.
 
     Levels halve the step.  A level's estimate is accepted when it agrees
     with the previous one to 10^(2 - digits) relative, or sooner on the
@@ -99,26 +171,15 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     f = spec.integrand
     with mp.workdps(digits + 10):
         scale = frac_mpf(b - a)
-        a_val = frac_mpf(a)
         tol = mpf(10) ** (2 - digits)
         settled = mpf(10) ** -(digits // 2)
         ests: list[mpf] = []
         for level in range(0, max_level + 1):
-            nodes = _level_nodes(level)
             part = mp.zero
-            start = 0
-            if level == 0:
-                sig, csig, w = nodes[0]  # k = 0, evaluated once
-                dm = scale * sig
-                dp = scale * csig
-                part += w * f(a_val + dm, dm, dp)
-                start = 1
-            for sig, csig, w in nodes[start:]:
-                dm = scale * sig
-                dp = scale * csig
-                v = f(a_val + dm, dm, dp)
-                dm, dp = dp, dm
-                v += f(a_val + dm, dm, dp)
+            for w, node, mirror in _level_table(level, a, b):
+                v = f(node)
+                if mirror is not None:
+                    v += f(mirror)
                 part += w * v
             if not mp.isfinite(part):
                 raise NonIntegrable(
@@ -144,123 +205,91 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
 
 # -- family integrands -------------------------------------------------------
 
-def _one_minus(dm: mpf, dp: mpf, one_minus_b: mpf) -> mpf:
-    """1 - t at full relative accuracy, given both endpoint distances."""
-    if dp < dm:
-        return one_minus_b + dp
-    return mp.fsub(1, dm, exact=True)
-
-
-def _log_t(dm: mpf, dp: mpf, one_minus_b: mpf) -> mpf:
-    """log t, stable at both ends of [0, b] (t - 0 = dm exactly)."""
-    if dp < dm:
-        return mp.log1p(-(one_minus_b + dp))
-    return mp.log(dm)
-
-
-def _a(m, n, x, omb, digits):
+def _a(m, n, x, digits):
     if m < 1 or n < 1:
         raise ParameterError(f"A needs m >= 1, n >= 1, got m={m}, n={n}")
     if n > m:
         raise NonIntegrable(f"A({m},{n},x): log^{m}(1-t)/t^{n} diverges at 0")
-    return lambda t, dm, dp: mp.log(_one_minus(dm, dp, omb)) ** m * dm ** (-n)
+    return lambda node: node.log1m ** m * node.dm ** (-n)
 
 
-def _b(m, n, x, omb, digits):
+def _b(m, n, x, digits):
     if m < 1 or n < 1:
         raise ParameterError(f"B needs m >= 1, n >= 1, got m={m}, n={n}")
     if n > m:
         raise NonIntegrable(f"B({m},{n},x): log^{m}(1+t)/t^{n} diverges at 0")
-    return lambda t, dm, dp: mp.log(mp.fadd(1, dm, exact=True)) ** m * dm ** (-n)
+    return lambda node: node.log1p ** m * node.dm ** (-n)
 
 
-def _c(m, n, x, omb, digits):
+def _c(m, n, x, digits):
     if m < 1 or n < 1:
         raise ParameterError(f"C needs m >= 1, n >= 1, got m={m}, n={n}")
     if x == 1 and n > m:
         raise NonIntegrable(f"C({m},{n},1): log^{m}(t)/(1-t)^{n} diverges at 1")
-    return lambda t, dm, dp: _log_t(dm, dp, omb) ** m * _one_minus(dm, dp, omb) ** (-n)
+    return lambda node: node.log_t ** m * node.one_minus ** (-n)
 
 
-def _l(n, m, x, omb, digits):
+def _l(n, m, x, digits):
     if n < 0 or m < 0:
         raise ParameterError(f"L needs n >= 0, m >= 0, got n={n}, m={m}")
-    return lambda t, dm, dp: dm**n * _log_t(dm, dp, omb) ** m
+    return lambda node: node.dm**n * node.log_t ** m
 
 
-def _m(n, m, x, omb, digits):
+def _m(n, m, x, digits):
     if n < 0 or m < 0:
         raise ParameterError(f"M needs n >= 0, m >= 0, got n={n}, m={m}")
-    # t - x = dm exactly; 1 - t = dp exactly (b = 1)
-    return lambda t, dm, dp: t**n * mp.log(dp) ** m
+    # on [x, 1], dp = 1 - t exactly
+    return lambda node: node.t**n * node.log_dp ** m
 
 
-def _head_log1m(n, m, x, omb, digits):
+def _head_log1m(n, m, x, digits):
     if n < 0 or m < 0:
         raise ParameterError(f"HeadLog1m needs n >= 0, m >= 0, got n={n}, m={m}")
-    return lambda t, dm, dp: dm**n * mp.log(_one_minus(dm, dp, omb)) ** m
+    return lambda node: node.dm**n * node.log1m ** m
 
 
-def _j0(m, p, x, omb, digits):
+def _j0(m, p, x, digits):
     if m < 0 or p < 1:
         raise ParameterError(f"J0 needs m >= 0, p >= 1, got m={m}, p={p}")
-
-    def f_j0(t, dm, dp):
-        return dm**m * polylog_value(p, dm, digits,
-                                     one_minus_t=_one_minus(dm, dp, omb))
-
-    return f_j0
+    return lambda node: node.dm**m * node.polylogs(p, digits)[p]
 
 
-def _j1(m, p, x, omb, digits):
+def _j1(m, p, x, digits):
     if m < 0 or p < 0:
         raise ParameterError(f"J1 needs m >= 0, p >= 0, got m={m}, p={p}")
     if m == 0 and p == 0 and x == 1:
         raise NonIntegrable("J1(0,0,1): t/(1-t) diverges at 1")
-
-    def f_j1(t, dm, dp):
-        return _log_t(dm, dp, omb) ** m * polylog_value(
-            p, dm, digits, one_minus_t=_one_minus(dm, dp, omb))
-
-    return f_j1
+    return lambda node: node.log_t ** m * node.polylogs(p, digits)[p]
 
 
-def _li_product(p: int, q: int, t: mpf, one_minus_t: mpf, digits: int) -> mpf:
-    """Li_p(t) Li_q(t) from one cached polylog run: one cache lookup per
-    node, and on a miss one kernel pass for the higher order and all below."""
-    orders = _polylog_run(max(p, q), t, digits, one_minus_t)
-    return orders[p] * orders[q]
-
-
-def _j(m, p, q, x, omb, digits):
+def _j(m, p, q, x, digits):
     if m < -2 or m == -1:
         raise ParameterError(f"J needs m >= -2 and m != -1, got m={m}")
     if p < 1 or q < 1:
         raise ParameterError(f"J needs p >= 1, q >= 1, got p={p}, q={q}")
 
-    def f_j(t, dm, dp):
-        li = _li_product(p, q, dm, dp, digits)
-        return dm**m * li
+    def f_j(node):
+        li = node.polylogs(max(p, q), digits)
+        return node.dm**m * (li[p] * li[q])
 
     return f_j
 
 
-def _k(r, p, q, x, omb, digits):
+def _k(r, p, q, x, digits):
     if r < 1:
         raise ParameterError(f"K needs r >= 1, got r={r}")
     if p < 0 or q < 0 or p + q < 1:
         raise ParameterError(f"K needs p, q >= 0 with p + q >= 1, got p={p}, q={q}")
 
-    def f_k(t, dm, dp):
-        li = _li_product(p, q, dm, dp, digits)
-        return mp.log1p(-dp) ** r * li / dm if dp < dm else \
-            mp.log(dm) ** r * li / dm
+    def f_k(node):
+        li = node.polylogs(max(p, q), digits)
+        return node.log_t ** r * (li[p] * li[q]) / node.dm
 
     return f_k
 
 
-# family name -> builder(*params, x, omb, digits) -> integrand, where omb is
-# 1 - b at working precision; each builder checks its family's own domain
+# family name -> builder(*params, x, digits) -> integrand; each builder
+# checks its family's own domain
 _INTEGRANDS: dict[str, Callable[..., Integrand]] = {
     "A": _a, "B": _b, "C": _c, "L": _l, "M": _m, "HeadLog1m": _head_log1m,
     "J0": _j0, "J1": _j1, "J": _j, "K": _k,
@@ -300,11 +329,7 @@ def family_spec(family: str, params: Sequence[int], x: Number = 1,
         raise ParameterError(
             f"family {family} needs x in {'[0, 1]' if entry.zero_ok else '(0, 1]'}, got {x}")
     a, b = (x, Fraction(1)) if entry.endpoint == LOWER else (Fraction(0), x)
-    # at integrate's working precision, whatever the caller's ambient one:
-    # 1 - b rounded to fewer bits stalls convergence at non-dyadic b
-    with mp.workdps(digits + 10):
-        omb = frac_mpf(1 - b)
-    return IntegralSpec(a, b, build(*vals, x, omb, digits))
+    return IntegralSpec(a, b, build(*vals, x, digits))
 
 
 def integrand_value(family: str, params: Sequence[int], x: Number, t: Number,
@@ -315,7 +340,9 @@ def integrand_value(family: str, params: Sequence[int], x: Number, t: Number,
     if not spec.a < t < spec.b:
         raise ParameterError(f"t must lie inside ({spec.a}, {spec.b}), got {t}")
     with mp.workdps(digits + 10):
-        return +spec.integrand(frac_mpf(t), frac_mpf(t - spec.a), frac_mpf(spec.b - t))
+        node = Node(frac_mpf(t), frac_mpf(t - spec.a), frac_mpf(spec.b - t),
+                    frac_mpf(1 - spec.b))
+        return +spec.integrand(node)
 
 
 def oracle_value(family: str, params: Sequence[int], x: Number = 1,

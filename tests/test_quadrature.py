@@ -52,8 +52,8 @@ class TestEngine:
         whole = quad.oracle_value("B", (2, 1), 1, 25)
         left = quad.oracle_value("B", (2, 1), Fraction(1, 2), 25)
 
-        def right_f(t, dm, dp):
-            return mp.log(1 + t) ** 2 / t
+        def right_f(node):
+            return mp.log(1 + node.t) ** 2 / node.t
 
         right = quad.integrate(
             quad.IntegralSpec(Fraction(1, 2), Fraction(1), right_f), 25)
@@ -70,7 +70,7 @@ class TestEngine:
 
     def test_no_convergence_reported(self):
         # 1/t is not integrable at 0; capped levels must refuse, not lie
-        spec = quad.IntegralSpec(Fraction(0), Fraction(1), lambda t, dm, dp: 1 / dm)
+        spec = quad.IntegralSpec(Fraction(0), Fraction(1), lambda node: 1 / node.dm)
         with pytest.raises(NoConvergence):
             quad.integrate(spec, 20, max_level=5)
 
@@ -88,16 +88,16 @@ class TestEngine:
         spec = quad.family_spec("L", (1, 1), 1, 20)
         calls = []
 
-        def counted(t, dm, dp):
-            calls.append(t)
-            return spec.integrand(t, dm, dp)
+        def counted(node):
+            calls.append(node.t)
+            return spec.integrand(node)
 
         got = quad.integrate(quad.IntegralSpec(spec.a, spec.b, counted), 20)
         assert len(calls) == 71
         assert close(got, Fraction(-1, 4), mpf(10) ** -20)
 
     def test_inverted_interval_rejected(self):
-        spec = quad.IntegralSpec(Fraction(1), Fraction(0), lambda t, dm, dp: t)
+        spec = quad.IntegralSpec(Fraction(1), Fraction(0), lambda node: node.t)
         with pytest.raises(ParameterError):
             quad.integrate(spec, 20)
 
@@ -178,6 +178,7 @@ class TestFamilies:
         # Li_p and Li_q at a node come from one kernel pass (near t = 1
         # distinct nodes share t and differ in 1 - t)
         monkeypatch.setattr(num, "_polylog_cache", {})
+        monkeypatch.setattr(quad, "_table_cache", {})
         passes = []
         kernel = num._polylog_orders
         monkeypatch.setattr(num, "_polylog_orders",
@@ -185,14 +186,59 @@ class TestFamilies:
         spec = quad.family_spec(family, params, 1, 20)
         nodes = []
 
-        def counted(t, dm, dp):
-            nodes.append((dm, dp))
-            return spec.integrand(t, dm, dp)
+        def counted(node):
+            nodes.append((node.dm, node.dp))
+            return spec.integrand(node)
 
         quad.integrate(quad.IntegralSpec(spec.a, spec.b, counted), 20)
         # 71 nodes: levels 0-3, stopped at level 3 on the error estimate
         assert len(set(nodes)) == len(nodes) == 71
         assert passes == [max(params[1:])] * len(nodes)
+
+    @pytest.mark.parametrize("case, before", [
+        # other families on the same interval fill the node values first
+        (("HeadLog1m", (1, 2), Fraction(1, 10), 20),
+         [("L", (1, 2), Fraction(1, 10), 20), ("C", (3, 2), Fraction(1, 10), 20),
+          ("A", (2, 1), Fraction(1, 10), 20)]),
+        (("J1", (2, 2), Fraction(9, 10), 20), [("J0", (2, 3), Fraction(9, 10), 20)]),
+        (("J0", (2, 3), Fraction(9, 10), 20), [("J1", (2, 2), Fraction(9, 10), 20)]),
+        (("K", (1, 3, 0), 1, 20), [("J", (1, 2, 5), 1, 20), ("C", (2, 1), 1, 20)]),
+        # the same interval at another precision
+        (("L", (1, 2), Fraction(1, 10), 30), [("L", (1, 2), Fraction(1, 10), 20)]),
+        (("L", (1, 2), Fraction(1, 10), 20), [("L", (1, 2), Fraction(1, 10), 30)]),
+        # another x: [0, x] moves b, [x, 1] moves a
+        (("A", (2, 1), Fraction(1, 10), 20), [("A", (2, 1), Fraction(1, 5), 20)]),
+        (("M", (1, 2), Fraction(1, 10), 20), [("M", (1, 2), Fraction(1, 5), 20)]),
+    ])
+    def test_node_table_does_not_depend_on_earlier_cases(self, case, before):
+        # the table is keyed on (precision, level, a, b): a case must give the
+        # same mpf with every cache cold as after other work filled its table
+        _clear_caches()
+        cold = quad.oracle_value(*case)._mpf_
+        _clear_caches()
+        for other in before:
+            quad.oracle_value(*other)
+        assert quad.oracle_value(*case)._mpf_ == cold
+
+    def test_cases_on_one_interval_share_node_values(self, monkeypatch):
+        _clear_caches()
+        x = Fraction(1, 3)
+        quad.oracle_value("J0", (1, 3), x, 20)
+        # J0 left Li_0..Li_3 at every node J1 visits
+        passes = []
+        kernel = num._polylog_orders
+        monkeypatch.setattr(num, "_polylog_orders",
+                            lambda *args: passes.append(args[0]) or kernel(*args))
+        quad.oracle_value("J1", (2, 2), x, 20)
+        assert passes == []
+        # J1 left log t at every node L visits (log1p goes through log, and
+        # the stop rule's log10 is log(x, 10), the one two-argument call)
+        logs = []
+        log = type(mp).log
+        monkeypatch.setattr(type(mp), "log",
+                            lambda ctx, *args: logs.append(args) or log(ctx, *args))
+        quad.oracle_value("L", (1, 2), x, 20)
+        assert [args for args in logs if len(args) == 1] == []
 
     def test_integrand_value_spot(self):
         v = quad.integrand_value("A", (2, 1), 1, Fraction(1, 2), 30)
@@ -231,7 +277,7 @@ def _clear_caches():
     """Empty every precision-keyed cache, so that a value computed under one
     ambient precision cannot be served to a run under another."""
     for cache in (num._polylog_cache, num._zeta_cache, num._euler_cache,
-                  num._log_branch_coeffs, quad._node_cache):
+                  num._log_branch_coeffs, quad._node_cache, quad._table_cache):
         cache.clear()
 
 
