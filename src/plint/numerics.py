@@ -3,17 +3,19 @@
 Everything here works on mpmath floats at an explicit decimal precision
 and is independent of the closed-form evaluators.  Zeta values come from
 mpmath's zeta, computed once per (s, precision).  Polylogarithms come in
-runs: one pass yields every order Li_0(t)..Li_k(t) of one argument, cached
-together.  For t <= 1/2 the pass sums the defining series for all orders at
-once in integers scaled by 2^shift (fixed point), with the factor t taken
-out so that each sum lies in [1, 2) and keeps its relative accuracy at
-arguments near 0; its floor divisions and the dropped tail leave each sum
-short by less than 2^-(prec+1) relative.  For t > 1/2 it uses the
-expansion around the logarithmic singularity at 1, also in fixed point:
-the powers of log t are shared among orders, the coefficients
-zeta(k-j)/j! are cached per precision, and each order lands within
-N + 70 units of 2^-shift for N terms summed, again under 2^-(prec+1)
-relative.  Linear Euler sums come from direct
+runs: one pass yields every order Li_0(t)..Li_k(t) of one argument.  The
+run of an exact argument is cached per (argument, digits); the run of an
+mpf argument is not, and the quadrature nodes keep their own, straight
+from the kernel `_polylog_orders`.  For t <= 1/2 the pass sums the
+defining series for all orders at once in integers scaled by 2^shift (fixed
+point), with the factor t taken out so that each sum lies in [1, 2) and
+keeps its relative accuracy at arguments near 0; its floor divisions and
+the dropped tail leave each sum short by less than 2^-(prec+1) relative.
+For t > 1/2 it uses the expansion around the logarithmic singularity at 1,
+also in fixed point: the powers of log t are shared among orders, the
+coefficients zeta(k-j)/j! are cached per precision, and each order lands
+within N + 70 units of 2^-shift for N terms summed, again under
+2^-(prec+1) relative.  Linear Euler sums come from direct
 partial sums with Euler-Maclaurin tail corrections; those partial sums are
 computed exactly in integers scaled by 2^shift, their floor divisions leave
 them short by fewer than 2 n_cut units of 2^-shift, and they are rounded to
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from mpmath import mp, mpf
 
@@ -102,9 +104,9 @@ def harmonic_value(n: int, m: int = 1) -> Fraction:
 
 # -- polylogarithms --------------------------------------------------------------
 
-# (t, one_minus_t, digits) -> (Li_0(t), ..., Li_K(t)), K the highest order
-# asked for at that argument so far
-_polylog_cache: dict[tuple, tuple[mpf, ...]] = {}
+# (t, digits) -> (Li_0(t), ..., Li_K(t)) for an exact argument t, K the
+# highest order asked for at that argument so far
+_polylog_cache: dict[tuple[Fraction, int], tuple[mpf, ...]] = {}
 
 
 def _polylog_orders(kmax: int, t: Union[Fraction, mpf],
@@ -226,62 +228,43 @@ def _polylog_log_branch(kmax: int, mu: mpf) -> list[mpf]:
     return out
 
 
-def polylog_value(k: int, t, digits: int = 30, *, one_minus_t=None) -> mpf:
+def polylog_value(k: int, t, digits: int = 30) -> mpf:
     """Li_k(t) for real 0 <= t <= 1 (t < 1 when k < 2).
 
-    All orders 0..k of one argument come from one pass and are cached
-    together per (argument, digits), so asking for an argument's highest
-    order first makes its lower orders cache hits.  For t <= 1/2 the pass
-    is the fixed-point series of `_polylog_orders`, whose sums are short by
-    less than 2^-(prec+1) relative before their one rounding each; above
-    1/2 it is the fixed-point expansion around 1 of `_polylog_log_branch`,
-    within 2^-(prec+1) relative too, with Li_1 = -log(1-t).
-
-    `one_minus_t`, when given, is a precomputed 1-t carrying full relative
-    accuracy; pass it when t is so close to 1 that forming 1-t by
-    subtraction would lose the distance to the endpoint (quadrature nodes).
+    All orders 0..k of one argument come from one pass.  For an exact
+    argument (int or Fraction) the run is cached per (t, digits), so asking
+    for its highest order first makes its lower orders cache hits; an mpf
+    argument is rounded to the working precision and its run is not cached.
+    For t <= 1/2 the pass is the fixed-point series of `_polylog_orders`,
+    whose sums are short by less than 2^-(prec+1) relative before their
+    one rounding each; above 1/2 it is the fixed-point expansion around 1
+    of `_polylog_log_branch`, within 2^-(prec+1) relative too, with
+    Li_1 = -log(1-t).
     """
     if not isinstance(k, int) or k < 0:
         raise InvalidOrder(f"polylog_value requires integer k >= 0, got {k!r}")
-    orders = _polylog_run(k, t, digits, one_minus_t)
-    if orders is None:
-        if k >= 2:
-            return zeta_value(k, digits)
-        raise DivergentValue(f"Li_{k}(1) diverges")
-    return orders[k]
-
-
-def _polylog_run(k: int, t, digits: int,
-                 one_minus_t=None) -> Optional[tuple[mpf, ...]]:
-    """(Li_0(t), ..., Li_K(t)) with K >= k, from one `_polylog_cache` lookup,
-    or on a miss from one pass that is then cached; None at t = 1.  A
-    caller that needs two orders of one argument takes both from here."""
-    # memoize on both sides of the argument: near 0 the complement rounds
-    # to exactly 1 for many distinct t, near 1 it is t that degenerates,
-    # so neither alone is collision-free (mpf values hash consistently)
     rational = isinstance(t, (int, Fraction))
     if rational:
         t = Fraction(t)
-        cache_key = (t, None, digits)
-    else:
-        cache_key = (t, one_minus_t, digits)
-    orders = _polylog_cache.get(cache_key)
-    if orders is not None and k < len(orders):
-        return orders
+        orders = _polylog_cache.get((t, digits))
+        if orders is not None and k < len(orders):
+            return orders[k]
     with mp.workdps(digits + GUARD_DIGITS):
-        if not rational:
-            t = mpf(t)  # rounded to the working precision
-        tv = frac_mpf(t) if rational else t
-        if one_minus_t is not None:
-            comp = mpf(one_minus_t)
+        if rational:
+            tv, comp = frac_mpf(t), frac_mpf(1 - t)
         else:
-            comp = frac_mpf(1 - t) if rational else 1 - tv
+            t = tv = mpf(t)  # rounded to the working precision
+            comp = 1 - tv
         if not (0 <= tv <= 1) or comp < 0:
             raise ParameterError(f"polylog_value expects 0 <= t <= 1, got {t!r}")
         if comp == 0:
-            return None
-        orders = _polylog_cache[cache_key] = _polylog_orders(k, t, comp)
-    return orders
+            if k >= 2:
+                return zeta_value(k, digits)
+            raise DivergentValue(f"Li_{k}(1) diverges")
+        orders = _polylog_orders(k, t, comp)
+    if rational:
+        _polylog_cache[(t, digits)] = orders
+    return orders[k]
 
 
 # -- Euler-Maclaurin zeta tails ---------------------------------------------------

@@ -18,10 +18,12 @@ log t, log(1 - t), log(1 + t), log(dp) and a run of polylog orders), each
 computed on first use and kept.  The nodes of one level on one interval
 at one working precision form a table cached per (mp.prec, level, a, b),
 so every case on that interval and precision reads the same values and
-computes only its own powers and products.  Each family's parameter names
-and endpoint kind come from the family table (families.TABLE); this
-module adds one integrand builder per family.  Nothing here calls the
-closed-form evaluators; it exists to check them.
+computes only its own powers and products.  A node computes every value,
+its polylogs included, at the precision of its table, which `integrate`
+sets from its `digits`.  Each family's parameter names and endpoint kind
+come from the family table (families.TABLE); this module adds one
+integrand builder per family.  Nothing here calls the closed-form
+evaluators; it exists to check them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from mpmath import mp, mpf
 
 from .errors import NoConvergence, NonIntegrable, ParameterError
 from .families import LOWER, TABLE
-from .numerics import _polylog_run, frac_mpf
+from . import numerics
+from .numerics import frac_mpf
 
 Number = Union[int, Fraction]
 Integrand = Callable[["Node"], mpf]
@@ -84,11 +87,13 @@ class Node:
         setattr(self, name, value)
         return value
 
-    def polylogs(self, k: int, digits: int) -> tuple[mpf, ...]:
-        """(Li_0(t), ..., Li_K(t)) with K >= k and t = dm: one kernel pass
-        serves every order up to the highest asked for so far."""
+    def polylogs(self, k: int) -> tuple[mpf, ...]:
+        """(Li_0(t), ..., Li_K(t)) with K >= k and t = dm, at the precision
+        of the node's table: one pass of the kernel `_polylog_orders` serves
+        every order up to the highest asked for so far."""
         if len(self.run) <= k:
-            self.run = _polylog_run(k, self.dm, digits, self.one_minus)
+            # one_minus may be 1 - dm formed exactly, past the working precision
+            self.run = numerics._polylog_orders(k, self.dm, +self.one_minus)
         return self.run
 
 
@@ -150,7 +155,9 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
 
     The integrand is called with each `Node` of the table for (working
     precision, level, a, b), which is built on first use and kept, so the
-    values one integrand made a node compute serve the next one too.
+    values one integrand made a node compute serve the next one too.  The
+    nodes compute every value, polylogs included, at the working precision
+    of digits + 10.
 
     Levels halve the step.  A level's estimate is accepted when it agrees
     with the previous one to 10^(2 - digits) relative, or sooner on the
@@ -205,7 +212,7 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
 
 # -- family integrands -------------------------------------------------------
 
-def _a(m, n, x, digits):
+def _a(m, n, x):
     if m < 1 or n < 1:
         raise ParameterError(f"A needs m >= 1, n >= 1, got m={m}, n={n}")
     if n > m:
@@ -213,7 +220,7 @@ def _a(m, n, x, digits):
     return lambda node: node.log1m ** m * node.dm ** (-n)
 
 
-def _b(m, n, x, digits):
+def _b(m, n, x):
     if m < 1 or n < 1:
         raise ParameterError(f"B needs m >= 1, n >= 1, got m={m}, n={n}")
     if n > m:
@@ -221,7 +228,7 @@ def _b(m, n, x, digits):
     return lambda node: node.log1p ** m * node.dm ** (-n)
 
 
-def _c(m, n, x, digits):
+def _c(m, n, x):
     if m < 1 or n < 1:
         raise ParameterError(f"C needs m >= 1, n >= 1, got m={m}, n={n}")
     if x == 1 and n > m:
@@ -229,66 +236,66 @@ def _c(m, n, x, digits):
     return lambda node: node.log_t ** m * node.one_minus ** (-n)
 
 
-def _l(n, m, x, digits):
+def _l(n, m, x):
     if n < 0 or m < 0:
         raise ParameterError(f"L needs n >= 0, m >= 0, got n={n}, m={m}")
     return lambda node: node.dm**n * node.log_t ** m
 
 
-def _m(n, m, x, digits):
+def _m(n, m, x):
     if n < 0 or m < 0:
         raise ParameterError(f"M needs n >= 0, m >= 0, got n={n}, m={m}")
     # on [x, 1], dp = 1 - t exactly
     return lambda node: node.t**n * node.log_dp ** m
 
 
-def _head_log1m(n, m, x, digits):
+def _head_log1m(n, m, x):
     if n < 0 or m < 0:
         raise ParameterError(f"HeadLog1m needs n >= 0, m >= 0, got n={n}, m={m}")
     return lambda node: node.dm**n * node.log1m ** m
 
 
-def _j0(m, p, x, digits):
+def _j0(m, p, x):
     if m < 0 or p < 1:
         raise ParameterError(f"J0 needs m >= 0, p >= 1, got m={m}, p={p}")
-    return lambda node: node.dm**m * node.polylogs(p, digits)[p]
+    return lambda node: node.dm**m * node.polylogs(p)[p]
 
 
-def _j1(m, p, x, digits):
+def _j1(m, p, x):
     if m < 0 or p < 0:
         raise ParameterError(f"J1 needs m >= 0, p >= 0, got m={m}, p={p}")
     if m == 0 and p == 0 and x == 1:
         raise NonIntegrable("J1(0,0,1): t/(1-t) diverges at 1")
-    return lambda node: node.log_t ** m * node.polylogs(p, digits)[p]
+    return lambda node: node.log_t ** m * node.polylogs(p)[p]
 
 
-def _j(m, p, q, x, digits):
+def _j(m, p, q, x):
     if m < -2 or m == -1:
         raise ParameterError(f"J needs m >= -2 and m != -1, got m={m}")
     if p < 1 or q < 1:
         raise ParameterError(f"J needs p >= 1, q >= 1, got p={p}, q={q}")
 
     def f_j(node):
-        li = node.polylogs(max(p, q), digits)
+        li = node.polylogs(max(p, q))
         return node.dm**m * (li[p] * li[q])
 
     return f_j
 
 
-def _k(r, p, q, x, digits):
+def _k(r, p, q, x):
     if r < 1:
         raise ParameterError(f"K needs r >= 1, got r={r}")
     if p < 0 or q < 0 or p + q < 1:
         raise ParameterError(f"K needs p, q >= 0 with p + q >= 1, got p={p}, q={q}")
 
     def f_k(node):
-        li = node.polylogs(max(p, q), digits)
+        li = node.polylogs(max(p, q))
         return node.log_t ** r * (li[p] * li[q]) / node.dm
 
     return f_k
 
 
-# family name -> builder(*params, x, digits) -> integrand; each builder
+# family name -> builder(*params, x) -> integrand; each builder
 # checks its family's own domain
 _INTEGRANDS: dict[str, Callable[..., Integrand]] = {
     "A": _a, "B": _b, "C": _c, "L": _l, "M": _m, "HeadLog1m": _head_log1m,
@@ -296,8 +303,7 @@ _INTEGRANDS: dict[str, Callable[..., Integrand]] = {
 }
 
 
-def family_spec(family: str, params: Sequence[int], x: Number = 1,
-                digits: int = 30) -> IntegralSpec:
+def family_spec(family: str, params: Sequence[int], x: Number = 1) -> IntegralSpec:
     """IntegralSpec for one member of the named integral family.
 
     Families over [0, x]: A (log^m(1-t)/t^n), B (log^m(1+t)/t^n),
@@ -329,23 +335,10 @@ def family_spec(family: str, params: Sequence[int], x: Number = 1,
         raise ParameterError(
             f"family {family} needs x in {'[0, 1]' if entry.zero_ok else '(0, 1]'}, got {x}")
     a, b = (x, Fraction(1)) if entry.endpoint == LOWER else (Fraction(0), x)
-    return IntegralSpec(a, b, build(*vals, x, digits))
-
-
-def integrand_value(family: str, params: Sequence[int], x: Number, t: Number,
-                    digits: int = 30) -> mpf:
-    """The family integrand at an exact interior point t (for spot checks)."""
-    spec = family_spec(family, params, x, digits)
-    t = Fraction(t)
-    if not spec.a < t < spec.b:
-        raise ParameterError(f"t must lie inside ({spec.a}, {spec.b}), got {t}")
-    with mp.workdps(digits + 10):
-        node = Node(frac_mpf(t), frac_mpf(t - spec.a), frac_mpf(spec.b - t),
-                    frac_mpf(1 - spec.b))
-        return +spec.integrand(node)
+    return IntegralSpec(a, b, build(*vals, x))
 
 
 def oracle_value(family: str, params: Sequence[int], x: Number = 1,
-                 digits: int = 30, max_level: int = MAX_LEVEL) -> mpf:
+                 digits: int = 30) -> mpf:
     """Convenience wrapper: build the family spec and integrate it."""
-    return integrate(family_spec(family, params, x, digits), digits, max_level)
+    return integrate(family_spec(family, params, x), digits)

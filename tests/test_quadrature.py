@@ -65,7 +65,7 @@ class TestEngine:
         assert close(lo, hi, mpf(10) ** -13)
 
     def test_empty_interval(self):
-        spec = quad.family_spec("M", (2, 1), 1, 20)
+        spec = quad.family_spec("M", (2, 1), 1)
         assert quad.integrate(spec, 20) == 0
 
     def test_no_convergence_reported(self):
@@ -85,7 +85,7 @@ class TestEngine:
     def test_smooth_case_stops_on_the_error_estimate(self):
         # int_0^1 t log t dt at 20 digits: levels 0-3 hold 9 + 8 + 18 + 36
         # nodes, and level 4 would add 72
-        spec = quad.family_spec("L", (1, 1), 1, 20)
+        spec = quad.family_spec("L", (1, 1), 1)
         calls = []
 
         def counted(node):
@@ -183,7 +183,7 @@ class TestFamilies:
         kernel = num._polylog_orders
         monkeypatch.setattr(num, "_polylog_orders",
                             lambda *args: passes.append(args[0]) or kernel(*args))
-        spec = quad.family_spec(family, params, 1, 20)
+        spec = quad.family_spec(family, params, 1)
         nodes = []
 
         def counted(node):
@@ -240,11 +240,25 @@ class TestFamilies:
         quad.oracle_value("L", (1, 2), x, 20)
         assert [args for args in logs if len(args) == 1] == []
 
-    def test_integrand_value_spot(self):
-        v = quad.integrand_value("A", (2, 1), 1, Fraction(1, 2), 30)
-        with mp.workdps(40):
-            want = mp.log(mpf(1) / 2) ** 2 * 2
-        assert close(v, want, mpf(10) ** -28)
+    @pytest.mark.parametrize("digits", [20, 30, 40])
+    def test_node_polylogs_follow_the_table_precision(self, digits):
+        # a spec carries no precision of its own: integrating it at some
+        # digits fills its node table with polylogs at those digits, so a
+        # later oracle_value on that table gives the cold value
+        x = Fraction(1, 3)
+        _clear_caches()
+        cold = quad.oracle_value("J0", (1, 3), x, digits)._mpf_
+        _clear_caches()
+        spec = quad.family_spec("J0", (1, 3), x)
+        assert quad.integrate(spec, digits)._mpf_ == cold
+        assert quad.oracle_value("J0", (1, 3), x, digits)._mpf_ == cold
+
+    def test_oracle_cases_leave_no_polylog_cache_entries(self):
+        # node polylogs live on the nodes only
+        _clear_caches()
+        quad.oracle_value("J", (1, 2, 5), 1, 20)
+        quad.oracle_value("J1", (2, 2), Fraction(1, 3), 20)
+        assert num._polylog_cache == {}
 
     def test_non_integrable_families(self):
         with pytest.raises(NonIntegrable):
