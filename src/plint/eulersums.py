@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import exact
-from .errors import InvalidOrder, NonConvergent, _require_int
+from .errors import DivergentValue, InvalidOrder, ParameterError, _require_int
 from .exact import ClosedForm
 from .numerics import harmonic_value
 
@@ -71,10 +72,13 @@ def reduce_S(p: int, q: int) -> ClosedForm:
 
     p = 1 delegates to reduce_S1; odd p+q uses the symmetry reduction; the
     remaining even-weight sums are returned as a bare EulerSum atom.
+    Raises DivergentValue for q < 2, where the sum diverges.
     """
     _require_int("p", p, 1)
-    if not isinstance(q, int) or isinstance(q, bool) or q < 2:
-        raise NonConvergent(f"S({p},{q!r}) requires q >= 2; the sum diverges below that")
+    if not isinstance(q, int) or isinstance(q, bool):
+        raise ParameterError(f"q must be an int, got {q!r}")
+    if q < 2:
+        raise DivergentValue(f"S({p},{q}) diverges: it needs q >= 2")
     if p == 1:
         return reduce_S1(q)
     if (p + q) % 2 == 1:
@@ -88,10 +92,16 @@ def K_base(m: int, q: int) -> ClosedForm:
     K(m,0,q) = m! (-1)^m (S(q, m+1) - zeta(m+q+1)),
 
     with the Euler sum reduced whenever reduce_S can.  Since m >= 1 the
-    inner order m+1 is always >= 2 and the sum converges.
+    inner order m+1 is always >= 2 and the sum converges.  Built once per
+    (m, q) and shared, as a ClosedForm is immutable.
     """
     _require_int("m", m, 1)
     _require_int("q", q, 1)
+    return _k_base(m, q)
+
+
+@lru_cache(maxsize=None)
+def _k_base(m: int, q: int) -> ClosedForm:
     s_part = reduce_S(q, m + 1) - ClosedForm.of(exact.zeta(m + q + 1))
     return s_part.scale(Fraction((-1) ** m * math.factorial(m)))
 

@@ -112,6 +112,7 @@ def _compositions(s: int, parts: int) -> int:
 # -- logarithm-power building blocks ----------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _l_symbolic(n: int, m: int) -> ClosedForm:
     parts = []
     for j in range(m + 1):
@@ -136,6 +137,7 @@ def L_integral(n: int, m: int, at: EvalPoint = 1) -> ClosedForm:
     return _l_symbolic(n, m)
 
 
+@lru_cache(maxsize=None)
 def _m_symbolic(n: int, m: int) -> ClosedForm:
     parts = []
     for j in range(n + 1):
@@ -183,6 +185,7 @@ def head_log1m_integral(n: int, m: int, x: EvalPoint) -> ClosedForm:
 # -- single-denominator log integrals (n = 1 bases) --------------------------------
 
 
+@lru_cache(maxsize=None)
 def _a_base_symbolic(m: int) -> ClosedForm:
     parts = [_term(1, (exact.log_x(), 1), (exact.log_1mx(), m))]
     for k in range(m - 1):
@@ -211,6 +214,7 @@ def A_base(m: int, x: EvalPoint = 1) -> ClosedForm:
     return _a_base_symbolic(m)
 
 
+@lru_cache(maxsize=None)
 def _b_base_symbolic(m: int) -> ClosedForm:
     parts = [
         _term(1, (exact.log_x(), 1), (exact.log_1px(), m)),
@@ -244,6 +248,7 @@ def B_base(m: int, x: EvalPoint = 1) -> ClosedForm:
     return _sum(parts)
 
 
+@lru_cache(maxsize=None)
 def _c_base_symbolic(m: int) -> ClosedForm:
     # valid for m >= 0; degenerates to -log(1-x) when m = 0
     parts = [_term(-1, (exact.log_1mx(), 1), (exact.log_x(), m))]
@@ -289,12 +294,14 @@ def _descending_weights(n: int) -> list[dict[int, Fraction]]:
     return layers
 
 
+@lru_cache(maxsize=None)
 def _ac_at_one(m: int, n: int) -> ClosedForm:
     lead = (-1) ** m * math.factorial(m)
     return _sum([ClosedForm.of(exact.zeta(m - y), coeff=lead * sum(layer.values()))
                  for y, layer in enumerate(_descending_weights(n))])
 
 
+@lru_cache(maxsize=None)
 def _a_general_symbolic(m: int, n: int) -> ClosedForm:
     parts = []
     for y, layer in enumerate(_descending_weights(n)):

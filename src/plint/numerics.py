@@ -29,14 +29,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from mpmath import mp, mpf
 
 from . import exact
-from .errors import DivergentValue, InvalidOrder, ParameterError
+from .errors import DivergentValue, InvalidOrder, NonConvergent, ParameterError
 
 GUARD_DIGITS = 10
+
+# the most digits numeric_eval adds to cover cancellation among a form's
+# terms; B(120,60,1), whose terms cancel 220 digits, is within it
+MAX_EXTRA_DIGITS = 500
 
 Number = Union[int, Fraction]
 
@@ -444,10 +448,17 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
     divergent forms raise DivergentAtOne.
 
     Each distinct atom is valued once per pass over the terms, whatever the
-    number of terms it occurs in.  When the terms cancel so far that
-    sum |term| / |value| exceeds 10^GUARD_DIGITS, the guard digits cannot
-    cover the loss; the form is then evaluated in a second pass with the
-    working digits raised by that many digits.
+    number of terms it occurs in.  A pass values the atoms at digits + extra
+    digits, extra = 0 at first, and is accepted when its own
+    sum |term| / |value| is at most 10^(extra + GUARD_DIGITS), so that the
+    extra and guard digits cover what the cancellation costs.  Otherwise it
+    is repeated with extra = ceil(log10 of that ratio), as often as needed:
+    a pass whose total is rounding noise reads a ratio that is too small.
+    A total of exactly 0 counts as every working digit lost, and extra
+    becomes digits + extra + GUARD_DIGITS; so a form whose value is exactly
+    0 but which is not structurally zero never settles.  Past
+    MAX_EXTRA_DIGITS extra digits the loop raises NonConvergent instead of
+    returning noise.
     """
     if x is not None:
         x = Fraction(x)
@@ -458,9 +469,17 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
             x = None
     if x is None and not form.is_constant:
         raise ParameterError("closed form depends on x but no point was given")
-    total, magnitude = _sum_terms(form, x, digits)
+    extra = 0
+    while True:
+        total, magnitude = _sum_terms(form, x, digits + extra)
+        with mp.workdps(digits + extra + GUARD_DIGITS):
+            if not magnitude or (
+                    total and magnitude <= abs(total) * mpf(10) ** (extra + GUARD_DIGITS)):
+                break
+            extra = (digits + extra + GUARD_DIGITS if not total
+                     else math.ceil(mp.log10(magnitude / abs(total))))
+        if extra > MAX_EXTRA_DIGITS:
+            raise NonConvergent(
+                f"the terms of the form cancel past {MAX_EXTRA_DIGITS} extra digits")
     with mp.workdps(digits + GUARD_DIGITS):
-        if total and magnitude > abs(total) * mpf(10) ** GUARD_DIGITS:
-            lost = math.ceil(mp.log10(magnitude / abs(total)))
-            total, _ = _sum_terms(form, x, digits + lost)
         return +total

@@ -22,8 +22,13 @@ computes only its own powers and products.  A node computes every value,
 its polylogs included, at the precision of its table, which `integrate`
 sets from its `digits`.  Each family's parameter names and endpoint kind
 come from the family table (families.TABLE); this module adds one
-integrand builder per family.  Nothing here calls the closed-form
-evaluators; it exists to check them.
+integrand builder per family.  The level sum and the family integrands'
+powers and products call mpmath.libmp directly (mpf_pow_int, mpf_mul,
+mpf_div, mpf_add) at the table's precision, rounding to nearest: the
+functions the mpf operators call, in the same order, so every value is the
+one the operator spelling gives, without the operators' dispatch.  An
+integrand returns an mpf, and the level sum becomes an mpf once per level.
+Nothing here calls the closed-form evaluators; it exists to check them.
 """
 
 from __future__ import annotations
@@ -31,9 +36,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Sequence, Union
 
 from mpmath import mp, mpf
+from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_pow_int, round_nearest
 
 from .errors import NoConvergence, NonIntegrable, ParameterError
 from .families import LOWER, TABLE
@@ -44,6 +51,11 @@ Number = Union[int, Fraction]
 Integrand = Callable[["Node"], mpf]
 
 MAX_LEVEL = 12
+
+# the rounding of mp's arithmetic, for the libmp calls below; `_wrap` makes
+# a raw libmp value an mpf
+_RND = round_nearest
+_wrap = mp.make_mpf
 
 
 @dataclass(frozen=True)
@@ -70,12 +82,13 @@ _RULES: dict[str, Callable[["Node"], mpf]] = {
 
 class Node:
     """One point t of (a, b): t, dm = t - a, dp = b - t and omb = 1 - b, plus
-    the `_RULES` values and the `polylogs` run, computed on first use and kept."""
+    the `_RULES` values and the `polylogs` run, computed on first use and kept.
+    `prec` is the working precision in bits of the node's table."""
 
-    __slots__ = ("t", "dm", "dp", "omb", "run", *_RULES)
+    __slots__ = ("t", "dm", "dp", "omb", "prec", "run", *_RULES)
 
-    def __init__(self, t: mpf, dm: mpf, dp: mpf, omb: mpf) -> None:
-        self.t, self.dm, self.dp, self.omb = t, dm, dp, omb
+    def __init__(self, t: mpf, dm: mpf, dp: mpf, omb: mpf, prec: int) -> None:
+        self.t, self.dm, self.dp, self.omb, self.prec = t, dm, dp, omb, prec
         self.run: tuple[mpf, ...] = ()
 
     def __getattr__(self, name: str) -> mpf:
@@ -127,13 +140,15 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf, mpf]]:
     return nodes
 
 
-# (mp.prec, level, a, b) -> [(unit weight, node, mirror node), ...], the
-# mirror at a + b - t being None only for the centre node of level 0
+# (mp.prec, level, a, b) -> [(unit weight as a raw libmp value, node, mirror
+# node), ...], the mirror at a + b - t being None only for the centre node of
+# level 0
 _table_cache: dict[tuple[int, int, Fraction, Fraction], list[tuple]] = {}
 
 
 def _level_table(level: int, a: Fraction, b: Fraction) -> list[tuple]:
-    key = (mp.prec, level, a, b)
+    prec = mp.prec
+    key = (prec, level, a, b)
     rows = _table_cache.get(key)
     if rows is not None:
         return rows
@@ -144,8 +159,8 @@ def _level_table(level: int, a: Fraction, b: Fraction) -> list[tuple]:
     rows = []
     for k, (sig, csig, w) in enumerate(_level_nodes(level)):
         dm, dp = scale * sig, scale * csig
-        mirror = None if level == k == 0 else Node(a_val + dp, dp, dm, omb)
-        rows.append((w, Node(a_val + dm, dm, dp, omb), mirror))
+        mirror = None if level == k == 0 else Node(a_val + dp, dp, dm, omb, prec)
+        rows.append((w._mpf_, Node(a_val + dm, dm, dp, omb, prec), mirror))
     _table_cache[key] = rows
     return rows
 
@@ -157,7 +172,10 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     precision, level, a, b), which is built on first use and kept, so the
     values one integrand made a node compute serve the next one too.  The
     nodes compute every value, polylogs included, at the working precision
-    of digits + 10.
+    of digits + 10, which each node also holds as `prec` (bits).  Any
+    callable that takes a Node and returns an mpf is an integrand; the
+    level sum adds the weighted values with mpmath.libmp at that precision,
+    as the mpf operators would, and makes the sum an mpf once per level.
 
     Levels halve the step.  A level's estimate is accepted when it agrees
     with the previous one to 10^(2 - digits) relative, or sooner on the
@@ -181,13 +199,15 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
         tol = mpf(10) ** (2 - digits)
         settled = mpf(10) ** -(digits // 2)
         ests: list[mpf] = []
+        prec = mp.prec
         for level in range(0, max_level + 1):
-            part = mp.zero
+            part = fzero
             for w, node, mirror in _level_table(level, a, b):
-                v = f(node)
+                v = f(node)._mpf_
                 if mirror is not None:
-                    v += f(mirror)
-                part += w * v
+                    v = mpf_add(v, f(mirror)._mpf_, prec, _RND)
+                part = mpf_add(part, mpf_mul(w, v, prec, _RND), prec, _RND)
+            part = _wrap(part)
             if not mp.isfinite(part):
                 raise NonIntegrable(
                     f"integrand not finite on [{a}, {b}] at level {level}"
@@ -212,12 +232,26 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
 
 # -- family integrands -------------------------------------------------------
 
+def _power_product(first: str, i: int, second: str, j: int) -> Integrand:
+    """The integrand first^i * second^j, first and second being names of
+    `Node` values."""
+    get_first, get_second = attrgetter(first), attrgetter(second)
+
+    def f(node):
+        prec = node.prec
+        return _wrap(mpf_mul(mpf_pow_int(get_first(node)._mpf_, i, prec, _RND),
+                             mpf_pow_int(get_second(node)._mpf_, j, prec, _RND),
+                             prec, _RND))
+
+    return f
+
+
 def _a(m, n, x):
     if m < 1 or n < 1:
         raise ParameterError(f"A needs m >= 1, n >= 1, got m={m}, n={n}")
     if n > m:
         raise NonIntegrable(f"A({m},{n},x): log^{m}(1-t)/t^{n} diverges at 0")
-    return lambda node: node.log1m ** m * node.dm ** (-n)
+    return _power_product("log1m", m, "dm", -n)
 
 
 def _b(m, n, x):
@@ -225,7 +259,7 @@ def _b(m, n, x):
         raise ParameterError(f"B needs m >= 1, n >= 1, got m={m}, n={n}")
     if n > m:
         raise NonIntegrable(f"B({m},{n},x): log^{m}(1+t)/t^{n} diverges at 0")
-    return lambda node: node.log1p ** m * node.dm ** (-n)
+    return _power_product("log1p", m, "dm", -n)
 
 
 def _c(m, n, x):
@@ -233,32 +267,45 @@ def _c(m, n, x):
         raise ParameterError(f"C needs m >= 1, n >= 1, got m={m}, n={n}")
     if x == 1 and n > m:
         raise NonIntegrable(f"C({m},{n},1): log^{m}(t)/(1-t)^{n} diverges at 1")
-    return lambda node: node.log_t ** m * node.one_minus ** (-n)
+    return _power_product("log_t", m, "one_minus", -n)
 
 
 def _l(n, m, x):
     if n < 0 or m < 0:
         raise ParameterError(f"L needs n >= 0, m >= 0, got n={n}, m={m}")
-    return lambda node: node.dm**n * node.log_t ** m
+    return _power_product("dm", n, "log_t", m)
 
 
 def _m(n, m, x):
     if n < 0 or m < 0:
         raise ParameterError(f"M needs n >= 0, m >= 0, got n={n}, m={m}")
     # on [x, 1], dp = 1 - t exactly
-    return lambda node: node.t**n * node.log_dp ** m
+    return _power_product("t", n, "log_dp", m)
 
 
 def _head_log1m(n, m, x):
     if n < 0 or m < 0:
         raise ParameterError(f"HeadLog1m needs n >= 0, m >= 0, got n={n}, m={m}")
-    return lambda node: node.dm**n * node.log1m ** m
+    return _power_product("dm", n, "log1m", m)
+
+
+def _power_polylog(first: str, i: int, p: int) -> Integrand:
+    """The integrand first^i * Li_p(t), first being the name of a `Node`
+    value."""
+    get_first = attrgetter(first)
+
+    def f(node):
+        prec = node.prec
+        return _wrap(mpf_mul(mpf_pow_int(get_first(node)._mpf_, i, prec, _RND),
+                             node.polylogs(p)[p]._mpf_, prec, _RND))
+
+    return f
 
 
 def _j0(m, p, x):
     if m < 0 or p < 1:
         raise ParameterError(f"J0 needs m >= 0, p >= 1, got m={m}, p={p}")
-    return lambda node: node.dm**m * node.polylogs(p)[p]
+    return _power_polylog("dm", m, p)
 
 
 def _j1(m, p, x):
@@ -266,7 +313,7 @@ def _j1(m, p, x):
         raise ParameterError(f"J1 needs m >= 0, p >= 0, got m={m}, p={p}")
     if m == 0 and p == 0 and x == 1:
         raise NonIntegrable("J1(0,0,1): t/(1-t) diverges at 1")
-    return lambda node: node.log_t ** m * node.polylogs(p)[p]
+    return _power_polylog("log_t", m, p)
 
 
 def _j(m, p, q, x):
@@ -275,9 +322,11 @@ def _j(m, p, q, x):
     if p < 1 or q < 1:
         raise ParameterError(f"J needs p >= 1, q >= 1, got p={p}, q={q}")
 
-    def f_j(node):
+    def f_j(node):  # t^m * (Li_p(t) * Li_q(t))
+        prec = node.prec
         li = node.polylogs(max(p, q))
-        return node.dm**m * (li[p] * li[q])
+        return _wrap(mpf_mul(mpf_pow_int(node.dm._mpf_, m, prec, _RND),
+                             mpf_mul(li[p]._mpf_, li[q]._mpf_, prec, _RND), prec, _RND))
 
     return f_j
 
@@ -288,9 +337,12 @@ def _k(r, p, q, x):
     if p < 0 or q < 0 or p + q < 1:
         raise ParameterError(f"K needs p, q >= 0 with p + q >= 1, got p={p}, q={q}")
 
-    def f_k(node):
+    def f_k(node):  # (log^r(t) * (Li_p(t) * Li_q(t))) / t
+        prec = node.prec
         li = node.polylogs(max(p, q))
-        return node.log_t ** r * (li[p] * li[q]) / node.dm
+        num = mpf_mul(mpf_pow_int(node.log_t._mpf_, r, prec, _RND),
+                      mpf_mul(li[p]._mpf_, li[q]._mpf_, prec, _RND), prec, _RND)
+        return _wrap(mpf_div(num, node.dm._mpf_, prec, _RND))
 
     return f_k
 

@@ -1,0 +1,28 @@
+"""Helpers shared by the test modules."""
+
+from plint import eulersums as es
+from plint import evaluators as ev
+from plint import numerics as num
+from plint import quadrature as quad
+
+# the lru_cache'd closed-form builders, each with arguments it is built for
+MEMOIZED = (
+    (ev._l_symbolic, (2, 3)), (ev._m_symbolic, (3, 2)),
+    (ev._a_base_symbolic, (4,)), (ev._b_base_symbolic, (4,)),
+    (ev._c_base_symbolic, (4,)), (ev._a_general_symbolic, (5, 3)),
+    (ev._ac_at_one, (5, 3)), (ev._j_base, (1, 4)), (ev._j_base, (-2, 3)),
+    (ev._recurrence_j0, (2, 4)), (ev._recurrence_j, (1, 3, 3)),
+    (ev._recurrence_k, (1, 2, 3)), (es._k_base, (2, 3)),
+)
+
+
+def clear_caches():
+    """Empty every precision-keyed value cache and every memoized builder,
+    so that a test starts cold: a value computed under one ambient
+    precision cannot be served to a run under another, and a form is built
+    afresh."""
+    for cache in (num._polylog_cache, num._zeta_cache, num._euler_cache,
+                  num._log_branch_coeffs, quad._node_cache, quad._table_cache):
+        cache.clear()
+    for builder in {builder for builder, _ in MEMOIZED}:
+        builder.cache_clear()

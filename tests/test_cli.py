@@ -68,6 +68,20 @@ class TestEval:
         assert out.returncode == 3
         assert "diverges" in out.stderr
 
+    def test_divergent_euler_sum_exits_three(self):
+        out = run_cli("eval", "--family", "S", "--p", "2", "--q", "1")
+        assert out.returncode == 3
+        assert "diverges" in out.stderr
+
+    def test_deep_cancellation_is_pinned(self):
+        # the terms cancel 93 digits; the value is 1.89e-11, which a single
+        # retry printed as 0.0009765625
+        out = run_cli("eval", "--family", "B", "--m", "60", "--n", "30", "--x", "1")
+        assert out.returncode == 0
+        assert out.stdout.endswith(" = 0.0000000000\n")
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+            "ccdb8eb292933526833c0f750413b7a4476708adbf04d81e48436a0b0c785038")
+
     def test_missing_parameter_exits_two(self):
         out = run_cli("eval", "--family", "J", "--m", "1", "--p", "2")
         assert out.returncode == 2

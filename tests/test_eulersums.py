@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from plint import eulersums, exact
-from plint.errors import InvalidOrder, NonConvergent, ParameterError
+from plint.errors import DivergentValue, InvalidOrder, ParameterError
 from plint.eulersums import (
     K_base,
     check_prop2,
@@ -86,10 +86,12 @@ class TestReduceS:
     def test_rejections(self):
         with pytest.raises(ParameterError):
             reduce_S(0, 3)
-        with pytest.raises(NonConvergent):
+        with pytest.raises(DivergentValue):
             reduce_S(2, 1)
-        with pytest.raises(NonConvergent):
+        with pytest.raises(DivergentValue):
             reduce_S(3, 0)
+        with pytest.raises(ParameterError):
+            reduce_S(2, 2.0)
 
 
 class TestKBase:

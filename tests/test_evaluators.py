@@ -16,6 +16,8 @@ from plint.exact import ClosedForm
 from plint.numerics import numeric_eval
 from plint.quadrature import oracle_value
 
+from conftest import MEMOIZED, clear_caches
+
 
 @pytest.fixture(autouse=True)
 def _ambient_precision():
@@ -761,3 +763,16 @@ class TestSerializedFormsArePinned:
         assert count == 943
         assert digest.hexdigest() == (
             "2246033c3a055cad5d5dc0e00bc2f7e45178f56ada758a3bfe3a437ade220389")
+
+
+@pytest.mark.parametrize("builder, args", MEMOIZED,
+                         ids=[f"{b.__name__}{a}" for b, a in MEMOIZED])
+def test_memoized_builder_matches_a_fresh_build(builder, args):
+    # cases share these forms, so a cached one must be the form a cold
+    # build gives
+    cached = builder(*args)
+    assert builder(*args) is cached
+    clear_caches()
+    assert builder.cache_info().currsize == 0
+    assert builder(*args) == cached
+

@@ -12,8 +12,12 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from plint import exact as ex
+from plint import families
 from plint import numerics as num
-from plint.errors import DivergentAtOne, DivergentValue, InvalidOrder, ParameterError
+from plint.errors import (DivergentAtOne, DivergentValue, InvalidOrder, NonConvergent,
+                          ParameterError)
+
+from conftest import clear_caches
 
 
 @pytest.fixture(autouse=True)
@@ -253,7 +257,7 @@ def test_polylog_does_not_depend_on_ambient_precision(k, digits, t, as_node):
             t = num.frac_mpf(t)
     values = []
     for ambient in (15, 100):
-        num._polylog_cache.clear()
+        clear_caches()
         with mp.workdps(ambient):
             values.append(num.polylog_value(k, t, digits))
     assert values[0] == values[1]
@@ -405,3 +409,23 @@ class TestNumericEval:
         want = num.numeric_eval(f, digits=80)
         assert close(want, mpf("1.66646025189218949901206798437735558"), mpf(10) ** -34)
         assert close(num.numeric_eval(f, digits=20), want, mpf(10) ** -20)
+
+    @pytest.mark.parametrize("family, params, x", [
+        ("B", (52, 26), 1), ("B", (56, 28), 1), ("B", (60, 30), 1),
+        ("A", (56, 28), Fraction(1, 2)), ("A", (60, 60), Fraction(1, 2)),
+    ], ids=["B(52,26,1)", "B(56,28,1)", "B(60,30,1)", "A(56,28,1/2)", "A(60,60,1/2)"])
+    def test_deep_cancellation_keeps_the_asked_digits(self, family, params, x):
+        # the terms cancel 75 to 93 digits; a noisy first total reads a ratio
+        # far short of that, so the passes must go on until one covers its own
+        form = families.closed_form(family, params, x)
+        want = num.numeric_eval(form, x, 130)
+        assert abs(num.numeric_eval(form, x, 30) - want) <= mpf(10) ** -30 * abs(want)
+
+    def test_hidden_zero_raises(self):
+        # Li_2(1/2) = zeta(2)/2 - log^2(2)/2: exactly 0, but not structurally,
+        # so no pass can tell the value from cancellation noise
+        f = (ex.ClosedForm.of(ex.li_at_half(2)) - ex.ClosedForm.of(ex.zeta(2), coeff=Fraction(1, 2))
+             + ex.ClosedForm.of(ex.log_two(), 2, Fraction(1, 2)))
+        with pytest.raises(NonConvergent):
+            num.numeric_eval(f, digits=20)
+

@@ -5,16 +5,19 @@ constants, mp.quad as a second, unrelated quadrature implementation, or,
 for one stop-rule regression case, the closed form.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from plint import families
+from plint import families, verification
 from plint import numerics as num
 from plint import quadrature as quad
 from plint.errors import NoConvergence, NonIntegrable, ParameterError, PlintError
+
+from conftest import clear_caches
 
 
 @pytest.fixture(autouse=True)
@@ -168,7 +171,7 @@ class TestFamilies:
     def test_ambient_precision_does_not_leak_past_cold_caches(self, family, params, x):
         values = []
         for ambient in (15, 100):
-            _clear_caches()
+            clear_caches()
             with mp.workdps(ambient):
                 values.append(quad.oracle_value(family, params, x, 20)._mpf_)
         assert values[0] == values[1]
@@ -213,15 +216,15 @@ class TestFamilies:
     def test_node_table_does_not_depend_on_earlier_cases(self, case, before):
         # the table is keyed on (precision, level, a, b): a case must give the
         # same mpf with every cache cold as after other work filled its table
-        _clear_caches()
+        clear_caches()
         cold = quad.oracle_value(*case)._mpf_
-        _clear_caches()
+        clear_caches()
         for other in before:
             quad.oracle_value(*other)
         assert quad.oracle_value(*case)._mpf_ == cold
 
     def test_cases_on_one_interval_share_node_values(self, monkeypatch):
-        _clear_caches()
+        clear_caches()
         x = Fraction(1, 3)
         quad.oracle_value("J0", (1, 3), x, 20)
         # J0 left Li_0..Li_3 at every node J1 visits
@@ -246,16 +249,16 @@ class TestFamilies:
         # digits fills its node table with polylogs at those digits, so a
         # later oracle_value on that table gives the cold value
         x = Fraction(1, 3)
-        _clear_caches()
+        clear_caches()
         cold = quad.oracle_value("J0", (1, 3), x, digits)._mpf_
-        _clear_caches()
+        clear_caches()
         spec = quad.family_spec("J0", (1, 3), x)
         assert quad.integrate(spec, digits)._mpf_ == cold
         assert quad.oracle_value("J0", (1, 3), x, digits)._mpf_ == cold
 
     def test_oracle_cases_leave_no_polylog_cache_entries(self):
         # node polylogs live on the nodes only
-        _clear_caches()
+        clear_caches()
         quad.oracle_value("J", (1, 2, 5), 1, 20)
         quad.oracle_value("J1", (2, 2), Fraction(1, 3), 20)
         assert num._polylog_cache == {}
@@ -287,12 +290,26 @@ class TestFamilies:
             quad.oracle_value("A", (1, 1), Fraction(3, 2))
 
 
-def _clear_caches():
-    """Empty every precision-keyed cache, so that a value computed under one
-    ambient precision cannot be served to a run under another."""
-    for cache in (num._polylog_cache, num._zeta_cache, num._euler_cache,
-                  num._log_branch_coeffs, quad._node_cache, quad._table_cache):
-        cache.clear()
+# one member of each pointed family at a point that is not dyadic; the
+# oracle-grid benchmark runs the same eight at 30 digits
+NON_DYADIC_CASES = (
+    ("A", (2, 1), Fraction(1, 10)), ("B", (2, 1), Fraction(1, 10)),
+    ("C", (3, 2), Fraction(1, 10)), ("J0", (2, 3), Fraction(9, 10)),
+    ("J1", (2, 2), Fraction(1, 10)), ("L", (1, 2), Fraction(1, 10)),
+    ("M", (1, 2), Fraction(1, 10)), ("HeadLog1m", (1, 2), Fraction(1, 10)))
+
+
+def test_oracle_values_are_pinned():
+    """Every oracle-suite case at 20 digits and NON_DYADIC_CASES at 30 give
+    the same mpf, bit for bit, as when the pin was taken: the sha256 of
+    repr() of the list of their `_mpf_` values."""
+    jobs = [(family, params, x, 20)
+            for _, family, params, x in verification.build_cases("oracle")]
+    jobs += [(family, params, x, 30) for family, params, x in NON_DYADIC_CASES]
+    values = [quad.oracle_value(*job)._mpf_ for job in jobs]
+    assert len(values) == 839
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "1f88ae2c940492059093da721335f953069d9347b47dad36657fb05f3442374c")
 
 
 _MEMBERS = st.sampled_from(sorted(families.TABLE)).flatmap(
@@ -314,7 +331,7 @@ def test_numeric_eval_does_not_depend_on_ambient_precision(member, x):
     point = None if families.TABLE[family].endpoint is None else x
     values = []
     for ambient in (15, 100):
-        _clear_caches()
+        clear_caches()
         with mp.workdps(ambient):
             values.append(num.numeric_eval(form, point, digits=20)._mpf_)
     assert values[0] == values[1]
