@@ -775,4 +775,3 @@ def test_memoized_builder_matches_a_fresh_build(builder, args):
     clear_caches()
     assert builder.cache_info().currsize == 0
     assert builder(*args) == cached
-

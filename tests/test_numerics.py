@@ -424,8 +424,8 @@ class TestNumericEval:
     def test_hidden_zero_raises(self):
         # Li_2(1/2) = zeta(2)/2 - log^2(2)/2: exactly 0, but not structurally,
         # so no pass can tell the value from cancellation noise
-        f = (ex.ClosedForm.of(ex.li_at_half(2)) - ex.ClosedForm.of(ex.zeta(2), coeff=Fraction(1, 2))
+        f = (ex.ClosedForm.of(ex.li_at_half(2))
+             - ex.ClosedForm.of(ex.zeta(2), coeff=Fraction(1, 2))
              + ex.ClosedForm.of(ex.log_two(), 2, Fraction(1, 2)))
         with pytest.raises(NonConvergent):
             num.numeric_eval(f, digits=20)
-
