@@ -3,10 +3,10 @@
 Each public operation turns one integral family into a ClosedForm over the
 fixed atom vocabulary.  Two conventions hold throughout:
 
-* The evaluation point selects the shape of the answer.  x = 1 (or frm = 0
-  for the tail integrals) produces the stated constant form directly; no
-  limits are taken.  Interior points produce the symbolic x-dependent form,
-  meant to be paired with numeric evaluation at the same exact rational.
+* Each family has one symbolic form in x, paired with numeric evaluation at
+  the same exact rational; x = 1 gives its x -> 1- limit (exact.eval_at_one).
+  A with n >= 2 (and C, built from it) sums its x = 1 value from the chain
+  weights instead: its diverging terms cancel only across atom spellings.
 * Harmonic numbers are expanded to exact rationals on the way out, so the
   same value always has the same spelling and structural comparison between
   independent routes is meaningful.
@@ -18,9 +18,9 @@ sum is taken once per such value, weighted by a count of the chains that share
 it: a binomial for the sum-capped chains of J/K/J1, a small dynamic programme
 for the descending chains of A/B/C.  The cost is polynomial in the parameters.
 NestedSumPlan, which walks every chain one by one, is kept as the literal
-reading of the expansions.  freitas_recurrence_eval re-derives J0/J/K by plain
-recursion instead and exists solely as an independent second route for the
-verification suites.
+reading of the expansions.  freitas_recurrence_eval re-derives J0/J/K from
+their recurrences instead and exists solely as an independent second route
+for the verification suites.
 """
 
 from __future__ import annotations
@@ -41,6 +41,11 @@ EvalPoint = Union[Fraction, int]
 
 Bounds = Callable[[int, tuple[int, ...]], tuple[int, int]]
 Body = Callable[[tuple[int, ...]], ClosedForm]
+
+
+def _at_point(form: ClosedForm, x: Fraction) -> ClosedForm:
+    """A symbolic form at x: its x -> 1- limit at x = 1, itself elsewhere."""
+    return exact.eval_at_one(form) if x == 1 else form
 
 
 def _check_point(name: str, value: EvalPoint, *, allow_zero: bool = False) -> Fraction:
@@ -132,9 +137,7 @@ def L_integral(n: int, m: int, at: EvalPoint = 1) -> ClosedForm:
     at = _check_point("at", at, allow_zero=True)
     if at == 0:
         return exact.ZERO
-    if at == 1:
-        return ClosedForm.number(Fraction((-1) ** m * math.factorial(m), (n + 1) ** (m + 1)))
-    return _l_symbolic(n, m)
+    return _at_point(_l_symbolic(n, m), at)
 
 
 @lru_cache(maxsize=None)
@@ -192,12 +195,8 @@ def _a_base_symbolic(m: int) -> ClosedForm:
         coeff = (-1) ** k * _rising(m - k, k + 1)
         parts.append(_term(coeff, (exact.log_1mx(), m - k - 1), (exact.li_1mx(k + 2), 1)))
     parts.append(_term((-1) ** (m - 1) * math.factorial(m), (exact.li_1mx(m + 1), 1)))
-    parts.append(_a_particular(m))
+    parts.append(ClosedForm.of(exact.zeta(m + 1), coeff=(-1) ** m * math.factorial(m)))
     return _sum(parts)
-
-
-def _a_particular(m: int) -> ClosedForm:
-    return ClosedForm.of(exact.zeta(m + 1), coeff=(-1) ** m * math.factorial(m))
 
 
 def A_base(m: int, x: EvalPoint = 1) -> ClosedForm:
@@ -209,9 +208,7 @@ def A_base(m: int, x: EvalPoint = 1) -> ClosedForm:
     """
     _require_int("m", m, 1, exc=InvalidOrder)
     x = _check_point("x", x)
-    if x == 1:
-        return _a_particular(m)
-    return _a_base_symbolic(m)
+    return _at_point(_a_base_symbolic(m), x)
 
 
 @lru_cache(maxsize=None)
@@ -236,16 +233,7 @@ def B_base(m: int, x: EvalPoint = 1) -> ClosedForm:
     """
     _require_int("m", m, 1, exc=InvalidOrder)
     x = _check_point("x", x)
-    if x != 1:
-        return _b_base_symbolic(m)
-    parts = [
-        _term(Fraction(-m, m + 1), (exact.log_two(), m + 1)),
-        ClosedForm.of(exact.zeta(m + 1), coeff=math.factorial(m)),
-    ]
-    for i in range(1, m + 1):
-        coeff = -math.comb(m, i) * math.factorial(i)
-        parts.append(_term(coeff, (exact.log_two(), m - i), (exact.li_at_half(i + 1), 1)))
-    return _sum(parts)
+    return _at_point(_b_base_symbolic(m), x)
 
 
 @lru_cache(maxsize=None)
@@ -266,9 +254,7 @@ def C_base(m: int, x: EvalPoint = 1) -> ClosedForm:
     """
     _require_int("m", m, 1, exc=InvalidOrder)
     x = _check_point("x", x)
-    if x == 1:
-        return ClosedForm.of(exact.zeta(m + 1), coeff=(-1) ** m * math.factorial(m))
-    return _c_base_symbolic(m)
+    return _at_point(_c_base_symbolic(m), x)
 
 
 # -- descending index chains for the n >= 2 families --------------------------------
@@ -329,6 +315,9 @@ def A_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     are summed per (y, i_y) once (_descending_weights) instead of per chain.
     At x = 1 only the zeta layer survives:
     A(m,n,1) = ((-1)^m m!/(n-1)) sum_y zeta(m-y) * (chain weights).
+    It is summed directly: in the symbolic form x^-(i_y-1) log^(m-y)(1-x)
+    and log^(m-y)(1-x) each diverge, and eval_at_one, which takes the limit
+    term by term, cannot cancel them.
     """
     _require_int("m", m, 1)
     _require_int("n", n, 1)
@@ -345,9 +334,9 @@ def A_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
 def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     """integral_0^x of log^m(t)/(1-t)^n dt for m >= n.
 
-    Computed through C(m,n,x) = A(m,n,1) - A(m,n,1-x): the at-one value of
-    the A family minus the 1-x substitution of its symbolic form.  n = 1
-    dispatches to C_base.
+    Computed through C(m,n,x) = A(m,n,1) - A(m,n,1-x): the summed at-one
+    value of the A family (see A_general) minus the 1-x substitution of its
+    symbolic form.  n = 1 dispatches to C_base.
     """
     _require_int("m", m, 1)
     _require_int("n", n, 1)
@@ -361,8 +350,8 @@ def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     return _ac_at_one(m, n) - exact.subst_one_minus_x(_a_general_symbolic(m, n))
 
 
-def _b_general(m: int, n: int, at_one: bool) -> ClosedForm:
-    log_atom = exact.log_two() if at_one else exact.log_1px()
+@lru_cache(maxsize=None)
+def _b_general_symbolic(m: int, n: int) -> ClosedForm:
     parts = []
     for y, layer in enumerate(_descending_weights(n)):
         c_y = math.comb(m, y) * math.factorial(y)
@@ -370,13 +359,12 @@ def _b_general(m: int, n: int, at_one: bool) -> ClosedForm:
         for tail, w in layer.items():
             parts.append(_term(
                 w * c_y * (-1) ** (n + tail + y + 1),
-                (log_atom, m - y),
-                *(() if at_one else ((exact.x_pow(-(tail - 1)), 1),)),
+                (exact.log_1px(), m - y),
+                (exact.x_pow(-(tail - 1)), 1),
             ))
         w = sum(layer.values())
-        parts.append(_term(w * c_y * (-1) ** (n + y + 1), (log_atom, m - y)))
-        terminal = B_base(m - y - 1, 1) if at_one else _b_base_symbolic(m - y - 1)
-        parts.append(terminal.scale(w * c_y1 * (-1) ** (n + y)))
+        parts.append(_term(w * c_y * (-1) ** (n + y + 1), (exact.log_1px(), m - y)))
+        parts.append(_b_base_symbolic(m - y - 1).scale(w * c_y1 * (-1) ** (n + y)))
     return _sum(parts)
 
 
@@ -394,10 +382,22 @@ def B_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     if n == 1:
         return B_base(m, x)
     x = _check_point("x", x)
-    return _b_general(m, n, x == 1)
+    return _at_point(_b_general_symbolic(m, n), x)
 
 
 # -- polylogarithm integrals -------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _j0_symbolic(m: int, p: int) -> ClosedForm:
+    parts = []
+    for j in range(2, p + 1):
+        coeff = Fraction((-1) ** (p - j), (m + 1) ** (p + 1 - j))
+        parts.append(_term(coeff, (exact.x_pow(m + 1), 1), (exact.li_x(j), 1)))
+    tail_scale = Fraction((-1) ** (p - 1), (m + 1) ** (p - 1))
+    parts.append(_m_symbolic(m, 1).scale(tail_scale))
+    parts.append(ClosedForm.number(-_m_at_zero(m, 1) * tail_scale))
+    return _sum(parts)
 
 
 def J0_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
@@ -410,22 +410,11 @@ def J0_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
     _require_int("m", m, 0)
     _require_int("p", p, 1)
     x = _check_point("x", x)
-    parts = []
-    if x == 1:
-        for j in range(2, p + 1):
-            parts.append(ClosedForm.of(
-                exact.zeta(j), coeff=Fraction((-1) ** (p - j), (m + 1) ** (p + 1 - j))
-            ))
-        head = Fraction((-1) ** (p - 1), (m + 1) ** p) * harmonic_value(m + 1)
-        parts.append(ClosedForm.number(head))
-        return _sum(parts)
-    for j in range(2, p + 1):
-        coeff = Fraction((-1) ** (p - j), (m + 1) ** (p + 1 - j))
-        parts.append(_term(coeff, (exact.x_pow(m + 1), 1), (exact.li_x(j), 1)))
-    tail_scale = Fraction((-1) ** (p - 1), (m + 1) ** (p - 1))
-    parts.append(_m_symbolic(m, 1).scale(tail_scale))
-    parts.append(ClosedForm.number(-_m_at_zero(m, 1) * tail_scale))
-    return _sum(parts)
+    return _at_point(_j0_symbolic(m, p), x)
+
+
+def _j1_zero_symbolic(m: int) -> ClosedForm:
+    return _c_base_symbolic(m) - _l_symbolic(0, m)
 
 
 def J1_zero(m: int, x: EvalPoint = 1) -> ClosedForm:
@@ -437,10 +426,7 @@ def J1_zero(m: int, x: EvalPoint = 1) -> ClosedForm:
     """
     _require_int("m", m, 0)
     x = _check_point("x", x)
-    form = _c_base_symbolic(m) - _l_symbolic(0, m)
-    if x == 1:
-        return exact.eval_at_one(form)
-    return form
+    return _at_point(_j1_zero_symbolic(m), x)
 
 
 def J1_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
@@ -463,21 +449,20 @@ def J1_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
         return J0_eval(0, p, x)
     parts = []
     for y in range(1, p + 1):
-        if x != 1:
-            for s in range(m):
-                coeff = _compositions(s, y) * _falling(m, s) * (-1) ** (s + y - 1)
-                parts.append(_term(
-                    coeff,
-                    (exact.x_pow(1), 1),
-                    (exact.li_x(p - y + 1), 1),
-                    (exact.log_x(), m - s),
-                ))
+        for s in range(m):
+            coeff = _compositions(s, y) * _falling(m, s) * (-1) ** (s + y - 1)
+            parts.append(_term(
+                coeff,
+                (exact.x_pow(1), 1),
+                (exact.li_x(p - y + 1), 1),
+                (exact.log_x(), m - s),
+            ))
         coeff = _compositions(m - 1, y) * math.factorial(m) * (-1) ** (m + y - 1)
-        parts.append(J0_eval(0, p - y + 1, x).scale(coeff))
+        parts.append(_j0_symbolic(0, p - y + 1).scale(coeff))
     for s in range(m):
         coeff = _compositions(s, p) * _falling(m, s) * (-1) ** (s + p)
-        parts.append(J1_zero(m - s, x).scale(coeff))
-    return _sum(parts)
+        parts.append(_j1_zero_symbolic(m - s).scale(coeff))
+    return _at_point(_sum(parts), x)
 
 
 # -- products of two polylogarithms ------------------------------------------------
@@ -582,6 +567,12 @@ def _j_base(m: int, p: int) -> ClosedForm:
     return J_at_one_v1(m, p)
 
 
+def _require_j_order(m) -> int:
+    if not isinstance(m, int) or isinstance(m, bool) or m < -2 or m == -1:
+        raise ParameterError(f"m must be -2 or a nonnegative int, got {m!r}")
+    return m
+
+
 def J_eval(m: int, p: int, q: int) -> ClosedForm:
     """integral_0^1 of x^m Li_p(x) Li_q(x) dx for m >= -2, m != -1.
 
@@ -592,8 +583,7 @@ def J_eval(m: int, p: int, q: int) -> ClosedForm:
     its sum s, shared by C(s+d-1, d-1) chains of depth d.  The output is
     always zeta values and rationals.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < -2 or m == -1:
-        raise ParameterError(f"m must be -2 or a nonnegative int, got {m!r}")
+    _require_j_order(m)
     _require_int("p", p, 1)
     _require_int("q", q, 1)
     if p < q:
@@ -645,52 +635,22 @@ def K_eval(m: int, p: int, q: int) -> ClosedForm:
 # -- recurrence route (verification only) -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _recurrence_j0(m: int, q: int) -> ClosedForm:
-    if q == 1:
-        return J0_eval(m, 1, 1)
-    step = ClosedForm.of(exact.zeta(q)) - _recurrence_j0(m, q - 1)
-    return step.scale(Fraction(1, m + 1))
-
-
-@lru_cache(maxsize=None)
-def _recurrence_j(m: int, p: int, q: int) -> ClosedForm:
-    if q == 1:
-        return _j_base(m, p)
-    if p == 1:
-        return _j_base(m, q)
-    step = _zz(p, q) - _recurrence_j(m, p - 1, q) - _recurrence_j(m, p, q - 1)
-    return step.scale(Fraction(1, m + 1))
-
-
-@lru_cache(maxsize=None)
-def _recurrence_k(r: int, p: int, q: int) -> ClosedForm:
-    if p == 0:
-        return K_base(r, q)
-    if q == 0:
-        return K_base(r, p)
-    step = _recurrence_k(r + 1, p - 1, q) + _recurrence_k(r + 1, p, q - 1)
-    return step.scale(Fraction(-1, r + 1))
-
-
 def freitas_recurrence_eval(family: str, **params: int) -> ClosedForm:
-    """Evaluate J0/J/K at x = 1 by literal recursion on their recurrences.
+    """Evaluate J0/J/K at x = 1 by running their recurrences up from the bases.
 
     J0(m,q) = zeta(q)/(m+1) - J0(m,q-1)/(m+1)            (m >= 0, q >= 2)
     J(m,p,q) = zeta(p)zeta(q)/(m+1)
                - (J(m,p-1,q) + J(m,p,q-1))/(m+1)         (p,q >= 2)
     K(r,p,q) = -(K(r+1,p-1,q) + K(r+1,p,q-1))/(r+1)      (r,p,q >= 1)
 
-    Bottoms out in J0_eval(m,1,1), the J(m,*,1) bases, and K_base.  Exists
-    solely as an independent second route for the verification suites.
+    Fills each table bottom-up, without recursion, from J0_eval(m,1,1), the
+    J(m,*,1) bases and K_base.  Exists solely as an independent second route.
     """
     if family == "J0":
         m = _require_int("m", params.pop("m", None), 0)
         q = _require_int("q", params.pop("q", None), 2)
     elif family == "J":
-        m = params.pop("m", None)
-        if not isinstance(m, int) or isinstance(m, bool) or m < -2 or m == -1:
-            raise ParameterError(f"m must be -2 or a nonnegative int, got {m!r}")
+        m = _require_j_order(params.pop("m", None))
         p = _require_int("p", params.pop("p", None), 2)
         q = _require_int("q", params.pop("q", None), 2)
     elif family == "K":
@@ -702,7 +662,23 @@ def freitas_recurrence_eval(family: str, **params: int) -> ClosedForm:
     if params:
         raise ParameterError(f"unexpected parameters {sorted(params)} for family {family}")
     if family == "J0":
-        return _recurrence_j0(m, q)
+        form = J0_eval(m, 1, 1)
+        for k in range(2, q + 1):
+            form = (ClosedForm.of(exact.zeta(k)) - form).scale(Fraction(1, m + 1))
+        return form
     if family == "J":
-        return _recurrence_j(m, p, q)
-    return _recurrence_k(r, p, q)
+        # row a holds J(m, a, b) at index b >= 1; row 1 and column 1 are bases
+        row = [None] + [_j_base(m, b) for b in range(1, q + 1)]
+        for a in range(2, p + 1):
+            above, row = row, [None, _j_base(m, a)]
+            for b in range(2, q + 1):
+                row.append((_zz(a, b) - above[b] - row[b - 1]).scale(Fraction(1, m + 1)))
+        return row[q]
+    # row a holds K(total - a - b, a, b) at index b; row 0 and column 0 are bases
+    total = r + p + q
+    row = [None] + [K_base(total - b, b) for b in range(1, q + 1)]
+    for a in range(1, p + 1):
+        above, row = row, [K_base(total - a, a)]
+        for b in range(1, q + 1):
+            row.append((above[b] + row[b - 1]).scale(Fraction(-1, total - a - b + 1)))
+    return row[q]

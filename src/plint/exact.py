@@ -27,6 +27,8 @@ come from outside, as in ``from_dict``/``loads``.  The terms this module
 builds itself from parts that are already canonical (merging in
 ``ClosedForm``, ``*``, unary ``-``, ``scale``, the x -> 1-x substitution and
 the x -> 1- limit) go through ``_trusted_term``, which skips those checks.
+A one-term form, and a scaled or negated one, keeps its terms in canonical
+order, so ``_trusted_form`` makes it without merging or sorting again.
 Each atom computes its sort key and hash once, when it is made.
 
 Coefficients are `fractions.Fraction`; its invariants (normalized sign,
@@ -286,7 +288,7 @@ class ClosedForm:
         return self + (-other)
 
     def __neg__(self) -> "ClosedForm":
-        return ClosedForm(_trusted_term(-t.coeff, t.factors) for t in self.terms)
+        return _trusted_form(_trusted_term(-t.coeff, t.factors) for t in self.terms)
 
     def __mul__(self, other: "ClosedForm") -> "ClosedForm":
         if not isinstance(other, ClosedForm):
@@ -310,7 +312,7 @@ class ClosedForm:
         c = Fraction(c)
         if c == 0:
             return ClosedForm(())
-        return ClosedForm(_trusted_term(t.coeff * c, t.factors) for t in self.terms)
+        return _trusted_form(_trusted_term(t.coeff * c, t.factors) for t in self.terms)
 
     # -- queries ---------------------------------------------------------------
 
@@ -348,13 +350,20 @@ class ClosedForm:
         return f"ClosedForm({compact(self)!r})"
 
 
+def _trusted_form(terms: Iterable[Term]) -> ClosedForm:
+    """A ClosedForm from terms that are already canonical and in order."""
+    form = object.__new__(ClosedForm)
+    object.__setattr__(form, "terms", tuple(terms))
+    return form
+
+
 def monomial(coeff: RationalLike, *factors: tuple[Atom, int]) -> ClosedForm:
     """coeff times a product of atom powers, as a one-term form; ZERO when
     coeff is 0, and an atom whose exponents sum to 0 drops out."""
     coeff = Fraction(coeff)
     if coeff == 0:
         return ZERO
-    return ClosedForm((Term(coeff, _merge_factors(factors)),))
+    return _trusted_form((Term(coeff, _merge_factors(factors)),))
 
 
 def total(parts: Iterable[ClosedForm]) -> ClosedForm:
@@ -420,29 +429,36 @@ def eval_at_one(form: ClosedForm) -> ClosedForm:
     Cancellation of divergences across distinct atom spellings (for
     example Li_1(x) against -log(1-x)) is out of scope.
     """
+    limits: dict[Atom, tuple] = {}
     out = []
     for term in form.terms:
         coeff = term.coeff
         alg_order = 0      # net power of u = 1-x
         log_order = 0      # net power of log u
         kept: list[tuple[Atom, int]] = []
+        leads: list[tuple[Atom, int]] = []
         for atom, exp in term.factors:
             if atom.is_constant:
                 kept.append((atom, exp))
                 continue
-            c, lead, p, q = _LIMITS[atom.kind](*atom.args)
-            coeff *= Fraction(c) ** exp
+            if atom not in limits:
+                limits[atom] = _LIMITS[atom.kind](*atom.args)
+            c, lead, p, q = limits[atom]
+            if c != 1:
+                coeff *= Fraction(c) ** exp
             alg_order += p * exp
             log_order += q * exp
             if lead is not None:
-                kept.append((lead, exp))
+                leads.append((lead, exp))
         if alg_order > 0:
             continue
         if alg_order < 0 or log_order > 0:
             raise DivergentAtOne(
                 f"term {compact(ClosedForm((term,)))!r} diverges as x -> 1-"
             )
-        out.append(_trusted_term(coeff, _merge_factors(tuple(kept))))
+        # constant kinds sort first, so the kept factors are already canonical
+        factors = _merge_factors(tuple(kept), tuple(leads)) if leads else tuple(kept)
+        out.append(_trusted_term(coeff, factors))
     return ClosedForm(out)
 
 

@@ -10,9 +10,9 @@ MEMOIZED = (
     (ev._l_symbolic, (2, 3)), (ev._m_symbolic, (3, 2)),
     (ev._a_base_symbolic, (4,)), (ev._b_base_symbolic, (4,)),
     (ev._c_base_symbolic, (4,)), (ev._a_general_symbolic, (5, 3)),
-    (ev._ac_at_one, (5, 3)), (ev._j_base, (1, 4)), (ev._j_base, (-2, 3)),
-    (ev._recurrence_j0, (2, 4)), (ev._recurrence_j, (1, 3, 3)),
-    (ev._recurrence_k, (1, 2, 3)), (es._k_base, (2, 3)),
+    (ev._b_general_symbolic, (5, 3)), (ev._ac_at_one, (5, 3)),
+    (ev._j0_symbolic, (3, 4)), (ev._j_base, (1, 4)), (ev._j_base, (-2, 3)),
+    (es._k_base, (2, 3)),
 )
 
 

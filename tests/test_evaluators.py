@@ -581,9 +581,9 @@ class TestJEval:
             assert close(a, b, "1e-20")
 
     def test_rejections(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="m must be -2 or a nonnegative int"):
             ev.J_eval(-1, 2, 2)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="m must be -2 or a nonnegative int"):
             ev.J_eval(-3, 2, 2)
         with pytest.raises(ParameterError):
             ev.J_eval(0, 0, 2)
@@ -677,8 +677,14 @@ class TestRecurrenceRoute:
             freitas_recurrence_eval("J0", m=0, q=1)
         with pytest.raises(ParameterError):
             freitas_recurrence_eval("K", r=0, p=1, q=1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="m must be -2 or a nonnegative int"):
             freitas_recurrence_eval("J", m=-1, p=2, q=2)
+
+    def test_long_recurrences_run_without_recursion(self):
+        # 500 steps of J0 and of K: deeper than the interpreter's recursion
+        # limit, so each table is filled bottom-up
+        assert freitas_recurrence_eval("J0", m=0, q=500) == ev.J0_eval(0, 500)
+        assert freitas_recurrence_eval("K", r=1, p=1, q=500) == ev.K_eval(1, 1, 500)
 
 
 class TestContinuityAtOne:
@@ -739,7 +745,43 @@ def _dumps_battery():
                     yield f"K({m},{p},{q})", ev.K_eval(m, p, q)
 
 
+def _at_one_battery():
+    """(label, form) for x = 1 forms past the four-point battery: A, B, C
+    bases with m <= 30; B and C with 2 <= n <= m <= 20; J0 with m, p <= 16;
+    J1 with m, p <= 10; L with n, m <= 16."""
+    for name, build in (("A", ev.A_base), ("B", ev.B_base), ("C", ev.C_base)):
+        for m in range(1, 31):
+            yield f"{name}({m},1,1)", build(m, 1)
+    for name, build in (("B", ev.B_general), ("C", ev.C_general)):
+        for m in range(2, 21):
+            for n in range(2, m + 1):
+                yield f"{name}({m},{n},1)", build(m, n, 1)
+    for m in range(17):
+        for p in range(1, 17):
+            yield f"J0({m},{p},1)", ev.J0_eval(m, p, 1)
+    for m in range(11):
+        for p in range(11):
+            if (m, p) != (0, 0):  # J1(0, 0, 1) diverges
+                yield f"J1({m},{p},1)", ev.J1_eval(m, p, 1)
+    for n in range(17):
+        for m in range(17):
+            yield f"L({n},{m},1)", ev.L_integral(n, m, 1)
+
+
 class TestSerializedFormsArePinned:
+    def test_at_one_forms_are_pinned(self):
+        # sha256 of exact.dumps over the x = 1 battery: these constant forms
+        # are x -> 1- limits of the symbolic forms, so a change to either the
+        # forms or exact.eval_at_one shows up here
+        digest = hashlib.sha256()
+        count = 0
+        for label, form in _at_one_battery():
+            digest.update(f"{label} {exact.dumps(form)}\n".encode())
+            count += 1
+        assert count == 1151
+        assert digest.hexdigest() == (
+            "a543675d48f6f25b05e9211c999666a36b295b92bdc7e6da11612dab444ba6d6")
+
     def test_dumps_bytes_are_pinned(self):
         # sha256 of exact.dumps over the battery: a change that alters any
         # canonical term, coefficient or the term order shows up here

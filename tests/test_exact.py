@@ -190,6 +190,14 @@ class TestEvalAtOne:
         want = cf_atom(ex.log_two(), coeff=Fraction(1, 4)) * cf_atom(ex.li_at_half(3))
         assert ex.eval_at_one(f) == want
 
+    def test_lead_merges_into_a_constant_factor(self):
+        # the limit's lead atom equals a constant factor already present,
+        # so the two must merge into one power
+        f = cf_atom(ex.zeta(3)) * cf_atom(ex.li_x(3))
+        assert ex.eval_at_one(f) == cf_atom(ex.zeta(3), 2)
+        g = cf_atom(ex.log_two()) * cf_atom(ex.log_1px())
+        assert ex.eval_at_one(g) == cf_atom(ex.log_two(), 2)
+
     def test_vanishing_term_dropped(self):
         # z2 - x * Li_2(x) -> z2 - z2 = 0?  No: x*Li2 -> Li2 -> z2, kept.
         f = cf_atom(ex.zeta(2)) - cf_atom(ex.x_pow(1)) * cf_atom(ex.li_x(2))
@@ -307,7 +315,8 @@ class TestTrustedTerms:
 
     @given(_FORMS, _FORMS, st.fractions(min_value=-4, max_value=4))
     def test_operations_keep_terms_canonical(self, a, b, c):
-        built = [a + b, a - b, -a, a * b, a.scale(c), ex.from_dict(ex.to_dict(a))]
+        built = [a + b, a - b, -a, a * b, a.scale(c), ex.from_dict(ex.to_dict(a)),
+                 ex.monomial(c, (ex.log_x(), 1), (ex.zeta(2), 1))]
         for f in (a, a * b):
             try:
                 built.append(ex.subst_one_minus_x(f))
