@@ -429,6 +429,26 @@ def J1_zero(m: int, x: EvalPoint = 1) -> ClosedForm:
     return _at_point(_j1_zero_symbolic(m), x)
 
 
+@lru_cache(maxsize=None)
+def _j1_symbolic(m: int, p: int) -> ClosedForm:
+    parts = []
+    for y in range(1, p + 1):
+        for s in range(m):
+            coeff = _compositions(s, y) * _falling(m, s) * (-1) ** (s + y - 1)
+            parts.append(_term(
+                coeff,
+                (exact.x_pow(1), 1),
+                (exact.li_x(p - y + 1), 1),
+                (exact.log_x(), m - s),
+            ))
+        coeff = _compositions(m - 1, y) * math.factorial(m) * (-1) ** (m + y - 1)
+        parts.append(_j0_symbolic(0, p - y + 1).scale(coeff))
+    for s in range(m):
+        coeff = _compositions(s, p) * _falling(m, s) * (-1) ** (s + p)
+        parts.append(_j1_zero_symbolic(m - s).scale(coeff))
+    return _sum(parts)
+
+
 def J1_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
     """integral_0^x of log^m(t) Li_p(t) dt.
 
@@ -447,22 +467,7 @@ def J1_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
         return J1_zero(m, x)
     if m == 0:
         return J0_eval(0, p, x)
-    parts = []
-    for y in range(1, p + 1):
-        for s in range(m):
-            coeff = _compositions(s, y) * _falling(m, s) * (-1) ** (s + y - 1)
-            parts.append(_term(
-                coeff,
-                (exact.x_pow(1), 1),
-                (exact.li_x(p - y + 1), 1),
-                (exact.log_x(), m - s),
-            ))
-        coeff = _compositions(m - 1, y) * math.factorial(m) * (-1) ** (m + y - 1)
-        parts.append(_j0_symbolic(0, p - y + 1).scale(coeff))
-    for s in range(m):
-        coeff = _compositions(s, p) * _falling(m, s) * (-1) ** (s + p)
-        parts.append(_j1_zero_symbolic(m - s).scale(coeff))
-    return _at_point(_sum(parts), x)
+    return _at_point(_j1_symbolic(m, p), x)
 
 
 # -- products of two polylogarithms ------------------------------------------------

@@ -15,11 +15,10 @@ For t > 1/2 it uses the expansion around the logarithmic singularity at 1,
 also in fixed point: the powers of log t are shared among orders, the
 coefficients zeta(k-j)/j! are cached per precision, and each order lands
 within N + 70 units of 2^-shift for N terms summed, again under
-2^-(prec+1) relative.  Linear Euler sums come from direct
-partial sums with Euler-Maclaurin tail corrections; those partial sums are
-computed exactly in integers scaled by 2^shift, their floor divisions leave
-them short by fewer than 2 n_cut units of 2^-shift, and they are rounded to
-an mpf once.  The quadrature oracle and the CLI sit on top of this module.
+2^-(prec+1) relative.  A linear Euler sum S_{p,q} is a direct sum to
+N = p + q + 2 prec, H_N^(p) (zeta(q) - H_N^(q)) and one series in 1/N from
+B_m/m! cached per precision, all in fixed point, within 2^-(prec+6)
+relative.  The quadrature oracle and the CLI sit on top of this module.
 
 All public functions take a decimal `digits` target and compute with
 guard digits internally; returned mpf values carry the guard precision.
@@ -27,6 +26,7 @@ guard digits internally; returned mpf values carry the guard precision.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from typing import Optional, Union
@@ -271,72 +271,91 @@ def polylog_value(k: int, t, digits: int = 30) -> mpf:
     return orders[k]
 
 
-# -- Euler-Maclaurin zeta tails ---------------------------------------------------
-
-def _zeta_tail(s: int, n0: int) -> mpf:
-    """sum_{n > n0} n^-s at the current working precision (s >= 2)."""
-    nf = mpf(n0)
-    eps = mpf(10) ** (-(mp.dps + 2))
-    total = nf ** (1 - s) / (s - 1) - nf ** (-s) / 2
-    rising = mpf(s)  # (s)_{2j-1}, starting at j = 1
-    prev = mp.inf
-    for j in range(1, 80):
-        term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * rising * nf ** (-(s + 2 * j - 1))
-        if abs(term) >= prev:
-            break  # asymptotic series started to grow
-        total += term
-        # relative to the (tiny, positive) total: the Euler-sum tails
-        # multiply high-s tails by large Bernoulli coefficients
-        if abs(term) < eps * total:
-            break
-        prev = abs(term)
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-    return total
-
-
-def _log_deriv_coeffs(q: int, k: int) -> tuple[int, int]:
-    """(a_k, b_k) with d^k/dx^k [log(x) x^-q] = x^(-q-k) (a_k + b_k log x)."""
-    a, b = 0, 1
-    for i in range(k):
-        a, b = b - (q + i) * a, -(q + i) * b
-    return a, b
-
-
-def _log_zeta_tail(q: int, n0: int) -> mpf:
-    """sum_{n > n0} log(n) n^-q at the current working precision (q >= 2)."""
-    nf = mpf(n0)
-    ln = mp.log(nf)
-    eps = mpf(10) ** (-(mp.dps + 2))
-    total = nf ** (1 - q) * (ln / (q - 1) + mpf(1) / (q - 1) ** 2)
-    total -= ln * nf ** (-q) / 2
-    prev = mp.inf
-    for j in range(1, 80):
-        a, b = _log_deriv_coeffs(q, 2 * j - 1)
-        deriv = nf ** (-(q + 2 * j - 1)) * (a + b * ln)
-        term = -mp.bernoulli(2 * j) / mp.factorial(2 * j) * deriv
-        if abs(term) >= prev:
-            break
-        total += term
-        if abs(term) < eps * max(1, abs(total)):
-            break
-        prev = abs(term)
-    return total
-
-
 # -- linear Euler sums --------------------------------------------------------------
+
+# shift -> [c_0, c_1, ...], c_m = 2^shift B_m/m! truncated (B_1 = -1/2, and
+# c_m = 0 for odd m >= 3), extended as longer tail series ask for more
+_bernoulli_coeffs: dict[int, list[int]] = {}
+
+
+def _bernoulli_coefficients(count: int, shift: int) -> list[int]:
+    coeffs = _bernoulli_coeffs.setdefault(shift, [])
+    if len(coeffs) < count:
+        # 8 bits past the fixed point leave each c_m within 1 unit
+        with mp.workprec(shift + 8):
+            coeffs += [int(mp.ldexp(mp.bernoulli(m) / mp.factorial(m), shift))
+                       if m < 2 or m % 2 == 0 else 0
+                       for m in range(len(coeffs), count)]
+    return coeffs
+
+
+def _tail_coefficients(p: int, q: int, shift: int, drops: list[int]) -> list[int]:
+    """C_k = 2^(shift - drops[k]) d_k Gamma(q) / Gamma(p+q+k-2) for each k
+    of `drops`, for the d_k of `_euler_tail`, each within 13 units.  As
+    (s)_{-1} = 1/(s-1), the pair b_l(q) b_m(p+q-1+l) is Gamma(p+q+k-2) /
+    Gamma(q) B_l/l! B_m/m! / (q+l-1)_p and b_{k-1}(p+q) is Gamma(p+q+k-2) /
+    Gamma(q) B_{k-1}/(k-1)! / (q)_p, so C_k is a convolution whose divisors
+    are one running rising factorial, its operands cut by drops[k] bits.
+    """
+    beta = _bernoulli_coefficients(len(drops), shift)
+    rising = math.prod(range(q - 1, q + p - 1))  # (q+l-1)_p at l = 0
+    weighted = []
+    for l in range(len(drops)):
+        weighted.append(beta[l] // rising)
+        rising = rising * (q + l + p - 1) // (q + l - 1)
+    q_p = math.prod(range(q, q + p))
+    return [(sum((weighted[l] >> d) * (beta[k - l] >> d) for l in range(k + 1)) >> (shift - d))
+            + ((beta[k - 1] >> d) // q_p if k else 0)
+            for k, d in enumerate(drops)]
+
+
+def _euler_tail(p: int, q: int, n: int, shift: int) -> int:
+    """2^shift sum_{j > N} j^-p sum_{i >= j} i^-q at N = n as an integer
+    (fixed point), from its asymptotic series sum_{k <= K} d_k N^-(p+q-2+k).
+
+    The sum is Z(p+q, N) + sum_l b_l(q) Z(p+q-1+l, N), with Euler-Maclaurin's
+    Z(s, N) = sum_{i > N} i^-s = sum_m b_m(s) N^-(s-1+m), b_m(s) =
+    B_m/m! (s)_{m-1}; so d_k = sum_{l+m=k} b_l(q) b_m(p+q-1+l) + b_{k-1}(p+q).
+    A cut series of x^-s loses at most twice its first omitted term; with
+    |B_m/m!| <= 3.3 (2 pi)^-m, the orders past K add up to less than
+        E = (14 K + 140) Gamma(p+q+K-1) / (Gamma(q) (2 pi N)^(K+1) N^(p+q-2))
+    while N >= p + q + K, and K is the least with E <= 2^-shift.  Term k is
+    G_k C_k, where G_k = Gamma(p+q+k-2) / (Gamma(q) N^(p+q+k-2)) <= 1 is
+    floored at k = 0 and carried by G_{k+1} = G_k (p+q+k-2) // N, within
+    k + 1 units.  As G_k < 2^-d_k, d_k = shift - bit_length(2^shift G_k), C_k
+    (`_tail_coefficients`, |C_k| <= 2) is needed only to 2^-(shift-d_k), and
+    term k is within 2k + 16 units of 2^-shift, the sum in (K + 1)(K + 16).
+    """
+    w = p + q
+    terms = next(
+        k for k in range(n - w + 1)
+        if (math.log2(14 * k + 140) + (math.lgamma(w + k - 1) - math.lgamma(q)) / math.log(2)
+            - (k + 1) * math.log2(2 * math.pi * n) - (w - 2) * math.log2(n)) <= -shift)
+    scales = [(1 << shift) * math.factorial(w - 3) // (math.factorial(q - 1) * n ** (w - 2))]
+    for k in range(terms):
+        scales.append(scales[-1] * (w + k - 2) // n)
+    drops = [shift - g.bit_length() for g in scales]
+    return sum(g * c >> (shift - d)
+               for g, d, c in zip(scales, drops, _tail_coefficients(p, q, shift, drops)))
+
 
 _euler_cache: dict[tuple[int, int, int], mpf] = {}
 
 
 def euler_sum_value(p: int, q: int, digits: int = 30) -> mpf:
-    """S_{p,q} = sum_{n >= 1} H_n^(p) / n^q, numerically.
+    """S_{p,q} = sum_{n >= 1} H_n^(p) / n^q, numerically, as
 
-    Partial sum to N = n_cut, computed exactly in integers scaled by
-    2^shift; its floor divisions leave it short by fewer than 2 N units of
-    2^-shift, and it is rounded to an mpf once.  Then a tail from the
-    asymptotics of H_n^(p): for p = 1 the log/gamma expansion of H_n, for
-    p >= 2 the expansion of zeta(p) - H_n^(p) as a zeta tail; both reduce
-    the remainder to Euler-Maclaurin zeta tails evaluated at N.
+        sum_{n <= N} H_n^(p) n^-q + H_N^(p) (zeta(q) - H_N^(q))
+        + sum_{j > N} j^-p sum_{i >= j} i^-q        (`_euler_tail`),
+
+    N = p + q + 2 prec at the working precision prec (digits +
+    GUARD_DIGITS + 5 decimal digits).  The terms past M sum to less than
+    (2 + ln M) / ((q-1) M^(q-1)); if that is below 2^-shift for some M <= N,
+    the direct sum stops at the least such M and skips the rest.  In fixed
+    point, shift = prec + 2 bit_length(N) + 8, the direct sums are within
+    (N + 1)(3 + ln N) + 2 units of 2^-shift, zeta(q) adds 1 + ln N, the
+    series (K + 1)(K + 16) with K < N and its cut 1: less than 4 (N + 1)^2
+    units, 2^-(prec+6), in all, and relative as S_{p,q} >= 1.
     """
     if not isinstance(p, int) or p < 1:
         raise InvalidOrder(f"euler_sum_value requires integer p >= 1, got {p!r}")
@@ -345,45 +364,25 @@ def euler_sum_value(p: int, q: int, digits: int = 30) -> mpf:
     key = (p, q, digits)
     if key in _euler_cache:
         return _euler_cache[key]
-    n_cut = 2000 + 120 * digits
     with mp.workdps(digits + GUARD_DIGITS + 5):
-        # guard bits: n_cut's bit length plus a margin keeps the 2 n_cut
-        # units that the floor divisions can lose below the last bit of
-        # the working precision at any digits
-        shift = mp.prec + n_cut.bit_length() + 16
+        n_cut = p + q + 2 * mp.prec
+        shift = mp.prec + 2 * n_cut.bit_length() + 8
         one = 1 << shift
-        h = acc = 0
-        for n in range(1, n_cut + 1):
+        # the least M whose later terms sum below 2^-shift, or n_cut + 1
+        stop = bisect.bisect_left(
+            range(n_cut + 1), True,
+            key=lambda m: (q - 1) * m ** (q - 1) >= (m.bit_length() + 2) << shift)
+        h = hq = acc = 0
+        for n in range(1, min(stop, n_cut) + 1):
+            nq = n**q
             h += one // n**p
-            acc += h // n**q
-        partial = mp.ldexp(mpf(acc), -shift)
-        if p == 1:
-            # H_n = log n + gamma + 1/(2n) - sum_j B_2j / (2j n^2j)
-            tail = _log_zeta_tail(q, n_cut)
-            tail += mp.euler * _zeta_tail(q, n_cut)
-            tail += _zeta_tail(q + 1, n_cut) / 2
-            eps = mpf(10) ** (-(mp.dps + 2))
-            for j in range(1, 60):
-                term = mp.bernoulli(2 * j) / (2 * j) * _zeta_tail(q + 2 * j, n_cut)
-                tail -= term
-                if abs(term) < eps:
-                    break
-        else:
-            # H_n^(p) = zeta(p) - r_n,  r_n = sum_{k > n} k^-p expanded by
-            # Euler-Maclaurin in powers of 1/n
-            tail = _zeta_any(p) * _zeta_tail(q, n_cut)
-            tail -= _zeta_tail(p + q - 1, n_cut) / (p - 1)
-            tail += _zeta_tail(p + q, n_cut) / 2
-            eps = mpf(10) ** (-(mp.dps + 2))
-            rising = mpf(p)  # (p)_{2j-1}
-            for j in range(1, 60):
-                term = (mp.bernoulli(2 * j) / mp.factorial(2 * j) * rising
-                        * _zeta_tail(p + q + 2 * j - 1, n_cut))
-                tail -= term
-                if abs(term) < eps:
-                    break
-                rising *= (p + 2 * j - 1) * (p + 2 * j)
-        value = partial + tail
+            hq += one // nq
+            acc += h // nq
+        if stop > n_cut:
+            with mp.workprec(shift + 8):
+                zq = int(mp.ldexp(_zeta_any(q), shift))
+            acc += (h * (zq - hq) >> shift) + _euler_tail(p, q, n_cut, shift)
+        value = mp.ldexp(mpf(acc), -shift)
     _euler_cache[key] = value
     return value
 

@@ -11,7 +11,8 @@ MEMOIZED = (
     (ev._a_base_symbolic, (4,)), (ev._b_base_symbolic, (4,)),
     (ev._c_base_symbolic, (4,)), (ev._a_general_symbolic, (5, 3)),
     (ev._b_general_symbolic, (5, 3)), (ev._ac_at_one, (5, 3)),
-    (ev._j0_symbolic, (3, 4)), (ev._j_base, (1, 4)), (ev._j_base, (-2, 3)),
+    (ev._j0_symbolic, (3, 4)), (ev._j1_symbolic, (3, 2)),
+    (ev._j_base, (1, 4)), (ev._j_base, (-2, 3)),
     (es._k_base, (2, 3)),
 )
 
@@ -22,7 +23,8 @@ def clear_caches():
     precision cannot be served to a run under another, and a form is built
     afresh."""
     for cache in (num._polylog_cache, num._zeta_cache, num._euler_cache,
-                  num._log_branch_coeffs, quad._node_cache, quad._table_cache):
+                  num._log_branch_coeffs, num._bernoulli_coeffs,
+                  quad._node_cache, quad._table_cache):
         cache.clear()
     for builder in {builder for builder, _ in MEMOIZED}:
         builder.cache_clear()

@@ -5,6 +5,7 @@ mpmath's own zeta/polylog implementations, classical identities
 (Basel, Landen, dilog reflection), and brute-force partial sums.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -263,35 +264,65 @@ def test_polylog_does_not_depend_on_ambient_precision(k, digits, t, as_node):
     assert values[0] == values[1]
 
 
+def _bernoulli_fractions(count):
+    """B_0..B_{count-1} exactly (B_1 = -1/2), from sum_j C(n+1, j) B_j = 0."""
+    out = []
+    for n in range(count):
+        out.append(Fraction(1) if n == 0 else -sum(
+            math.comb(n + 1, j) * out[j] for j in range(n)) / (n + 1))
+    return out
+
+
+def _tail(p, q, n, digits):
+    """sum_{k > n} H_k^(p) k^-q from the tail series of euler_sum_value."""
+    with mp.workdps(digits):
+        shift = mp.prec + 20
+        series = num._euler_tail(p, q, n, shift)
+        h_p = sum(mpf(k) ** -p for k in range(1, n + 1))
+        h_q = sum(mpf(k) ** -q for k in range(1, n + 1))
+        return h_p * (mp.zeta(q) - h_q) + mp.ldexp(series, -shift)
+
+
 class TestEulerMaclaurinTails:
-    def test_zeta_tail_telescopes(self):
+    @pytest.mark.parametrize("p, q", [(1, 4), (2, 3)])
+    def test_tail_telescopes(self, p, q):
         with mp.workdps(40):
-            brute = sum(mpf(n) ** -3 for n in range(51, 5001))
-            tail = num._zeta_tail(3, 50) - num._zeta_tail(3, 5000)
-            assert close(brute, tail, mpf(10) ** -35)
+            h = brute = mp.zero
+            for n in range(1, 5001):
+                h += mpf(n) ** -p
+                if n > 50:
+                    brute += h * mpf(n) ** -q
+            assert close(brute, _tail(p, q, 50, 40) - _tail(p, q, 5000, 40), mpf(10) ** -34)
 
-    def test_zeta_tail_matches_zeta(self):
+    def test_tail_completes_the_sum(self):
+        # sum H_n / n^2 = 2 zeta(3), from 200 direct terms and the tail
         with mp.workdps(40):
-            partial = sum(mpf(n) ** -2 for n in range(1, 201))
-            assert close(partial + num._zeta_tail(2, 200), mp.zeta(2), mpf(10) ** -35)
+            h = partial = mp.zero
+            for n in range(1, 201):
+                h += mpf(n) ** -1
+                partial += h * mpf(n) ** -2
+            assert close(partial + _tail(1, 2, 200, 40), 2 * mp.zeta(3), mpf(10) ** -35)
 
-    def test_log_deriv_coeffs_against_mp_diff(self):
-        # d^k/dx^k [log(x) x^-q] = x^(-q-k) (a_k + b_k log x)
-        q = 3
-        x0 = mpf("3.7")
-        with mp.workdps(30):
-            f = lambda x: mp.log(x) * x**-q
-            for k in (1, 2, 3, 5):
-                a, b = num._log_deriv_coeffs(q, k)
-                want = mp.diff(f, x0, k)
-                got = x0 ** (-q - k) * (a + b * mp.log(x0))
-                assert close(got, want, mpf(10) ** -20), k
+    @pytest.mark.parametrize("p, q", [(1, 2), (2, 3), (4, 2)])
+    def test_tail_coefficients_against_fractions(self, p, q):
+        # d_k = sum_{l+m=k} b_l(q) b_m(p+q-1+l) + b_{k-1}(p+q), with
+        # b_m(s) = B_m/m! (s)_{m-1} and (s)_{-1} = 1/(s-1)
+        terms, shift = 14, 100
+        bern = _bernoulli_fractions(terms + 1)
 
-    def test_log_zeta_tail_telescopes(self):
-        with mp.workdps(40):
-            brute = sum(mp.log(n) * mpf(n) ** -4 for n in range(51, 3001))
-            tail = num._log_zeta_tail(4, 50) - num._log_zeta_tail(4, 3000)
-            assert close(brute, tail, mpf(10) ** -34)
+        def b(m, s):
+            return bern[m] / math.factorial(m) * (
+                Fraction(1, s - 1) if m == 0 else math.prod(range(s, s + m - 1)))
+
+        w = p + q
+        for drops in ([0] * (terms + 1), list(range(0, 5 * terms + 1, 5))):
+            got = num._tail_coefficients(p, q, shift, drops)
+            for k in range(terms + 1):
+                d = sum(b(l, q) * b(k - l, w - 1 + l) for l in range(k + 1))
+                if k:
+                    d += b(k - 1, w)
+                scaled = d * math.factorial(q - 1) / math.factorial(w + k - 3) * 2**shift
+                assert abs(got[k] - scaled / 2 ** drops[k]) <= 13, (k, drops[k])
 
 
 class TestEulerSums:
@@ -345,6 +376,28 @@ class TestEulerSums:
             got = num.euler_sum_value(1, q, digits)
             tol = mpf(10) ** -(digits + num.GUARD_DIGITS)
             assert abs(got - want) < tol * want
+
+    @pytest.mark.parametrize("digits", [500, 1000])
+    @pytest.mark.parametrize("p, q", [(2, 2), (5, 5), (1, 5)])
+    def test_classical_forms_at_500_and_1000_digits(self, digits, p, q):
+        # S(p,p) = (zeta(p)^2 + zeta(2p)) / 2 and Euler's S(1,q)
+        with mp.workdps(digits + 30):
+            if p == q:
+                want = (mp.zeta(p) ** 2 + mp.zeta(2 * p)) / 2
+            else:
+                want = (1 + mpf(q) / 2) * mp.zeta(q + 1) - sum(
+                    (mp.zeta(k + 1) * mp.zeta(q - k) for k in range(1, q - 1)),
+                    mp.zero) / 2
+            got = num.euler_sum_value(p, q, digits)
+            assert abs(got - want) < mpf(10) ** -(digits + num.GUARD_DIGITS) * want
+
+    def test_does_not_depend_on_ambient_precision(self):
+        values = []
+        for ambient in (15, 100):
+            clear_caches()
+            with mp.workdps(ambient):
+                values.append(num.euler_sum_value(3, 7, 30))
+        assert values[0]._mpf_ == values[1]._mpf_
 
     def test_precision_ladder(self):
         lo = num.euler_sum_value(3, 2, 15)
