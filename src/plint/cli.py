@@ -9,8 +9,9 @@ from `--digits` or `PLINT_DIGITS`; `verify --tol` must be a finite number
 parameter problem.
 
 Exit codes: 0 success, 1 verification failure, 2 parameter problems,
-3 genuinely divergent requests.  Identical invocations print identical
-bytes, so outputs can be frozen as goldens.
+3 genuinely divergent requests, 141 (128 + SIGPIPE) when the reader of
+stdout closes it before the output ends.  Identical invocations print
+identical bytes, so outputs can be frozen as goldens.
 """
 
 from __future__ import annotations
@@ -234,7 +235,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes nowhere at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DivergentAtOne, DivergentValue, NonIntegrable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

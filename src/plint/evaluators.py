@@ -11,6 +11,11 @@ fixed atom vocabulary.  Two conventions hold throughout:
   same value always has the same spelling and structural comparison between
   independent routes is meaningful.
 
+Of the logarithm families only L, A_base, B_base and A's chains are written
+out; the rest are their images by substitution.  t -> 1-t gives
+C(m,n,x) = A(m,n,1) - A(m,n,1-x) and M(n,m,x) = sum_j (-1)^j C(n,j) L(j,m,1-x);
+t -> -t gives B's chains, B(m,n,x) = (-1)^(n+1) A(m,n,-x), over B_base.
+
 The deeper families (A/B/C with n >= 2, J1, and the polylog products J and
 K) are nested sums over index chains.  Every body depends on a chain only
 through its sum, or only through its product weight and last index, so each
@@ -142,30 +147,24 @@ def L_integral(n: int, m: int, at: EvalPoint = 1) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _m_symbolic(n: int, m: int) -> ClosedForm:
-    parts = []
-    for j in range(n + 1):
-        outer = Fraction((-1) ** j * math.comb(n, j), j + 1)
-        for i in range(m + 1):
-            coeff = outer * Fraction((-1) ** i * _rising(m + 1 - i, i), (j + 1) ** i)
-            parts.append(_term(coeff, (exact.one_minus_x_pow(j + 1), 1),
-                               (exact.log_1mx(), m - i)))
-    return _sum(parts)
+    # M(n,m,1-x) = sum_j (-1)^j C(n,j) L(j,m,x): y = 1-u, (1-u)^n expanded
+    image = _sum([_l_symbolic(j, m).scale((-1) ** j * math.comb(n, j))
+                  for j in range(n + 1)])
+    return exact.subst_one_minus_x(image)
 
 
-def _m_at_zero(n: int, m: int) -> Fraction:
-    total = sum(
-        (Fraction((-1) ** j * math.comb(n, j), (j + 1) ** (m + 1)) for j in range(n + 1)),
-        Fraction(0),
-    )
-    return (-1) ** m * math.factorial(m) * total
+@lru_cache(maxsize=None)
+def _m_at_zero(n: int, m: int) -> ClosedForm:
+    return exact.eval_at_one(exact.subst_one_minus_x(_m_symbolic(n, m)))
 
 
 def M_integral(n: int, m: int, frm: EvalPoint = 0) -> ClosedForm:
     """integral_frm^1 of y^n log^m(1-y) dy.
 
-    The double binomial sum over (1-x)-power and log(1-x) atoms; frm = 0
-    collapses to (-1)^m m! sum_j C(n,j) (-1)^j / (j+1)^(m+1), frm = 1 is the
-    empty interval.
+    Derived from L by y = 1-u: M(n,m,frm) = sum_j (-1)^j C(n,j) L(j,m,1-frm),
+    the x -> 1-x image of the L forms.  frm = 0 is the x -> 1- limit of that
+    L sum, (-1)^m m! sum_j C(n,j) (-1)^j / (j+1)^(m+1); frm = 1 is the empty
+    interval.
     """
     _require_int("n", n, 0)
     _require_int("m", m, 0)
@@ -173,7 +172,7 @@ def M_integral(n: int, m: int, frm: EvalPoint = 0) -> ClosedForm:
     if frm == 1:
         return exact.ZERO
     if frm == 0:
-        return ClosedForm.number(_m_at_zero(n, m))
+        return _m_at_zero(n, m)
     return _m_symbolic(n, m)
 
 
@@ -185,7 +184,14 @@ def head_log1m_integral(n: int, m: int, x: EvalPoint) -> ClosedForm:
     return M_integral(n, m, frm=0) - M_integral(n, m, frm=x)
 
 
-# -- single-denominator log integrals (n = 1 bases) --------------------------------
+# -- the log families A, B and C from the A chains ---------------------------------
+
+
+def _check_orders(family: str, m: int, n: int) -> None:
+    _require_int("m", m, 1)
+    _require_int("n", n, 1)
+    if m < n:
+        raise ParameterError(f"{family}(m,n,x) requires m >= n, got m={m}, n={n}")
 
 
 @lru_cache(maxsize=None)
@@ -199,18 +205,6 @@ def _a_base_symbolic(m: int) -> ClosedForm:
     return _sum(parts)
 
 
-def A_base(m: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(1-t)/t dt.
-
-    log(x)log^m(1-x) + sum_{k=0}^{m-2} (-1)^k (m-k)_(k+1) log^(m-k-1)(1-x) Li_(k+2)(1-x)
-    + (-1)^(m-1) m! Li_(m+1)(1-x) + (-1)^m m! zeta(m+1); only the zeta term
-    survives at x = 1.
-    """
-    _require_int("m", m, 1, exc=InvalidOrder)
-    x = _check_point("x", x)
-    return _at_point(_a_base_symbolic(m), x)
-
-
 @lru_cache(maxsize=None)
 def _b_base_symbolic(m: int) -> ClosedForm:
     parts = [
@@ -222,42 +216,6 @@ def _b_base_symbolic(m: int) -> ClosedForm:
         coeff = -math.comb(m, i) * math.factorial(i)
         parts.append(_term(coeff, (exact.log_1px(), m - i), (exact.li_inv_1px(i + 1), 1)))
     return _sum(parts)
-
-
-def B_base(m: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(1+t)/t dt.
-
-    At x = 1 the log(1+x) powers become log(2) powers and the half-argument
-    polylogarithms appear:
-    -(m/(m+1)) log^(m+1)(2) + m! zeta(m+1) - sum_i C(m,i) i! log^(m-i)(2) Li_(i+1)(1/2).
-    """
-    _require_int("m", m, 1, exc=InvalidOrder)
-    x = _check_point("x", x)
-    return _at_point(_b_base_symbolic(m), x)
-
-
-@lru_cache(maxsize=None)
-def _c_base_symbolic(m: int) -> ClosedForm:
-    # valid for m >= 0; degenerates to -log(1-x) when m = 0
-    parts = [_term(-1, (exact.log_1mx(), 1), (exact.log_x(), m))]
-    for i in range(2, m + 2):
-        coeff = m * (-1) ** (i - 1) * math.comb(m - 1, i - 2) * math.factorial(i - 2)
-        parts.append(_term(coeff, (exact.log_x(), m + 1 - i), (exact.li_x(i), 1)))
-    return _sum(parts)
-
-
-def C_base(m: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(t)/(1-t) dt.
-
-    -log(1-x) log^m(x) + m sum_{i=2}^{m+1} (-1)^(i-1) C(m-1,i-2) (i-2)! log^(m+1-i)(x) Li_i(x),
-    with value (-1)^m m! zeta(m+1) at x = 1.
-    """
-    _require_int("m", m, 1, exc=InvalidOrder)
-    x = _check_point("x", x)
-    return _at_point(_c_base_symbolic(m), x)
-
-
-# -- descending index chains for the n >= 2 families --------------------------------
 
 
 def _descending_weights(n: int) -> list[dict[int, Fraction]]:
@@ -280,109 +238,131 @@ def _descending_weights(n: int) -> list[dict[int, Fraction]]:
     return layers
 
 
+def _descending_chains(m: int, n: int, log_atom: exact.Atom,
+                       base: Callable[[int], ClosedForm], sign: int) -> ClosedForm:
+    """A(m,n,x) for sign = 1 (log(1-x), _a_base_symbolic); B(m,n,x) for
+    sign = -1 (log(1+x), _b_base_symbolic).  n = 1 is base(m).
+
+    Per chain weight W (y, i_y) and F_y = m!/(m-y)!, A's layer y is
+    -(-1)^y W F_y log^(m-y)(1-x) (x^-(i_y-1) - 1) - (-1)^y W F_(y+1) A_base(m-y-1).
+    B(m,n,x) = (-1)^(n+1) A(m,n,-x): -x turns log(1-x) into log(1+x),
+    x^-(i_y-1) into (-1)^(i_y-1) x^-(i_y-1) and A_base(k,-x) into B_base(k,x).
+    """
+    if n == 1:
+        return base(m)
+    flip = sign ** (n + 1)
+    parts = []
+    for y, layer in enumerate(_descending_weights(n)):
+        f_y, f_y1 = _falling(m, y), _falling(m, y + 1)
+        for tail, w in layer.items():
+            parts.append(_term(w * f_y * (-1) ** (y + 1) * sign ** (n + tail),
+                               (log_atom, m - y), (exact.x_pow(1 - tail), 1)))
+        w = sum(layer.values())
+        parts.append(_term(flip * w * f_y * (-1) ** y, (log_atom, m - y)))
+        parts.append(base(m - y - 1).scale(flip * w * f_y1 * (-1) ** (y + 1)))
+    return _sum(parts)
+
+
+@lru_cache(maxsize=None)
+def _a_symbolic(m: int, n: int) -> ClosedForm:
+    return _descending_chains(m, n, exact.log_1mx(), _a_base_symbolic, 1)
+
+
+@lru_cache(maxsize=None)
+def _b_symbolic(m: int, n: int) -> ClosedForm:
+    return _descending_chains(m, n, exact.log_1px(), _b_base_symbolic, -1)
+
+
 @lru_cache(maxsize=None)
 def _ac_at_one(m: int, n: int) -> ClosedForm:
+    if n == 1:
+        return exact.eval_at_one(_a_base_symbolic(m))
     lead = (-1) ** m * math.factorial(m)
     return _sum([ClosedForm.of(exact.zeta(m - y), coeff=lead * sum(layer.values()))
                  for y, layer in enumerate(_descending_weights(n))])
 
 
 @lru_cache(maxsize=None)
-def _a_general_symbolic(m: int, n: int) -> ClosedForm:
-    parts = []
-    for y, layer in enumerate(_descending_weights(n)):
-        c_y = math.comb(m, y) * math.factorial(y)
-        c_y1 = math.comb(m, y + 1) * math.factorial(y + 1)
-        for tail, w in layer.items():
-            parts.append(_term(
-                w * c_y * (-1) ** (y + 1),
-                (exact.log_1mx(), m - y),
-                (exact.x_pow(-(tail - 1)), 1),
-            ))
-        w = sum(layer.values())
-        parts.append(_term(w * c_y * (-1) ** y, (exact.log_1mx(), m - y)))
-        parts.append(_a_base_symbolic(m - y - 1).scale(w * c_y1 * (-1) ** (y + 1)))
-    return _sum(parts)
+def _c_symbolic(m: int, n: int) -> ClosedForm:
+    # t -> 1-t: C(m,n,x) = A(m,n,1) - A(m,n,1-x)
+    return _ac_at_one(m, n) - exact.subst_one_minus_x(_a_symbolic(m, n))
+
+
+def A_base(m: int, x: EvalPoint = 1) -> ClosedForm:
+    """integral_0^x of log^m(1-t)/t dt, A_general(m, 1, x).
+
+    log(x)log^m(1-x) + sum_{k=0}^{m-2} (-1)^k (m-k)_(k+1) log^(m-k-1)(1-x) Li_(k+2)(1-x)
+    + (-1)^(m-1) m! Li_(m+1)(1-x) + (-1)^m m! zeta(m+1); only the zeta term
+    survives at x = 1.
+    """
+    _require_int("m", m, 1, exc=InvalidOrder)
+    return A_general(m, 1, x)
+
+
+def B_base(m: int, x: EvalPoint = 1) -> ClosedForm:
+    """integral_0^x of log^m(1+t)/t dt, B_general(m, 1, x).
+
+    At x = 1 the log(1+x) powers become log(2) powers and the half-argument
+    polylogarithms appear:
+    -(m/(m+1)) log^(m+1)(2) + m! zeta(m+1) - sum_i C(m,i) i! log^(m-i)(2) Li_(i+1)(1/2).
+    """
+    _require_int("m", m, 1, exc=InvalidOrder)
+    return B_general(m, 1, x)
+
+
+def C_base(m: int, x: EvalPoint = 1) -> ClosedForm:
+    """integral_0^x of log^m(t)/(1-t) dt, C_general(m, 1, x).
+
+    Derived from A_base by t -> 1-t, so its form is the x -> 1-x image:
+    -log(1-x) log^m(x) + m sum_{i=2}^{m+1} (-1)^(i-1) C(m-1,i-2) (i-2)! log^(m+1-i)(x) Li_i(x),
+    with value (-1)^m m! zeta(m+1) at x = 1.
+    """
+    _require_int("m", m, 1, exc=InvalidOrder)
+    return C_general(m, 1, x)
 
 
 def A_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     """integral_0^x of log^m(1-t)/t^n dt for m >= n.
 
-    n = 1 dispatches to A_base.  For n >= 2 the expansion runs over strictly
-    descending index chains n > i_1 > ... > i_y >= 2 weighted by
+    n = 1 is the base form (A_base).  For n >= 2 the expansion runs over
+    strictly descending index chains n > i_1 > ... > i_y >= 2 weighted by
     prod 1/(i_j - 1), terminating in A_base(m-y-1, 1, x) pieces.  A chain
     enters only through its weight and its last index i_y, so the weights
-    are summed per (y, i_y) once (_descending_weights) instead of per chain.
-    At x = 1 only the zeta layer survives:
+    are summed per (y, i_y) once (_descending_weights) instead of per chain
+    (_descending_chains).  At x = 1 only the zeta layer survives:
     A(m,n,1) = ((-1)^m m!/(n-1)) sum_y zeta(m-y) * (chain weights).
     It is summed directly: in the symbolic form x^-(i_y-1) log^(m-y)(1-x)
     and log^(m-y)(1-x) each diverge, and eval_at_one, which takes the limit
     term by term, cannot cancel them.
     """
-    _require_int("m", m, 1)
-    _require_int("n", n, 1)
-    if m < n:
-        raise ParameterError(f"A(m,n,x) requires m >= n, got m={m}, n={n}")
-    if n == 1:
-        return A_base(m, x)
+    _check_orders("A", m, n)
     x = _check_point("x", x)
-    if x == 1:
-        return _ac_at_one(m, n)
-    return _a_general_symbolic(m, n)
-
-
-def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(t)/(1-t)^n dt for m >= n.
-
-    Computed through C(m,n,x) = A(m,n,1) - A(m,n,1-x): the summed at-one
-    value of the A family (see A_general) minus the 1-x substitution of its
-    symbolic form.  n = 1 dispatches to C_base.
-    """
-    _require_int("m", m, 1)
-    _require_int("n", n, 1)
-    if m < n:
-        raise ParameterError(f"C(m,n,x) requires m >= n, got m={m}, n={n}")
-    if n == 1:
-        return C_base(m, x)
-    x = _check_point("x", x)
-    if x == 1:
-        return _ac_at_one(m, n)
-    return _ac_at_one(m, n) - exact.subst_one_minus_x(_a_general_symbolic(m, n))
-
-
-@lru_cache(maxsize=None)
-def _b_general_symbolic(m: int, n: int) -> ClosedForm:
-    parts = []
-    for y, layer in enumerate(_descending_weights(n)):
-        c_y = math.comb(m, y) * math.factorial(y)
-        c_y1 = math.comb(m, y + 1) * math.factorial(y + 1)
-        for tail, w in layer.items():
-            parts.append(_term(
-                w * c_y * (-1) ** (n + tail + y + 1),
-                (exact.log_1px(), m - y),
-                (exact.x_pow(-(tail - 1)), 1),
-            ))
-        w = sum(layer.values())
-        parts.append(_term(w * c_y * (-1) ** (n + y + 1), (exact.log_1px(), m - y)))
-        parts.append(_b_base_symbolic(m - y - 1).scale(w * c_y1 * (-1) ** (n + y)))
-    return _sum(parts)
+    return _ac_at_one(m, n) if x == 1 else _a_symbolic(m, n)
 
 
 def B_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     """integral_0^x of log^m(1+t)/t^n dt for m >= n.
 
-    Same chain structure as the log(1-t) family with alternating signs
-    (-1)^(n+i_y+y+1) tracking the partial-fraction split of 1/(t^n (1+t));
-    n = 1 dispatches to B_base.
+    Derived from A's chains by t -> -t: B(m,n,x) = (-1)^(n+1) A(m,n,-x) on
+    the chain part, with B_base in place of A_base, so the x-power terms
+    carry the signs (-1)^(n+i_y+y+1) (see _descending_chains).  n = 1 is
+    the base form (B_base).
     """
-    _require_int("m", m, 1)
-    _require_int("n", n, 1)
-    if m < n:
-        raise ParameterError(f"B(m,n,x) requires m >= n, got m={m}, n={n}")
-    if n == 1:
-        return B_base(m, x)
+    _check_orders("B", m, n)
     x = _check_point("x", x)
-    return _at_point(_b_general_symbolic(m, n), x)
+    return _at_point(_b_symbolic(m, n), x)
+
+
+def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
+    """integral_0^x of log^m(t)/(1-t)^n dt for m >= n.
+
+    Derived from A by t -> 1-t for every n >= 1:
+    C(m,n,x) = A(m,n,1) - A(m,n,1-x), the summed at-one value of the A
+    family (see A_general) minus the x -> 1-x image of its symbolic form.
+    """
+    _check_orders("C", m, n)
+    x = _check_point("x", x)
+    return _ac_at_one(m, n) if x == 1 else _c_symbolic(m, n)
 
 
 # -- polylogarithm integrals -------------------------------------------------------
@@ -396,7 +376,7 @@ def _j0_symbolic(m: int, p: int) -> ClosedForm:
         parts.append(_term(coeff, (exact.x_pow(m + 1), 1), (exact.li_x(j), 1)))
     tail_scale = Fraction((-1) ** (p - 1), (m + 1) ** (p - 1))
     parts.append(_m_symbolic(m, 1).scale(tail_scale))
-    parts.append(ClosedForm.number(-_m_at_zero(m, 1) * tail_scale))
+    parts.append(_m_at_zero(m, 1).scale(-tail_scale))
     return _sum(parts)
 
 
@@ -414,7 +394,9 @@ def J0_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
 
 
 def _j1_zero_symbolic(m: int) -> ClosedForm:
-    return _c_base_symbolic(m) - _l_symbolic(0, m)
+    if m == 0:  # -L(0,0,x) + C(0,1,x), C(0,1,x) = -log(1-x)
+        return _sum([_term(-1, (exact.log_1mx(), 1)), _term(-1, (exact.x_pow(1), 1))])
+    return _c_symbolic(m, 1) - _l_symbolic(0, m)
 
 
 def J1_zero(m: int, x: EvalPoint = 1) -> ClosedForm:

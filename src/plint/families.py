@@ -64,12 +64,24 @@ TABLE: dict[str, Family] = {
 }
 
 
+def _member(family: str, params: Sequence[int]) -> tuple[Family, tuple[int, ...]]:
+    """A family's entry and its parameters as a tuple, checked: a family of
+    the table, one value per parameter name, each an int."""
+    entry = TABLE.get(family)
+    if entry is None:
+        raise ParameterError(f"unknown family {family!r}")
+    vals = tuple(params)
+    if len(vals) != len(entry.params):
+        raise ParameterError(f"family {family} takes ({' '.join(entry.params)}), got {vals!r}")
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in vals):
+        raise ParameterError(f"family {family} parameters must be ints, got {vals!r}")
+    return entry, vals
+
+
 def closed_form(family: str, params: Sequence[int],
                 x: Union[int, Fraction] = 1) -> ClosedForm:
     """The closed form of one family member; x is the endpoint, if any."""
-    entry = TABLE.get(family)
-    if entry is None:
-        raise ParameterError(f"no evaluator for family {family!r}")
+    entry, vals = _member(family, params)
     if entry.endpoint is None:
-        return entry.evaluator(*params)
-    return entry.evaluator(*params, x)
+        return entry.evaluator(*vals)
+    return entry.evaluator(*vals, x)

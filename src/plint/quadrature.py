@@ -43,7 +43,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_pow_int, round_nearest
 
 from .errors import NoConvergence, NonIntegrable, ParameterError
-from .families import LOWER, TABLE
+from .families import LOWER, _member
 from . import numerics
 from .numerics import frac_mpf
 
@@ -371,14 +371,7 @@ def family_spec(family: str, params: Sequence[int], x: Number = 1) -> IntegralSp
     build = _INTEGRANDS.get(family)
     if build is None:
         raise ParameterError(f"unknown integral family {family!r}")
-    entry = TABLE[family]
-    vals = tuple(params)
-    if len(vals) != len(entry.params):
-        raise ParameterError(
-            f"family {family} takes ({' '.join(entry.params)}), got {vals!r}")
-    for v in vals:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ParameterError(f"family {family} parameters must be ints, got {vals!r}")
+    entry, vals = _member(family, params)
     x = Fraction(x)
     if entry.endpoint is None:
         if x != 1:

@@ -62,16 +62,18 @@ def _x_str(x: Fraction) -> str:
 
 
 def format_value(v: mpf) -> str:
-    """Render a numeric value with ten decimal places, round half to even."""
+    """Render a numeric value with ten decimal places, round half to even;
+    a nonzero value that rounds to zero gets ten significant digits in
+    exponent form instead (1.890413649e-11)."""
     with mp.workdps(25):
         text = mp.nstr(v, 20)
-    d = Decimal(text)
+    unrounded = Decimal(text)
     with localcontext() as ctx:
         # room for every integer digit plus the ten decimals
-        ctx.prec = max(ctx.prec, d.adjusted() + 11)
-        d = d.quantize(Decimal("1e-10"), rounding=ROUND_HALF_EVEN)
+        ctx.prec = max(ctx.prec, unrounded.adjusted() + 11)
+        d = unrounded.quantize(Decimal("1e-10"), rounding=ROUND_HALF_EVEN)
     if d == 0:
-        return "0.0000000000"
+        return "0.0000000000" if unrounded == 0 else format(unrounded, ".9e")
     # str() would switch to exponent form below 1e-6
     return format(d, "f")
 

@@ -17,13 +17,17 @@ from plint.errors import ParameterError
 SRC = os.path.dirname(os.path.dirname(plint.__file__))
 
 
-def run_cli(*argv, env=None):
+def cli_env(env=None):
     merged = dict(os.environ)
     merged["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, merged.get("PYTHONPATH"))))
     merged.update(env or {})
+    return merged
+
+
+def run_cli(*argv, env=None):
     return subprocess.run([sys.executable, "-m", "plint", *argv],
-                          capture_output=True, text=True, env=merged)
+                          capture_output=True, text=True, env=cli_env(env))
 
 
 class TestEval:
@@ -75,12 +79,28 @@ class TestEval:
 
     def test_deep_cancellation_is_pinned(self):
         # the terms cancel 93 digits; the value is 1.89e-11, which a single
-        # retry printed as 0.0009765625
+        # retry printed as 0.0009765625 and ten fixed decimals as zero
         out = run_cli("eval", "--family", "B", "--m", "60", "--n", "30", "--x", "1")
         assert out.returncode == 0
-        assert out.stdout.endswith(" = 0.0000000000\n")
+        assert out.stdout.endswith(" = 1.890413649e-11\n")
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-            "ccdb8eb292933526833c0f750413b7a4476708adbf04d81e48436a0b0c785038")
+            "99767a37225f9a3a6fad293432b7b8aafcb90771c4480fb1bef45369bc228ed8")
+
+    def test_tiny_values_keep_ten_significant_digits(self):
+        # a nonzero value below the tenth decimal is not printed as zero,
+        # in text or JSON; an exact zero still is
+        out = run_cli("eval", "--family", "B", "--m", "60", "--n", "30", "--x", "1",
+                      "--format", "json")
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["value"] == "1.890413649e-11"
+        for fmt in ("text", "json"):
+            out = run_cli("eval", "--family", "M", "--n", "2", "--m", "3",
+                          "--x", "1", "--format", fmt)
+            assert out.returncode == 0
+            if fmt == "text":
+                assert out.stdout == "0 = 0.0000000000\n"
+            else:
+                assert json.loads(out.stdout)["value"] == "0.0000000000"
 
     def test_missing_parameter_exits_two(self):
         out = run_cli("eval", "--family", "J", "--m", "1", "--p", "2")
@@ -240,6 +260,21 @@ class TestTable:
         rows = json.loads(out.stdout)
         assert all(r["m"] >= r["n"] for r in rows)
         assert len(rows) == 6
+
+    def test_reader_closing_early_exits_141_without_traceback(self):
+        # about 95 KB of rows, more than a 64 KiB pipe holds, so the writer
+        # is still writing when the reader goes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "plint", "table", "--family", "L",
+             "--max-n", "30", "--max-m", "30"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert first.split() == [b"n", b"m", b"symbolic", b"value"]
+        assert "Traceback" not in err, err
 
     def test_table_output_is_deterministic(self):
         first = run_cli("table", "--family", "K", "--max-m", "2", "--max-p", "2",

@@ -166,6 +166,38 @@ def ref_b(m, n, at_one):
     return total
 
 
+# -- the C and M forms as written out before they were derived from A and L ----
+
+
+def ref_c_base(m):
+    """C(m,1,x) = -log(1-x) log^m(x)
+    + m sum_{i=2}^{m+1} (-1)^(i-1) C(m-1,i-2) (i-2)! log^(m+1-i)(x) Li_i(x)."""
+    parts = [ev._term(-1, (exact.log_1mx(), 1), (exact.log_x(), m))]
+    for i in range(2, m + 2):
+        coeff = m * (-1) ** (i - 1) * math.comb(m - 1, i - 2) * math.factorial(i - 2)
+        parts.append(ev._term(coeff, (exact.log_x(), m + 1 - i), (exact.li_x(i), 1)))
+    return exact.total(parts)
+
+
+def ref_m(n, m):
+    """M(n,m,x) as the double binomial sum over (1-x)-power and log(1-x) atoms."""
+    parts = []
+    for j in range(n + 1):
+        outer = Fraction((-1) ** j * math.comb(n, j), j + 1)
+        for i in range(m + 1):
+            coeff = outer * Fraction((-1) ** i * ev._rising(m + 1 - i, i), (j + 1) ** i)
+            parts.append(ev._term(coeff, (exact.one_minus_x_pow(j + 1), 1),
+                                  (exact.log_1mx(), m - i)))
+    return exact.total(parts)
+
+
+def ref_m_at_zero(n, m):
+    """M(n,m,0) = (-1)^m m! sum_j C(n,j) (-1)^j / (j+1)^(m+1)."""
+    total = sum(Fraction((-1) ** j * math.comb(n, j), (j + 1) ** (m + 1))
+                for j in range(n + 1))
+    return num((-1) ** m * math.factorial(m) * total)
+
+
 def ref_j1(m, p, x):
     bounds = capped_bounds(m - 1)
     total = exact.ZERO
@@ -269,6 +301,22 @@ class TestCountedChainsMatchEnumeration:
             for q in range(1, min(p, 7 - p) + 1):
                 assert ev.K_eval(m, p, q) == ref_k(m, p, q), (m, p, q)
                 assert ev.K_eval(m, q, p) == ref_k(m, p, q), (m, q, p)
+
+
+class TestDerivedFormsMatchTheirOwnSums:
+    # C from A by t -> 1-t and M from L by y = 1-u give, term for term, the
+    # sums these families were once written out as
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_c_base(self, m):
+        assert ev.C_base(m, THIRD) == ref_c_base(m)
+        assert ev.C_base(m) == exact.eval_at_one(ref_c_base(m))
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_m(self, n):
+        for m in range(9):
+            assert ev.M_integral(n, m, THIRD) == ref_m(n, m), (n, m)
+            assert ev.M_integral(n, m, 0) == ref_m_at_zero(n, m), (n, m)
 
 
 class TestLogPowerIntegrals:
@@ -467,6 +515,8 @@ class TestJ0:
 class TestJ1:
     def test_zero_order_elementary_value(self):
         # int_0^(1/2) t/(1-t) dt = log 2 - 1/2
+        assert ev.J1_zero(0, HALF) == -(ClosedForm.of(exact.log_1mx())
+                                        + ClosedForm.of(exact.x_pow(1)))
         got = numeric_eval(ev.J1_zero(0, HALF), x=HALF, digits=25)
         with mp.workdps(30):
             assert close(got, mp.log(2) - mpf(1) / 2)

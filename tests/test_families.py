@@ -9,7 +9,7 @@ from plint import cli
 from plint import quadrature as quad
 from plint.errors import ParameterError
 from plint.families import LOWER, TABLE, closed_form
-from plint.verification import build_cases
+from plint.verification import build_cases, run_case
 
 # one member of each family the oracle integrates, from the shipped grid
 ORACLE_MEMBERS = {family: params for _, family, params, _ in
@@ -67,3 +67,14 @@ def test_oracle_lower_limit_of_x(family, zero_ok):
 def test_closed_form_rejects_unknown_family():
     with pytest.raises(ParameterError):
         closed_form("Q", (1, 1))
+
+
+@pytest.mark.parametrize("params", [(1,), (1, 2, 3), (2, True), (2.0, 1)])
+def test_wrong_parameters_are_parameter_errors_on_both_routes(params):
+    # one check in the family table serves the evaluators and the oracle
+    with pytest.raises(ParameterError):
+        closed_form("A", params, 1)
+    with pytest.raises(ParameterError):
+        run_case(("oracle", "A", params, 1))
+    with pytest.raises(ParameterError):
+        quad.family_spec("A", params, 1)

@@ -83,8 +83,13 @@ class TestFormatting:
             assert vf.format_value(-mp.zeta(3)) == "-1.2020569032"
 
     def test_zero_never_keeps_a_sign(self):
-        assert vf.format_value(mpf("-1e-25")) == "0.0000000000"
+        assert vf.format_value(mpf("-0.0")) == "0.0000000000"
         assert vf.format_value(mpf(0)) == "0.0000000000"
+
+    def test_nonzero_values_below_the_tenth_decimal_keep_ten_digits(self):
+        assert vf.format_value(mpf("-1e-25")) == "-1.000000000e-25"
+        assert vf.format_value(mpf("1.8904136494e-11")) == "1.890413649e-11"
+        assert vf.format_value(mpf("4.99999999999e-11")) == "5.000000000e-11"
 
     def test_small_values_keep_fixed_point(self):
         # str() of a quantized Decimal switches to exponent form below 1e-6
