@@ -31,8 +31,14 @@ def reduce_S1(i: int) -> ClosedForm:
     """S(1,i) = sum H_n / n^i in zeta values, for i >= 2.
 
     S(1,i) = (1 + i/2) zeta(i+1) - (1/2) sum_{k=1}^{i-2} zeta(k+1) zeta(i-k).
+    Built once per i and shared, as a ClosedForm is immutable.
     """
     _require_int("i", i, 2, exc=InvalidOrder)
+    return _reduce_s1(i)
+
+
+@lru_cache(maxsize=None)
+def _reduce_s1(i: int) -> ClosedForm:
     parts = [exact.monomial(Fraction(i + 2, 2), (exact.zeta(i + 1), 1))]
     for k in range(1, i - 1):
         parts.append(exact.monomial(Fraction(-1, 2),

@@ -15,8 +15,14 @@ x -> 1-x image.  Adding a kind takes one row there, one factory below it,
 one value rule in ``numerics`` and, for an x-dependent kind, one entry in
 ``_LIMITS``.
 
-Construction always canonicalizes: factors sorted by a total atom order,
-exponents positive, like terms merged, zero terms dropped, terms sorted.
+An atom is a plain tuple (VOCABULARY index, args), so tuple order is the
+canonical factor order and a term's factors, pairs (atom, exponent),
+compare and hash as native tuples.  The factories below intern atoms:
+each (kind, args) is validated once, keyed on the exact argument types so
+that zeta(2.0) and x_pow(True) are still refused.
+
+Construction always canonicalizes: factors sorted by atom order, exponents
+positive, like terms merged, zero terms dropped, terms sorted by factors.
 Equal construction histories therefore yield identical tuples, so ``==``
 on ClosedForm is structural identity of the canonical form and the JSON
 serialization is byte-deterministic.
@@ -24,12 +30,14 @@ serialization is byte-deterministic.
 The public ``Term(coeff, factors)`` validates its parts (nonzero
 coefficient, factors strictly sorted, exponents >= 1), because terms can
 come from outside, as in ``from_dict``/``loads``.  The terms this module
-builds itself from parts that are already canonical (merging in
-``ClosedForm``, ``*``, unary ``-``, ``scale``, the x -> 1-x substitution and
-the x -> 1- limit) go through ``_trusted_term``, which skips those checks.
-A one-term form, and a scaled or negated one, keeps its terms in canonical
-order, so ``_trusted_form`` makes it without merging or sorting again.
-Each atom computes its sort key and hash once, when it is made.
+builds itself from parts that are already canonical (``monomial`` after
+merging its factors, merging in ``ClosedForm``, ``*``, unary ``-``,
+``scale``, the x -> 1-x substitution and the x -> 1- limit) go through
+``_trusted_term``, which skips those checks; ``monomial`` checks only that
+its merged exponents are positive.  A one-term form, and a scaled or
+negated one, keeps its terms in canonical order, so ``_trusted_form`` makes
+it without merging or sorting again, and the x -> 1-x image of a canonical
+form is only re-sorted.
 
 Coefficients are `fractions.Fraction`; its invariants (normalized sign,
 gcd-reduced, nonzero denominator) are exactly what is needed, so no
@@ -39,7 +47,7 @@ wrapper type is introduced.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -93,37 +101,39 @@ def _args_error(kind: str, args: tuple) -> UnsupportedAtom:
     return UnsupportedAtom(f"{kind} takes int arguments ({wants}), got {args!r}")
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One symbolic factor, identified by kind plus integer arguments, which
-    its VOCABULARY row admits: plain ints, one per minimum, each at or above
-    it."""
+_KINDS = tuple(VOCABULARY)  # VOCABULARY index -> kind
 
-    kind: str
-    args: tuple[int, ...] = ()
-    sort_key: tuple[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
-    # hash of sort_key: ints only, so the same in every process
-    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        row = VOCABULARY.get(self.kind)
+class Atom(tuple):
+    """One symbolic factor: the pair (VOCABULARY index of its kind, integer
+    arguments), which the kind's row admits: plain ints, one per minimum,
+    each at or above it.  Tuple order is the canonical factor order, and the
+    hash, of ints only, is the same in every process."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, args: tuple[int, ...] = ()) -> "Atom":
+        row = VOCABULARY.get(kind)
         if row is None:
-            raise UnsupportedAtom(f"unknown atom kind {self.kind!r}")
-        args = self.args
+            raise UnsupportedAtom(f"unknown atom kind {kind!r}")
+        args = tuple(args)
         if len(args) != len(row.minimums):
-            raise _args_error(self.kind, args)
+            raise _args_error(kind, args)
         for a, low in zip(args, row.minimums):
             if type(a) is not int or (a == 0 if low is NONZERO else a < low):
-                raise _args_error(self.kind, args)
-        key = (row.index, args)
-        object.__setattr__(self, "sort_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+                raise _args_error(kind, args)
+        return tuple.__new__(cls, (row.index, args))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Atom, (self.kind, self.args)
 
-    def __lt__(self, other: "Atom") -> bool:
-        return self.sort_key < other.sort_key
+    @property
+    def kind(self) -> str:
+        return _KINDS[self[0]]
+
+    @property
+    def args(self) -> tuple[int, ...]:
+        return self[1]
 
     @property
     def is_constant(self) -> bool:
@@ -135,62 +145,78 @@ class Atom:
         return f"{self.kind}{self.args!r}"
 
 
+# (kind, args, type of each arg) -> its Atom, validated once; the types are
+# part of the key because 2.0 and True equal, and hash as, 2 and 1
+_interned: dict[tuple, Atom] = {}
+
+
+def _atom(kind: str, args: tuple[int, ...] = ()) -> Atom:
+    key = (kind, args, *map(type, args))
+    try:
+        atom = _interned.get(key)
+    except TypeError:  # an unhashable argument, which Atom refuses
+        return Atom(kind, args)
+    if atom is None:
+        atom = _interned[key] = Atom(kind, args)
+    return atom
+
+
 # -- atom factories ---------------------------------------------------------
 
 def zeta(k: int) -> Atom:
-    return Atom("Zeta", (k,))
+    return _atom("Zeta", (k,))
 
 
 def log_two() -> Atom:
-    return Atom("LogTwo")
+    return _atom("LogTwo")
 
 
 def li_at_half(k: int) -> Atom:
-    return Atom("LiAtHalf", (k,))
+    return _atom("LiAtHalf", (k,))
 
 
 def harmonic(n: int, m: int) -> Atom:
-    return Atom("Harmonic", (n, m))
+    return _atom("Harmonic", (n, m))
 
 
 def euler_sum(p: int, q: int) -> Atom:
-    return Atom("EulerSum", (p, q))
+    return _atom("EulerSum", (p, q))
 
 
 def log_x() -> Atom:
-    return Atom("LogX")
+    return _atom("LogX")
 
 
 def log_1mx() -> Atom:
-    return Atom("Log1mX")
+    return _atom("Log1mX")
 
 
 def log_1px() -> Atom:
-    return Atom("Log1pX")
+    return _atom("Log1pX")
 
 
 def x_pow(j: int) -> Atom:
-    return Atom("XPow", (j,))
+    return _atom("XPow", (j,))
 
 
 def one_minus_x_pow(j: int) -> Atom:
-    return Atom("OneMinusXPow", (j,))
+    return _atom("OneMinusXPow", (j,))
 
 
 def one_plus_x_pow(j: int) -> Atom:
-    return Atom("OnePlusXPow", (j,))
+    return _atom("OnePlusXPow", (j,))
 
 
 def li_x(k: int) -> Atom:
-    return Atom("LiX", (k,))
+    return _atom("LiX", (k,))
 
 
 def li_1mx(k: int) -> Atom:
-    return Atom("Li1mX", (k,))
+    return _atom("Li1mX", (k,))
 
 
 def li_inv_1px(k: int) -> Atom:
-    return Atom("LiInv1pX", (k,))
+    return _atom("LiInv1pX", (k,))
 
 
 Factors = tuple[tuple[Atom, int], ...]
@@ -201,8 +227,7 @@ def _merge_factors(*factor_groups: Factors) -> Factors:
     for group in factor_groups:
         for atom, exp in group:
             acc[atom] = acc.get(atom, 0) + exp
-    return tuple(sorted(((a, e) for a, e in acc.items() if e != 0),
-                        key=lambda fe: fe[0].sort_key))
+    return tuple(sorted((a, e) for a, e in acc.items() if e != 0))
 
 
 @dataclass(frozen=True)
@@ -217,8 +242,10 @@ class Term:
             object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.coeff == 0:
             raise ValueError("Term coefficient must be nonzero")
-        keys = [atom.sort_key for atom, _ in self.factors]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        atoms = [atom for atom, _ in self.factors]
+        if not all(type(atom) is Atom for atom in atoms):
+            raise ValueError("Term factors must be (Atom, exponent) pairs")
+        if atoms != sorted(atoms) or len(set(atoms)) != len(atoms):
             raise ValueError("Term factors must be strictly sorted and distinct")
         if any(exp < 1 for _, exp in self.factors):
             raise ValueError("Term exponents must be >= 1")
@@ -233,8 +260,9 @@ def _trusted_term(coeff: Fraction, factors: Factors) -> Term:
     factors as _merge_factors or an existing Term leaves them.  Skips the
     public constructor's checks."""
     term = object.__new__(Term)
-    object.__setattr__(term, "coeff", coeff)
-    object.__setattr__(term, "factors", factors)
+    fields = term.__dict__  # as object.__setattr__ would, without its lookups
+    fields["coeff"] = coeff
+    fields["factors"] = factors
     return term
 
 
@@ -251,16 +279,7 @@ class ClosedForm:
             factors = term.factors
             coeff = acc.get(factors)
             acc[factors] = term.coeff if coeff is None else coeff + term.coeff
-        # bare rational term (no factors) sorts last so forms read "z2 - 1"
-        canon = tuple(
-            _trusted_term(coeff, factors)
-            for factors, coeff in sorted(
-                acc.items(),
-                key=lambda kv: (not kv[0], tuple((a.sort_key, e) for a, e in kv[0])),
-            )
-            if coeff != 0
-        )
-        object.__setattr__(self, "terms", canon)
+        object.__setattr__(self, "terms", _canonical_terms(acc))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("ClosedForm is immutable")
@@ -350,6 +369,17 @@ class ClosedForm:
         return f"ClosedForm({compact(self)!r})"
 
 
+def _canonical_terms(acc: dict[Factors, Fraction]) -> tuple[Term, ...]:
+    """The nonzero entries of a {canonical factors: coeff} map as terms in
+    canonical order: by factors, the bare rational last so forms read
+    "z2 - 1".  Empties the map's rational entry."""
+    rational = acc.pop((), 0)
+    terms = [_trusted_term(acc[factors], factors) for factors in sorted(acc) if acc[factors]]
+    if rational:
+        terms.append(_trusted_term(rational, ()))
+    return tuple(terms)
+
+
 def _trusted_form(terms: Iterable[Term]) -> ClosedForm:
     """A ClosedForm from terms that are already canonical and in order."""
     form = object.__new__(ClosedForm)
@@ -363,7 +393,10 @@ def monomial(coeff: RationalLike, *factors: tuple[Atom, int]) -> ClosedForm:
     coeff = Fraction(coeff)
     if coeff == 0:
         return ZERO
-    return _trusted_form((Term(coeff, _merge_factors(factors)),))
+    merged = _merge_factors(factors)
+    if any(exp < 1 for _, exp in merged):
+        raise ValueError("Term exponents must be >= 1")
+    return _trusted_form((_trusted_term(coeff, merged),))
 
 
 def total(parts: Iterable[ClosedForm]) -> ClosedForm:
@@ -382,18 +415,20 @@ def _subst_atom(atom: Atom) -> Atom:
     if image == atom.kind:
         return atom
     try:
-        return Atom(image, atom.args)
+        return _atom(image, atom.args)
     except UnsupportedAtom:  # no image kind, or one that refuses the arguments
         raise UnsupportedAtom(f"{atom!r} has no x -> 1-x image in the vocabulary") from None
 
 
 def subst_one_minus_x(form: ClosedForm) -> ClosedForm:
-    """Rewrite f(x) as f(1-x).  Involution on its domain (no 1+x atoms)."""
-    out = []
-    for term in form.terms:
-        factors = _merge_factors(tuple((_subst_atom(a), e) for a, e in term.factors))
-        out.append(_trusted_term(term.coeff, factors))
-    return ClosedForm(out)
+    """Rewrite f(x) as f(1-x).  Involution on its domain (no 1+x atoms).
+
+    The atom map is one to one, so the image of a canonical form has
+    distinct factors in each term and no like terms: it is only re-sorted.
+    """
+    acc = {tuple(sorted((_subst_atom(a), e) for a, e in term.factors)): term.coeff
+           for term in form.terms}
+    return _trusted_form(_canonical_terms(acc))
 
 
 # -- limit x -> 1- ------------------------------------------------------------
@@ -487,7 +522,7 @@ def from_dict(data: Mapping) -> ClosedForm:
     for entry in terms_raw:
         coeff = Fraction(entry["coeff"])
         factors = tuple(
-            (Atom(f["kind"], tuple(int(a) for a in f["args"])), int(f["exp"]))
+            (_atom(f["kind"], tuple(int(a) for a in f["args"])), int(f["exp"]))
             for f in entry.get("factors", ())
         )
         terms.append(Term(coeff, _merge_factors(factors)))

@@ -18,7 +18,11 @@ within N + 70 units of 2^-shift for N terms summed, again under
 2^-(prec+1) relative.  A linear Euler sum S_{p,q} is a direct sum to
 N = p + q + 2 prec, H_N^(p) (zeta(q) - H_N^(q)) and one series in 1/N from
 B_m/m! cached per precision, all in fixed point, within 2^-(prec+6)
-relative.  The quadrature oracle and the CLI sit on top of this module.
+relative.  `numeric_eval` sums a closed form's terms in integers as well:
+each distinct atom power is rounded once to an mpf, each term is the exact
+product of its coefficient and those powers, and every term is floored to
+one unit prec + 2 bit_length(N) + 8 bits below the largest of the N terms
+(`_sum_terms`).  The quadrature oracle and the CLI sit on top of this module.
 
 All public functions take a decimal `digits` target and compute with
 guard digits internally; returned mpf values carry the guard precision.
@@ -31,7 +35,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from . import exact
 from .errors import DivergentValue, InvalidOrder, NonConvergent, ParameterError
@@ -418,23 +422,52 @@ _VALUE_RULES = {
 def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
                digits: int) -> tuple[mpf, mpf]:
     """The form's value and the sum of its terms' magnitudes, with the atoms
-    at `digits` and the arithmetic at digits + GUARD_DIGITS.  Each distinct
-    atom is valued once per call, however many terms share it.  Polylog
-    atoms are valued highest order first, so the one pass that yields an
-    argument's highest order also yields every lower order of it."""
+    valued at `digits` and the sum taken at the working precision prec of
+    digits + GUARD_DIGITS.  Each distinct atom is valued once per call,
+    however many terms share it.  Polylog atoms are valued highest order
+    first, so the one pass that yields an argument's highest order also
+    yields every lower order of it.
+
+    The sum is taken in integers.  Each distinct power atom^e is rounded
+    once to prec bits (libmp.mpf_pow_int, within 2^(1-prec) relative), so a
+    term with f factors is within 2 f 2^-prec of the exact product of its
+    atom values.  A term, coeff p/q times the powers m_i 2^e_i, is then the
+    exact fraction p prod m_i 2^(sum e_i) / q.  All N terms are floored to
+    one unit 2^s, s = t - (prec + 2 bit_length(N) + 8) with 2^(t-2) at most
+    the largest |term|, so the integer total and sum of magnitudes are
+    within N units, under 2^-(prec + bit_length(N) + 6) of the largest term,
+    of the exact sums of those products; each is rounded once to an mpf.
+    """
     atoms = dict.fromkeys(atom for term in form.terms for atom, _ in term.factors)
     ordered = sorted(atoms, key=lambda a: -a.args[0] if a.kind in _LI_ARGUMENTS else 0)
     with mp.workdps(digits + GUARD_DIGITS):
-        values = {atom: _VALUE_RULES[atom.kind](x, digits, *atom.args) for atom in ordered}
-        total = mp.zero
-        magnitude = mp.zero
-        for term in form.terms:
-            val = frac_mpf(term.coeff)
-            for atom, expn in term.factors:
-                val *= values[atom] ** expn
-            total += val
-            magnitude += abs(val)
-        return total, magnitude
+        prec = mp.prec
+        values = {atom: _VALUE_RULES[atom.kind](x, digits, *atom.args)._mpf_
+                  for atom in ordered}
+    powers: dict[tuple[exact.Atom, int], tuple[int, int]] = {}
+    products = []  # (p prod m_i, sum e_i, q) per term
+    for term in form.terms:
+        man, exp = term.coeff.numerator, 0
+        for factor in term.factors:
+            power = powers.get(factor)
+            if power is None:
+                sign, m, e, _ = libmp.mpf_pow_int(values[factor[0]], factor[1], prec,
+                                                  libmp.round_nearest)
+                power = powers[factor] = (-m if sign else m, e)
+            man *= power[0]
+            exp += power[1]
+        products.append((man, exp, term.coeff.denominator))
+    top = max((man.bit_length() + exp - den.bit_length() + 1
+               for man, exp, den in products if man), default=0)
+    unit = top - (prec + 2 * len(products).bit_length() + 8)
+    total = magnitude = 0
+    for man, exp, den in products:
+        shift = exp - unit
+        term = (man << shift) // den if shift >= 0 else man // (den << -shift)
+        total += term
+        magnitude += abs(term)
+    return (mp.make_mpf(libmp.from_man_exp(total, unit, prec, libmp.round_nearest)),
+            mp.make_mpf(libmp.from_man_exp(magnitude, unit, prec, libmp.round_nearest)))
 
 
 def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,

@@ -27,7 +27,6 @@ key before emission so --jobs never changes the output.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -326,7 +325,10 @@ def run_suite(suite: str, tol: Tol = None, grid: str = "full",
     cases = build_cases(suite, grid)
     if jobs > 1:
         # processes, not threads: the numeric substrate keeps global
-        # precision state that must not be shared
+        # precision state that must not be shared; imported here, as only a
+        # pool needs it and it is a sizeable part of `import plint`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_case_runner, [(c, tol, digits) for c in cases],
                                     chunksize=8))

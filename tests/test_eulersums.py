@@ -52,6 +52,14 @@ class TestReduceS1:
         with pytest.raises(InvalidOrder):
             reduce_S1(1)
 
+    def test_cached_form_is_not_served_to_other_types(self):
+        # the memo would hand the form of 2 to 2.0 or of 3 to 3.0, as they
+        # hash and compare alike
+        assert reduce_S1(2) is reduce_S1(2) and reduce_S1(3) is reduce_S1(3)
+        for bad in (2.0, 3.0, True, Fraction(3)):
+            with pytest.raises(InvalidOrder):
+                reduce_S1(bad)
+
 
 class TestReduceS:
     def test_delegates_p1(self):

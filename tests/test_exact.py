@@ -1,6 +1,8 @@
 """Tests for the exact term algebra: canonicalization, ring ops, the
 x -> 1-x substitution, the x -> 1- limit, and JSON round-trips."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -44,6 +46,51 @@ class TestAtomValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(UnsupportedAtom):
             ex.Atom("Gamma", (3,))
+
+    def test_interning_keeps_the_argument_types(self):
+        # 2.0 == 2 and True == 1 hash alike, so an untyped intern table
+        # would hand back the cached atom instead of refusing them
+        assert ex.zeta(2) is ex.zeta(2) and ex.x_pow(1) is ex.x_pow(1)
+        for factory, bad in ((ex.zeta, 2.0), (ex.x_pow, True), (ex.x_pow, 1.0),
+                             (ex.li_x, False), (ex.zeta, [2])):
+            with pytest.raises(UnsupportedAtom):
+                factory(bad)
+        with pytest.raises(UnsupportedAtom):
+            ex.harmonic(True, 1)
+        ex.harmonic(1, 1)
+        with pytest.raises(UnsupportedAtom):
+            ex.harmonic(1, True)
+
+
+class TestAtomTuple:
+    """An atom is the plain tuple (VOCABULARY index, args)."""
+
+    ATOMS = [ex.zeta(3), ex.log_two(), ex.harmonic(4, 2), ex.euler_sum(2, 4),
+             ex.x_pow(-2), ex.li_inv_1px(5)]
+
+    def test_fields(self):
+        for atom in self.ATOMS:
+            assert tuple(atom) == (ex.VOCABULARY[atom.kind].index, atom.args)
+            assert ex.Atom(atom.kind, atom.args) == atom
+
+    def test_hash_is_the_tuple_hash(self):
+        for atom in self.ATOMS:
+            assert hash(atom) == hash((ex.VOCABULARY[atom.kind].index, atom.args))
+
+    def test_pickle_and_copy_round_trip(self):
+        for atom in self.ATOMS:
+            for copied in [pickle.loads(pickle.dumps(atom, protocol))
+                           for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] + [
+                    copy.copy(atom), copy.deepcopy(atom)]:
+                assert type(copied) is ex.Atom
+                assert copied == atom and hash(copied) == hash(atom)
+                assert (copied.kind, copied.args) == (atom.kind, atom.args)
+
+    def test_term_takes_only_atoms(self):
+        # a plain tuple orders and hashes like an atom, but is not one
+        with pytest.raises(ValueError):
+            ex.Term(Fraction(1), (((0, (2,)), 1),))
+        assert ex.Term(Fraction(1), ((ex.zeta(2), 1),)).factors == ((ex.zeta(2), 1),)
 
 
 class TestCanonicalization:

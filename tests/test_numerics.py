@@ -482,3 +482,82 @@ class TestNumericEval:
              + ex.ClosedForm.of(ex.log_two(), 2, Fraction(1, 2)))
         with pytest.raises(NonConvergent):
             num.numeric_eval(f, digits=20)
+
+
+def reference_sum_terms(form, x, digits, extra_bits):
+    """The reference for numerics._sum_terms: an mpf loop over the same atom
+    values, every power, product and sum rounded at the working precision
+    of digits + GUARD_DIGITS raised by extra_bits."""
+    atoms = dict.fromkeys(atom for term in form.terms for atom, _ in term.factors)
+    ordered = sorted(atoms, key=lambda a: -a.args[0] if a.kind in num._LI_ARGUMENTS else 0)
+    with mp.workdps(digits + num.GUARD_DIGITS):
+        values = {atom: num._VALUE_RULES[atom.kind](x, digits, *atom.args) for atom in ordered}
+        with mp.workprec(mp.prec + extra_bits):
+            total = mp.zero
+            magnitude = mp.zero
+            for term in form.terms:
+                val = num.frac_mpf(term.coeff)
+                for atom, expn in term.factors:
+                    val *= values[atom] ** expn
+                total += val
+                magnitude += abs(val)
+            return total, magnitude
+
+
+def _deep_ladders():
+    """The symbolic-deep benchmark's ladders, at fixed points."""
+    for n in range(4, 11):
+        yield "A", (n, n), Fraction(1, 3)
+        yield "C", (n, n), Fraction(7, 8)
+        yield "B", (n, n), Fraction(1)
+    for k in range(3, 9):
+        yield "J", (1, k, k), None
+    for k in range(3, 7):
+        yield "K", (1, k, k), None
+    for k in range(4, 7):
+        yield "J1", (k, k), Fraction(2, 5)
+
+
+class TestFixedPointSum:
+    """_sum_terms against the mpf loop reference, run 64 bits above the
+    working precision prec so that the loop's own roundings (under
+    2^-(prec+40) of the magnitude for these sizes) stay out of the way.
+    The documented bound: each power within 2^(1-prec) relative, so 2 f
+    2^-prec per term of f factors; the floors under 2^-(prec+6) of the
+    largest term; one rounding of each result to prec bits."""
+
+    def assert_within_bound(self, form, x, digits):
+        total, magnitude = num._sum_terms(form, x, digits)
+        want_total, want_magnitude = reference_sum_terms(form, x, digits, 64)
+        with mp.workdps(digits + num.GUARD_DIGITS):
+            prec = mp.prec
+        factors = max((len(t.factors) for t in form.terms), default=0)
+        with mp.workprec(prec + 80):
+            spread = mp.ldexp((2 * factors + 1) * want_magnitude, -prec)
+            assert abs(total - want_total) <= spread + mp.ldexp(abs(want_total), -prec)
+            assert abs(magnitude - want_magnitude) <= spread + mp.ldexp(want_magnitude, -prec)
+
+    def test_oracle_grid_forms(self):
+        from plint.verification import build_cases
+
+        cases = build_cases("oracle", "full")
+        assert len(cases) == 831
+        for _, family, params, x in cases:
+            form = families.closed_form(family, params, x)
+            self.assert_within_bound(form, None if x == 1 else x, 20)
+
+    def test_symbolic_deep_ladders(self):
+        for family, params, x in _deep_ladders():
+            form = (families.closed_form(family, params) if x is None
+                    else families.closed_form(family, params, x))
+            self.assert_within_bound(form, None if x in (None, 1) else x, 30)
+
+    def test_cancelling_form_at_extra_digits(self):
+        # B(60,30,1) cancels about 90 digits, so numeric_eval's later passes
+        # sum it at 120 digits and more
+        form = families.closed_form("B", (60, 30), Fraction(1))
+        for digits in (30, 120, 160):
+            self.assert_within_bound(form, None, digits)
+
+    def test_empty_form(self):
+        assert num._sum_terms(ex.ZERO, None, 20) == (0, 0)

@@ -51,6 +51,10 @@ def test_reference_covers_the_table():
 def test_order_is_declaration_order():
     atoms = [ex.Atom(kind, smallest(kind)) for kind in KINDS]
     assert sorted(reversed(atoms)) == atoms
+    # within a kind, by arguments
+    atoms = [ex.zeta(2), ex.zeta(5), ex.harmonic(1, 3), ex.harmonic(2, 1),
+             ex.x_pow(-3), ex.x_pow(2)]
+    assert sorted(reversed(atoms)) == atoms
     assert ex.CONSTANT_KINDS == {k for k in KINDS if ex.VOCABULARY[k].constant}
 
 
