@@ -14,7 +14,7 @@ from .errors import (DivergentAtOne, DivergentValue, InvalidOrder,
                      NoConvergence, NonConvergent, NonIntegrable,
                      ParameterError, PlintError, UnsupportedAtom)
 from .exact import (CONSTANT_KINDS, Atom, ClosedForm, compact, dumps,
-                    eval_at_one, euler_sum, from_dict, harmonic, li_at_half,
+                    euler_sum, from_dict, harmonic, li_at_half, limit,
                     loads, log_two, subst_one_minus_x, to_dict, zeta)
 from .numerics import (euler_sum_value, frac_mpf, harmonic_value, numeric_eval,
                        polylog_value, zeta_value)
@@ -33,7 +33,7 @@ __all__ = [
     "InvalidOrder", "DivergentValue", "NonConvergent",
     "NoConvergence", "NonIntegrable",
     "Atom", "ClosedForm", "CONSTANT_KINDS", "zeta", "log_two", "li_at_half",
-    "harmonic", "euler_sum", "eval_at_one", "subst_one_minus_x", "compact",
+    "harmonic", "euler_sum", "limit", "subst_one_minus_x", "compact",
     "to_dict", "from_dict", "dumps", "loads",
     "zeta_value", "harmonic_value", "polylog_value", "euler_sum_value",
     "numeric_eval", "frac_mpf",

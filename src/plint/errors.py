@@ -21,7 +21,7 @@ class UnsupportedAtom(PlintError, ValueError):
 
 
 class DivergentAtOne(PlintError, ArithmeticError):
-    """The x -> 1 limit of a closed form does not exist finitely."""
+    """The x -> 1- (or x -> 0+) limit of a closed form does not exist finitely."""
 
 
 class InvalidOrder(PlintError, ValueError):

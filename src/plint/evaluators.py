@@ -4,9 +4,8 @@ Each public operation turns one integral family into a ClosedForm over the
 fixed atom vocabulary.  Two conventions hold throughout:
 
 * Each family has one symbolic form in x, paired with numeric evaluation at
-  the same exact rational; x = 1 gives its x -> 1- limit (exact.eval_at_one).
-  A with n >= 2 (and C, built from it) sums its x = 1 value from the chain
-  weights instead: its diverging terms cancel only across atom spellings.
+  the same exact rational; x = 1 gives its x -> 1- limit and an endpoint
+  x = 0 its x -> 0+ limit (exact.limit).
 * Harmonic numbers are expanded to exact rationals on the way out, so the
   same value always has the same spelling and structural comparison between
   independent routes is meaningful.
@@ -50,7 +49,7 @@ Body = Callable[[tuple[int, ...]], ClosedForm]
 
 def _at_point(form: ClosedForm, x: Fraction) -> ClosedForm:
     """A symbolic form at x: its x -> 1- limit at x = 1, itself elsewhere."""
-    return exact.eval_at_one(form) if x == 1 else form
+    return exact.limit(form, 1) if x == 1 else form
 
 
 def _check_point(name: str, value: EvalPoint, *, allow_zero: bool = False) -> Fraction:
@@ -155,15 +154,15 @@ def _m_symbolic(n: int, m: int) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _m_at_zero(n: int, m: int) -> ClosedForm:
-    return exact.eval_at_one(exact.subst_one_minus_x(_m_symbolic(n, m)))
+    return exact.limit(_m_symbolic(n, m), 0)
 
 
 def M_integral(n: int, m: int, frm: EvalPoint = 0) -> ClosedForm:
     """integral_frm^1 of y^n log^m(1-y) dy.
 
     Derived from L by y = 1-u: M(n,m,frm) = sum_j (-1)^j C(n,j) L(j,m,1-frm),
-    the x -> 1-x image of the L forms.  frm = 0 is the x -> 1- limit of that
-    L sum, (-1)^m m! sum_j C(n,j) (-1)^j / (j+1)^(m+1); frm = 1 is the empty
+    the x -> 1-x image of the L forms.  frm = 0 is the x -> 0+ limit of that
+    form, (-1)^m m! sum_j C(n,j) (-1)^j / (j+1)^(m+1); frm = 1 is the empty
     interval.
     """
     _require_int("n", n, 0)
@@ -274,18 +273,10 @@ def _b_symbolic(m: int, n: int) -> ClosedForm:
 
 
 @lru_cache(maxsize=None)
-def _ac_at_one(m: int, n: int) -> ClosedForm:
-    if n == 1:
-        return exact.eval_at_one(_a_base_symbolic(m))
-    lead = (-1) ** m * math.factorial(m)
-    return _sum([ClosedForm.of(exact.zeta(m - y), coeff=lead * sum(layer.values()))
-                 for y, layer in enumerate(_descending_weights(n))])
-
-
-@lru_cache(maxsize=None)
 def _c_symbolic(m: int, n: int) -> ClosedForm:
     # t -> 1-t: C(m,n,x) = A(m,n,1) - A(m,n,1-x)
-    return _ac_at_one(m, n) - exact.subst_one_minus_x(_a_symbolic(m, n))
+    a = _a_symbolic(m, n)
+    return exact.limit(a, 1) - exact.subst_one_minus_x(a)
 
 
 def A_base(m: int, x: EvalPoint = 1) -> ClosedForm:
@@ -329,15 +320,13 @@ def A_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     prod 1/(i_j - 1), terminating in A_base(m-y-1, 1, x) pieces.  A chain
     enters only through its weight and its last index i_y, so the weights
     are summed per (y, i_y) once (_descending_weights) instead of per chain
-    (_descending_chains).  At x = 1 only the zeta layer survives:
+    (_descending_chains).  At x = 1 the terms x^-(i_y-1) log^(m-y)(1-x) and
+    log^(m-y)(1-x) cancel in the limit and only the zeta layer survives:
     A(m,n,1) = ((-1)^m m!/(n-1)) sum_y zeta(m-y) * (chain weights).
-    It is summed directly: in the symbolic form x^-(i_y-1) log^(m-y)(1-x)
-    and log^(m-y)(1-x) each diverge, and eval_at_one, which takes the limit
-    term by term, cannot cancel them.
     """
     _check_orders("A", m, n)
     x = _check_point("x", x)
-    return _ac_at_one(m, n) if x == 1 else _a_symbolic(m, n)
+    return _at_point(_a_symbolic(m, n), x)
 
 
 def B_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
@@ -357,12 +346,12 @@ def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     """integral_0^x of log^m(t)/(1-t)^n dt for m >= n.
 
     Derived from A by t -> 1-t for every n >= 1:
-    C(m,n,x) = A(m,n,1) - A(m,n,1-x), the summed at-one value of the A
-    family (see A_general) minus the x -> 1-x image of its symbolic form.
+    C(m,n,x) = A(m,n,1) - A(m,n,1-x), the x -> 1- limit of A's symbolic
+    form minus its x -> 1-x image.
     """
     _check_orders("C", m, n)
     x = _check_point("x", x)
-    return _ac_at_one(m, n) if x == 1 else _c_symbolic(m, n)
+    return _at_point(_c_symbolic(m, n), x)
 
 
 # -- polylogarithm integrals -------------------------------------------------------
@@ -402,9 +391,8 @@ def _j1_zero_symbolic(m: int) -> ClosedForm:
 def J1_zero(m: int, x: EvalPoint = 1) -> ClosedForm:
     """integral_0^x of log^m(t) Li_0(t) dt, with Li_0(t) = t/(1-t).
 
-    Assembled as -L(0,m,x) + C(m,1,x).  At x = 1 the at-one analysis of the
-    symbolic form decides the outcome: finite for m >= 1, DivergentAtOne for
-    m = 0 (the -log(1-x) piece is uncancelled there).
+    Assembled as -L(0,m,x) + C(m,1,x).  Its x -> 1- limit is finite for
+    m >= 1; for m = 0 the -log(1-x) piece is uncancelled (DivergentAtOne).
     """
     _require_int("m", m, 0)
     x = _check_point("x", x)

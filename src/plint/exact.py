@@ -13,7 +13,7 @@ a kind's place in the canonical factor order, the minimum of each of its
 arguments, whether it is constant, its ``compact`` spelling and its
 x -> 1-x image.  Adding a kind takes one row there, one factory below it,
 one value rule in ``numerics`` and, for an x-dependent kind, one entry in
-``_LIMITS``.
+``_LIMITS``, its leading behavior at both ends for ``limit``.
 
 An atom is a plain tuple (VOCABULARY index, args), so tuple order is the
 canonical factor order and a term's factors, pairs (atom, exponent),
@@ -32,7 +32,7 @@ coefficient, factors strictly sorted, exponents >= 1), because terms can
 come from outside, as in ``from_dict``/``loads``.  The terms this module
 builds itself from parts that are already canonical (``monomial`` after
 merging its factors, merging in ``ClosedForm``, ``*``, unary ``-``,
-``scale``, the x -> 1-x substitution and the x -> 1- limit) go through
+``scale``, the x -> 1-x substitution and the limits) go through
 ``_trusted_term``, which skips those checks; ``monomial`` checks only that
 its merged exponents are positive.  A one-term form, and a scaled or
 negated one, keeps its terms in canonical order, so ``_trusted_form`` makes
@@ -284,6 +284,10 @@ class ClosedForm:
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("ClosedForm is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not the refused setattr
+        return ClosedForm, (self.terms,)
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -431,44 +435,48 @@ def subst_one_minus_x(form: ClosedForm) -> ClosedForm:
     return _trusted_form(_canonical_terms(acc))
 
 
-# -- limit x -> 1- ------------------------------------------------------------
+# -- limits x -> 0+ and x -> 1- -------------------------------------------------
 
-# x-dependent atom kind -> its leading behavior as x -> 1-, from its
-# arguments: (c, lead, p, q) for c * lead * u^p * log(u)^q with u = 1-x, where
-# c is rational and lead is a constant atom or None
+# x-dependent atom kind -> its leading behavior at x -> 0+ and at x -> 1-, from
+# its arguments: (c, lead, p, q) for c * lead * u^p * log(u)^q times 1 + O(u^e),
+# e > 0, with u = x at 0 and u = 1-x at 1, c rational, lead constant or None
 _LIMITS = {
-    "LogX": lambda: (-1, None, 1, 0),  # log x = -u (1 + u/2 + ...)
-    "Log1mX": lambda: (1, None, 0, 1),
-    "Log1pX": lambda: (1, log_two(), 0, 0),
-    "XPow": lambda j: (1, None, 0, 0),
-    "OneMinusXPow": lambda j: (1, None, j, 0),
-    "OnePlusXPow": lambda j: (Fraction(2) ** j, None, 0, 0),
-    "LiX": lambda k: ((1, None, -1, 0) if k == 0      # x/(1-x) ~ 1/u
+    # kind                   x -> 0+                  x -> 1-
+    "LogX": lambda: ((1, None, 0, 1), (-1, None, 1, 0)),  # log x = -u (1 + u/2 + ...)
+    "Log1mX": lambda: ((-1, None, 1, 0), (1, None, 0, 1)),
+    "Log1pX": lambda: ((1, None, 1, 0), (1, log_two(), 0, 0)),
+    "XPow": lambda j: ((1, None, j, 0), (1, None, 0, 0)),
+    "OneMinusXPow": lambda j: ((1, None, 0, 0), (1, None, j, 0)),
+    "OnePlusXPow": lambda j: ((1, None, 0, 0), (Fraction(2) ** j, None, 0, 0)),
+    "LiX": lambda k: ((1, None, 1, 0),                 # Li_k(u) ~ u
+                      (1, None, -1, 0) if k == 0       # x/(1-x) ~ 1/u
                       else (-1, None, 0, 1) if k == 1  # Li_1(x) = -log u
                       else (1, zeta(k), 0, 0)),
-    "Li1mX": lambda k: (1, None, 1, 0),  # Li_k(u) ~ u
-    "LiInv1pX": lambda k: (1, li_at_half(k), 0, 0),
+    "Li1mX": lambda k: ((1, zeta(k), 0, 0), (1, None, 1, 0)),
+    "LiInv1pX": lambda k: ((1, zeta(k), 0, 0), (1, li_at_half(k), 0, 0)),
 }
 
 
-def eval_at_one(form: ClosedForm) -> ClosedForm:
-    """The x -> 1- limit of a closed form, as a constants-only closed form.
+def limit(form: ClosedForm, at: int) -> ClosedForm:
+    """The x -> 0+ (at = 0) or x -> 1- (at = 1) limit of a closed form, as a
+    constants-only closed form.
 
-    Each term is a product of factors with known leading behavior in
-    u = 1-x (`_LIMITS`), so the term limit is decided by its net algebraic
-    order and log order: order > 0 kills the term, order < 0 diverges,
-    order 0 with bare log(1-x) powers diverges, and order 0 otherwise
-    leaves the constant factors times the leading coefficients.
-
-    Raises DivergentAtOne if any term (after canonical merging) diverges.
-    Cancellation of divergences across distinct atom spellings (for
-    example Li_1(x) against -log(1-x)) is out of scope.
+    By `_LIMITS`, a term is c * lead * u^p * log(u)^q times 1 + O(u^e), with
+    u the distance to the end.  p > 0 kills the term, p < 0 diverges, and
+    p = q = 0 leaves the constant factors times the leads.  Terms with p = 0
+    and q > 0 are summed per (those factors, q): a sum whose coefficients
+    cancel is O(u^e log(u)^q) and vanishes, as Li_1(x) + log(1-x) and
+    (x^-k - 1) log^j(1-x) do at 1.  A term with p < 0, or such a sum that
+    does not cancel, raises DivergentAtOne naming a term and the end.
     """
+    if type(at) is not int or at not in (0, 1):
+        raise ValueError(f"limits are taken at the int 0 or 1, got {at!r}")
     limits: dict[Atom, tuple] = {}
     out = []
+    divergent: dict = {}  # (factors, q), or a term alone if p < 0 -> [coeff, a term]
     for term in form.terms:
         coeff = term.coeff
-        alg_order = 0      # net power of u = 1-x
+        alg_order = 0      # net power of u
         log_order = 0      # net power of log u
         kept: list[tuple[Atom, int]] = []
         leads: list[tuple[Atom, int]] = []
@@ -477,7 +485,7 @@ def eval_at_one(form: ClosedForm) -> ClosedForm:
                 kept.append((atom, exp))
                 continue
             if atom not in limits:
-                limits[atom] = _LIMITS[atom.kind](*atom.args)
+                limits[atom] = _LIMITS[atom.kind](*atom.args)[at]
             c, lead, p, q = limits[atom]
             if c != 1:
                 coeff *= Fraction(c) ** exp
@@ -487,13 +495,17 @@ def eval_at_one(form: ClosedForm) -> ClosedForm:
                 leads.append((lead, exp))
         if alg_order > 0:
             continue
-        if alg_order < 0 or log_order > 0:
-            raise DivergentAtOne(
-                f"term {compact(ClosedForm((term,)))!r} diverges as x -> 1-"
-            )
         # constant kinds sort first, so the kept factors are already canonical
         factors = _merge_factors(tuple(kept), tuple(leads)) if leads else tuple(kept)
-        out.append(_trusted_term(coeff, factors))
+        if alg_order or log_order:
+            key = term if alg_order else (factors, log_order)
+            divergent.setdefault(key, [0, term])[0] += coeff
+        else:
+            out.append(_trusted_term(coeff, factors))
+    for coeff, term in divergent.values():
+        if coeff:
+            end = ("x -> 0+", "x -> 1-")[at]
+            raise DivergentAtOne(f"term {compact(ClosedForm((term,)))!r} diverges as {end}")
     return ClosedForm(out)
 
 

@@ -475,9 +475,9 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
     """Evaluate a closed form numerically.
 
     `x` is the evaluation point as an exact rational in (0, 1]; it may be
-    omitted for constant forms.  At x = 1 the form is first pushed through
-    its x -> 1- limit, so removable factors cancel exactly and genuinely
-    divergent forms raise DivergentAtOne.
+    omitted for constant forms.  At x = 1 the form is first replaced by
+    exact.limit(form, 1), so removable factors and divergences that cancel
+    drop out exactly and genuinely divergent forms raise DivergentAtOne.
 
     Each distinct atom is valued once per pass over the terms, whatever the
     number of terms it occurs in.  A pass values the atoms at digits + extra
@@ -497,7 +497,7 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
         if not 0 < x <= 1:
             raise ParameterError(f"evaluation point must be in (0, 1], got {x}")
         if x == 1:
-            form = exact.eval_at_one(form)
+            form = exact.limit(form, 1)
             x = None
     if x is None and not form.is_constant:
         raise ParameterError("closed form depends on x but no point was given")

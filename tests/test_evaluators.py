@@ -310,7 +310,7 @@ class TestDerivedFormsMatchTheirOwnSums:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_c_base(self, m):
         assert ev.C_base(m, THIRD) == ref_c_base(m)
-        assert ev.C_base(m) == exact.eval_at_one(ref_c_base(m))
+        assert ev.C_base(m) == exact.limit(ref_c_base(m), 1)
 
     @pytest.mark.parametrize("n", range(9))
     def test_m(self, n):
@@ -822,7 +822,7 @@ class TestSerializedFormsArePinned:
     def test_at_one_forms_are_pinned(self):
         # sha256 of exact.dumps over the x = 1 battery: these constant forms
         # are x -> 1- limits of the symbolic forms, so a change to either the
-        # forms or exact.eval_at_one shows up here
+        # forms or exact.limit shows up here
         digest = hashlib.sha256()
         count = 0
         for label, form in _at_one_battery():

@@ -1,5 +1,6 @@
 """Tests for the exact term algebra: canonicalization, ring ops, the
-x -> 1-x substitution, the x -> 1- limit, and JSON round-trips."""
+x -> 1-x substitution, the limits x -> 1- and x -> 0+, pickling and JSON
+round-trips."""
 
 import copy
 import pickle
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from plint import evaluators as ev
 from plint import exact as ex
 from plint.errors import DivergentAtOne, PlintError, UnsupportedAtom
 from plint.families import TABLE, closed_form
@@ -222,68 +224,145 @@ class TestSubstOneMinusX:
 
 
 class TestEvalAtOne:
+    """limit(form, 1): the value of a form at x = 1 as its x -> 1- limit."""
+
     def test_constants_pass_through(self):
         f = cf_atom(ex.zeta(3), coeff=-2) + ex.ClosedForm.number(Fraction(1, 4))
-        assert ex.eval_at_one(f) == f
+        assert ex.limit(f, 1) == f
 
     def test_x_pow_goes_to_one(self):
-        assert ex.eval_at_one(cf_atom(ex.x_pow(3), coeff=5)) == ex.ClosedForm.number(5)
+        assert ex.limit(cf_atom(ex.x_pow(3), coeff=5), 1) == ex.ClosedForm.number(5)
 
     def test_li_x_becomes_zeta(self):
-        assert ex.eval_at_one(cf_atom(ex.li_x(4))) == cf_atom(ex.zeta(4))
+        assert ex.limit(cf_atom(ex.li_x(4)), 1) == cf_atom(ex.zeta(4))
 
     def test_one_plus_x_atoms(self):
         f = cf_atom(ex.log_1px()) * cf_atom(ex.one_plus_x_pow(-2)) * cf_atom(ex.li_inv_1px(3))
         want = cf_atom(ex.log_two(), coeff=Fraction(1, 4)) * cf_atom(ex.li_at_half(3))
-        assert ex.eval_at_one(f) == want
+        assert ex.limit(f, 1) == want
 
     def test_lead_merges_into_a_constant_factor(self):
         # the limit's lead atom equals a constant factor already present,
         # so the two must merge into one power
         f = cf_atom(ex.zeta(3)) * cf_atom(ex.li_x(3))
-        assert ex.eval_at_one(f) == cf_atom(ex.zeta(3), 2)
+        assert ex.limit(f, 1) == cf_atom(ex.zeta(3), 2)
         g = cf_atom(ex.log_two()) * cf_atom(ex.log_1px())
-        assert ex.eval_at_one(g) == cf_atom(ex.log_two(), 2)
+        assert ex.limit(g, 1) == cf_atom(ex.log_two(), 2)
 
     def test_vanishing_term_dropped(self):
         # z2 - x * Li_2(x) -> z2 - z2 = 0?  No: x*Li2 -> Li2 -> z2, kept.
         f = cf_atom(ex.zeta(2)) - cf_atom(ex.x_pow(1)) * cf_atom(ex.li_x(2))
-        assert ex.eval_at_one(f).is_zero
+        assert ex.limit(f, 1).is_zero
         # (1-x) * log x -> order 2, drops
         g = cf_atom(ex.one_minus_x_pow(1)) * cf_atom(ex.log_x())
-        assert ex.eval_at_one(g).is_zero
+        assert ex.limit(g, 1).is_zero
 
     def test_log_x_against_pole_leaves_sign(self):
         # log(x)/(1-x) -> -1 as x -> 1
         f = cf_atom(ex.log_x()) * cf_atom(ex.one_minus_x_pow(-1))
-        assert ex.eval_at_one(f) == ex.ClosedForm.number(-1)
+        assert ex.limit(f, 1) == ex.ClosedForm.number(-1)
         # log(x)^2/(1-x)^2 -> +1
         g = cf_atom(ex.log_x(), 2) * cf_atom(ex.one_minus_x_pow(-2))
-        assert ex.eval_at_one(g) == ex.ONE
+        assert ex.limit(g, 1) == ex.ONE
 
     def test_li_1mx_vanishes(self):
         f = cf_atom(ex.li_1mx(3)) * cf_atom(ex.zeta(2))
-        assert ex.eval_at_one(f).is_zero
+        assert ex.limit(f, 1).is_zero
 
     def test_li_zero_is_pole(self):
         with pytest.raises(DivergentAtOne):
-            ex.eval_at_one(cf_atom(ex.li_x(0)))
+            ex.limit(cf_atom(ex.li_x(0)), 1)
         # but x * Li_0(x) * (1-x) is finite: (1-x) cancels the pole
         f = cf_atom(ex.x_pow(1)) * cf_atom(ex.li_x(0)) * cf_atom(ex.one_minus_x_pow(1))
-        assert ex.eval_at_one(f) == ex.ONE
+        assert ex.limit(f, 1) == ex.ONE
 
     def test_bare_log_1mx_diverges(self):
         with pytest.raises(DivergentAtOne):
-            ex.eval_at_one(cf_atom(ex.log_1mx()))
+            ex.limit(cf_atom(ex.log_1mx()), 1)
         with pytest.raises(DivergentAtOne):
-            ex.eval_at_one(cf_atom(ex.li_x(1)))
+            ex.limit(cf_atom(ex.li_x(1)), 1)
 
     def test_log_1mx_killed_by_zero(self):
         f = cf_atom(ex.log_1mx(), 3) * cf_atom(ex.one_minus_x_pow(1))
-        assert ex.eval_at_one(f).is_zero
+        assert ex.limit(f, 1).is_zero
+
+    def test_divergences_cancel_across_spellings(self):
+        # Li_1(x) = -log(1-x) exactly, and x^-2 = 1 + O(1-x)
+        assert ex.limit(cf_atom(ex.li_x(1)) + cf_atom(ex.log_1mx()), 1).is_zero
+        f = cf_atom(ex.x_pow(-2)) * cf_atom(ex.log_1mx()) - cf_atom(ex.log_1mx())
+        assert ex.limit(f, 1).is_zero
+        # the finite terms beside them are kept
+        g = f * cf_atom(ex.log_1mx()) + cf_atom(ex.li_x(3), coeff=2)
+        assert ex.limit(g, 1) == cf_atom(ex.zeta(3), coeff=2)
+
+    @pytest.mark.parametrize("at, end", [(1, "x -> 1-"), (0, "x -> 0+")])
+    def test_sum_that_does_not_cancel_raises(self, at, end):
+        # log u with u the distance to the end, and a power whose lead is 1
+        log_u, unit = ((ex.log_1mx(), ex.x_pow(-1)) if at == 1
+                       else (ex.log_x(), ex.one_minus_x_pow(-1)))
+        cancels = cf_atom(log_u) - cf_atom(unit) * cf_atom(log_u)
+        assert ex.limit(cancels, at).is_zero
+        # log^2 u spelled two ways, added: the sum 2 log^2 u does not cancel
+        square = cf_atom(log_u, 2)
+        f = cancels + square + square * cf_atom(unit)
+        with pytest.raises(DivergentAtOne) as info:
+            ex.limit(f, at)
+        named = {ex.compact(square), ex.compact(square * cf_atom(unit))}
+        assert str(info.value) in {f"term {t!r} diverges as {end}" for t in named}
+
+    def test_only_the_two_ends(self):
+        for at in (Fraction(1, 2), 2, -1, Fraction(1), True):
+            with pytest.raises(ValueError):
+                ex.limit(ex.ONE, at)
+
+    @pytest.mark.parametrize("m", range(2, 21))
+    def test_a_and_c_agree_at_one(self, m):
+        # A(m,n,1) = C(m,n,1) by t -> 1-t, now both limits of symbolic forms
+        for n in range(2, m + 1):
+            assert ev.A_general(m, n, 1) == ev.C_general(m, n, 1), (m, n)
+
+
+class TestLimitAtZero:
+    def test_log_x_times_x_vanishes(self):
+        assert ex.limit(cf_atom(ex.log_x()) * cf_atom(ex.x_pow(1)), 0).is_zero
+
+    def test_li_1mx_becomes_zeta(self):
+        for k in (2, 5):
+            assert ex.limit(cf_atom(ex.li_1mx(k)), 0) == cf_atom(ex.zeta(k))
+
+    def test_bare_log_x_diverges(self):
+        with pytest.raises(DivergentAtOne, match="'lx' diverges as x -> 0[+]"):
+            ex.limit(cf_atom(ex.log_x()), 0)
+
+    def test_every_pointed_form_vanishes(self):
+        # each pointed family integrates from 0, so its form tends to 0 there
+        third = Fraction(1, 3)
+        grids = {family: [(a, b) for a in range(13) for b in range(13)]
+                 for family in ("J1", "L", "HeadLog1m")}
+        grids["J0"] = [(m, p) for m in range(13) for p in range(1, 13)]
+        for family in ("A", "B", "C"):
+            grids[family] = [(m, n) for m in range(1, 13) for n in range(1, m + 1)]
+        count = 0
+        for family, grid in grids.items():
+            for params in grid:
+                form = closed_form(family, params, third)
+                assert ex.limit(form, 0).is_zero, (family, params)
+                count += 1
+        assert count == 897
 
 
 class TestSerialization:
+    def test_pickle_and_copy_round_trip(self):
+        forms = [ex.ZERO, ex.ONE, ev.C_general(4, 2, Fraction(1, 3)),
+                 cf_atom(ex.x_pow(-2), 3, Fraction(-5, 7)) + cf_atom(ex.euler_sum(1, 3))]
+        for form in forms:
+            for copied in [pickle.loads(pickle.dumps(form, protocol))
+                           for protocol in range(pickle.HIGHEST_PROTOCOL + 1)] + [
+                    copy.copy(form), copy.deepcopy(form)]:
+                assert type(copied) is ex.ClosedForm
+                assert copied == form and hash(copied) == hash(form)
+                assert ex.dumps(copied) == ex.dumps(form)
+
     def test_schema_shape(self):
         f = cf_atom(ex.zeta(2), coeff=Fraction(-3, 7))
         assert ex.to_dict(f) == {
@@ -370,7 +449,7 @@ class TestTrustedTerms:
             except UnsupportedAtom:
                 pass
             try:
-                built.append(ex.eval_at_one(f))
+                built.append(ex.limit(f, 1))
             except DivergentAtOne:
                 pass
         for form in built:

@@ -1,6 +1,7 @@
 """The atom vocabulary table: every kind it declares can be built, stored,
-rendered, valued, substituted and taken to x = 1, and the README lists
-exactly the spellings `compact` gives its kinds."""
+rendered, valued and substituted, every x-dependent kind has a leading
+behavior at x -> 0+ and at x -> 1- that mpmath confirms, and the README
+lists exactly the spellings `compact` gives its kinds."""
 
 import re
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from mpmath import mp, mpf
 
 from plint import exact as ex
-from plint.errors import DivergentAtOne, UnsupportedAtom
+from plint.errors import UnsupportedAtom
 from plint.numerics import numeric_eval
 
 KINDS = list(ex.VOCABULARY)
@@ -108,14 +109,45 @@ def test_one_step_below_each_minimum_is_refused(kind):
                 ex.Atom(kind, (wrong,) + args[1:])
 
 
+# the constant kinds a lead can be, valued with plain mpmath
+LEAD_VALUE = {
+    "Zeta": lambda k: mp.zeta(k),
+    "LogTwo": lambda: mp.log(2),
+    "LiAtHalf": lambda k: mp.polylog(k, mpf(1) / 2),
+}
+
+# LiX's lead at 1 has three branches; REFERENCE's Li_0 takes the first
+MORE_ARGS = {"LiX": [((1,), lambda x: mp.polylog(1, x)),
+                     ((3,), lambda x: mp.polylog(3, x))]}
+
+
+def _assert_lead(kind, at):
+    """The kind's `_LIMITS` row at the end `at` is the leading behavior of
+    its mpmath value: their ratio at u = 1e-25 from the end is 1 to 20
+    digits.  A constant kind has no row."""
+    if ex.VOCABULARY[kind].constant:
+        assert kind not in ex._LIMITS
+        return
+    for args, reference in [REFERENCE[kind]] + MORE_ARGS.get(kind, []):
+        c, lead, p, q = ex._LIMITS[kind](*args)[at]
+        c = Fraction(c)
+        with mp.workdps(60):
+            u = mpf(10) ** -25
+            leading = mpf(c.numerator) / c.denominator * u ** p * mp.log(u) ** q
+            if lead is not None:
+                leading *= LEAD_VALUE[lead.kind](*lead.args)
+            ratio = reference(1 - u if at == 1 else u) / leading
+            assert abs(ratio - 1) <= mpf(10) ** -20, (kind, args, at)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_limit_at_one_is_known(kind):
-    form = ex.ClosedForm.of(ex.Atom(kind, smallest(kind)))
-    try:
-        limit = ex.eval_at_one(form)
-    except DivergentAtOne:
-        return
-    assert limit.is_constant
+    _assert_lead(kind, 1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_limit_at_zero_is_known(kind):
+    _assert_lead(kind, 0)
 
 
 def _readme_rows():
