@@ -47,9 +47,18 @@ Bounds = Callable[[int, tuple[int, ...]], tuple[int, int]]
 Body = Callable[[tuple[int, ...]], ClosedForm]
 
 
-def _at_point(form: ClosedForm, x: Fraction) -> ClosedForm:
-    """A symbolic form at x: its x -> 1- limit at x = 1, itself elsewhere."""
-    return exact.limit(form, 1) if x == 1 else form
+@lru_cache(maxsize=None)
+def _at_one(builder: Callable[..., ClosedForm], args: tuple[int, ...]) -> ClosedForm:
+    """The x -> 1- limit of the symbolic form builder(*args), kept per
+    builder and arguments."""
+    return exact.limit(builder(*args), 1)
+
+
+def _at_point(builder: Callable[..., ClosedForm], args: tuple[int, ...],
+              x: Fraction) -> ClosedForm:
+    """The symbolic form builder(*args) at x: its x -> 1- limit at x = 1,
+    itself elsewhere."""
+    return _at_one(builder, args) if x == 1 else builder(*args)
 
 
 def _check_point(name: str, value: EvalPoint, *, allow_zero: bool = False) -> Fraction:
@@ -141,7 +150,7 @@ def L_integral(n: int, m: int, at: EvalPoint = 1) -> ClosedForm:
     at = _check_point("at", at, allow_zero=True)
     if at == 0:
         return exact.ZERO
-    return _at_point(_l_symbolic(n, m), at)
+    return _at_point(_l_symbolic, (n, m), at)
 
 
 @lru_cache(maxsize=None)
@@ -276,7 +285,7 @@ def _b_symbolic(m: int, n: int) -> ClosedForm:
 def _c_symbolic(m: int, n: int) -> ClosedForm:
     # t -> 1-t: C(m,n,x) = A(m,n,1) - A(m,n,1-x)
     a = _a_symbolic(m, n)
-    return exact.limit(a, 1) - exact.subst_one_minus_x(a)
+    return _at_one(_a_symbolic, (m, n)) - exact.subst_one_minus_x(a)
 
 
 def A_base(m: int, x: EvalPoint = 1) -> ClosedForm:
@@ -326,7 +335,7 @@ def A_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     """
     _check_orders("A", m, n)
     x = _check_point("x", x)
-    return _at_point(_a_symbolic(m, n), x)
+    return _at_point(_a_symbolic, (m, n), x)
 
 
 def B_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
@@ -339,7 +348,7 @@ def B_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     """
     _check_orders("B", m, n)
     x = _check_point("x", x)
-    return _at_point(_b_symbolic(m, n), x)
+    return _at_point(_b_symbolic, (m, n), x)
 
 
 def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
@@ -351,7 +360,7 @@ def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     """
     _check_orders("C", m, n)
     x = _check_point("x", x)
-    return _at_point(_c_symbolic(m, n), x)
+    return _at_point(_c_symbolic, (m, n), x)
 
 
 # -- polylogarithm integrals -------------------------------------------------------
@@ -379,7 +388,7 @@ def J0_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
     _require_int("m", m, 0)
     _require_int("p", p, 1)
     x = _check_point("x", x)
-    return _at_point(_j0_symbolic(m, p), x)
+    return _at_point(_j0_symbolic, (m, p), x)
 
 
 def _j1_zero_symbolic(m: int) -> ClosedForm:
@@ -396,7 +405,7 @@ def J1_zero(m: int, x: EvalPoint = 1) -> ClosedForm:
     """
     _require_int("m", m, 0)
     x = _check_point("x", x)
-    return _at_point(_j1_zero_symbolic(m), x)
+    return _at_point(_j1_zero_symbolic, (m,), x)
 
 
 @lru_cache(maxsize=None)
@@ -437,7 +446,7 @@ def J1_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
         return J1_zero(m, x)
     if m == 0:
         return J0_eval(0, p, x)
-    return _at_point(_j1_symbolic(m, p), x)
+    return _at_point(_j1_symbolic, (m, p), x)
 
 
 # -- products of two polylogarithms ------------------------------------------------

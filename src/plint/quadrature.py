@@ -12,23 +12,27 @@ integrands see the distance to an endpoint at full relative accuracy even
 when it is far below the working epsilon.  That is what lets log(1-t) and
 Li_k(t) be evaluated honestly at nodes within 1e-60 of 1.
 
-Integrands take one argument, a `Node`: the point t with its distances
+The unit of work is one level of one interval.  An integrand takes a
+`Level` and returns the raw libmp values of its integrand at all of that
+level's nodes, in node order.  A `Node` is one point t with its distances
 dm = t - a and dp = b - t, and the values the families need at t (1 - t,
 log t, log(1 - t), log(1 + t), log(dp) and a run of polylog orders), each
-computed on first use and kept.  The nodes of one level on one interval
-at one working precision form a table cached per (mp.prec, level, a, b),
-so every case on that interval and precision reads the same values and
-computes only its own powers and products.  A node computes every value,
-its polylogs included, at the precision of its table, which `integrate`
-sets from its `digits`.  Each family's parameter names and endpoint kind
-come from the family table (families.TABLE); this module adds one
-integrand builder per family.  The level sum and the family integrands'
+computed on first use and kept.  A `Level` holds its nodes and their
+weights, and builds on first use one list per (node value, exponent) --
+log(1 - t)^m, t^-n, log^m t and so on -- and one per polylog order, so
+every case on that interval and working precision reuses them and computes
+only its own products.  The levels of one interval at one precision form a
+table cached per (mp.prec, a, b); everything on it is computed at that
+precision, which `integrate` sets from its `digits`.  `pointwise` makes an
+integrand of a function of one node.  Each family's parameter names and
+endpoint kind come from the family table (families.TABLE); this module adds
+one integrand builder per family.  The level sum and the family integrands'
 powers and products call mpmath.libmp directly (mpf_pow_int, mpf_mul,
 mpf_div, mpf_add) at the table's precision, rounding to nearest: the
 functions the mpf operators call, in the same order, so every value is the
-one the operator spelling gives, without the operators' dispatch.  An
-integrand returns an mpf, and the level sum becomes an mpf once per level.
-Nothing here calls the closed-form evaluators; it exists to check them.
+one the operator spelling gives, without the operators' dispatch.  The
+level sum becomes an mpf once per level.  Nothing here calls the
+closed-form evaluators; it exists to check them.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from mpmath import mp, mpf
@@ -48,7 +52,8 @@ from . import numerics
 from .numerics import frac_mpf
 
 Number = Union[int, Fraction]
-Integrand = Callable[["Node"], mpf]
+# an integrand maps a Level to the raw libmp values at its nodes, in node order
+Integrand = Callable[["Level"], list]
 
 MAX_LEVEL = 12
 
@@ -60,7 +65,8 @@ _wrap = mp.make_mpf
 
 @dataclass(frozen=True)
 class IntegralSpec:
-    """An integral over [a, b] of integrand(node), node a `Node` of (a, b)."""
+    """An integral over [a, b]; integrand(level) gives the integrand's raw
+    libmp values at the nodes of a `Level` of (a, b)."""
 
     a: Fraction
     b: Fraction
@@ -82,13 +88,13 @@ _RULES: dict[str, Callable[["Node"], mpf]] = {
 
 class Node:
     """One point t of (a, b): t, dm = t - a, dp = b - t and omb = 1 - b, plus
-    the `_RULES` values and the `polylogs` run, computed on first use and kept.
-    `prec` is the working precision in bits of the node's table."""
+    the `_RULES` values and the `polylogs` run, computed on first use and
+    kept, at the working precision of the node's table."""
 
-    __slots__ = ("t", "dm", "dp", "omb", "prec", "run", *_RULES)
+    __slots__ = ("t", "dm", "dp", "omb", "run", *_RULES)
 
-    def __init__(self, t: mpf, dm: mpf, dp: mpf, omb: mpf, prec: int) -> None:
-        self.t, self.dm, self.dp, self.omb, self.prec = t, dm, dp, omb, prec
+    def __init__(self, t: mpf, dm: mpf, dp: mpf, omb: mpf) -> None:
+        self.t, self.dm, self.dp, self.omb = t, dm, dp, omb
         self.run: tuple[mpf, ...] = ()
 
     def __getattr__(self, name: str) -> mpf:
@@ -108,6 +114,47 @@ class Node:
             # one_minus may be 1 - dm formed exactly, past the working precision
             self.run = numerics._polylog_orders(k, self.dm, +self.one_minus)
         return self.run
+
+
+class Level:
+    """The nodes of one tanh-sinh level on one interval at one working
+    precision `prec` (bits): on level 0 the centre first, then each node
+    followed by its mirror at a + b - t.  `weights` holds one unit weight,
+    a raw libmp value, per centre or pair.  `power` and `polylog` give a
+    value at every node, in node order, as raw libmp values; each list is
+    built on first use and kept for every later case on this level."""
+
+    __slots__ = ("nodes", "weights", "prec", "_powers", "_polylogs")
+
+    def __init__(self, nodes: list[Node], weights: list[tuple], prec: int) -> None:
+        self.nodes, self.weights, self.prec = nodes, weights, prec
+        self._powers: dict[tuple[str, int], list[tuple]] = {}
+        self._polylogs: dict[int, list[tuple]] = {}
+
+    def power(self, name: str, i: int) -> list[tuple]:
+        """value^i at each node, value being the `Node` attribute `name`."""
+        values = self._powers.get((name, i))
+        if values is None:
+            prec = self.prec
+            values = self._powers[name, i] = [
+                mpf_pow_int(getattr(node, name)._mpf_, i, prec, _RND)
+                for node in self.nodes]
+        return values
+
+    def polylog(self, p: int) -> list[tuple]:
+        """Li_p(t) at each node.  A node computes every order up to p in one
+        kernel pass, so a case that needs several orders asks for the
+        highest first."""
+        values = self._polylogs.get(p)
+        if values is None:
+            values = self._polylogs[p] = [node.polylogs(p)[p]._mpf_
+                                          for node in self.nodes]
+        return values
+
+
+def pointwise(fn: Callable[[Node], mpf]) -> Integrand:
+    """The integrand that calls fn(node) -> mpf at each node of a level."""
+    return lambda level: [fn(node)._mpf_ for node in level.nodes]
 
 
 # (mp.prec, level) -> [(sigma, 1 - sigma, unit weight), ...] with sigma the
@@ -140,42 +187,47 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf, mpf]]:
     return nodes
 
 
-# (mp.prec, level, a, b) -> [(unit weight as a raw libmp value, node, mirror
-# node), ...], the mirror at a + b - t being None only for the centre node of
-# level 0
-_table_cache: dict[tuple[int, int, Fraction, Fraction], list[tuple]] = {}
+# (mp.prec, a, b) -> [Level 0, Level 1, ...], grown as integrate reaches
+# deeper levels
+_table_cache: dict[tuple[int, Fraction, Fraction], list[Level]] = {}
 
 
-def _level_table(level: int, a: Fraction, b: Fraction) -> list[tuple]:
-    prec = mp.prec
-    key = (prec, level, a, b)
-    rows = _table_cache.get(key)
-    if rows is not None:
-        return rows
+def _make_level(level: int, a: Fraction, b: Fraction) -> Level:
     scale, a_val = frac_mpf(b - a), frac_mpf(a)
     # 1 - b at this precision, whatever the caller's ambient one: rounded to
     # fewer bits it stalls convergence at non-dyadic b
     omb = frac_mpf(1 - b)
-    rows = []
+    nodes, weights = [], []
     for k, (sig, csig, w) in enumerate(_level_nodes(level)):
         dm, dp = scale * sig, scale * csig
-        mirror = None if level == k == 0 else Node(a_val + dp, dp, dm, omb, prec)
-        rows.append((w._mpf_, Node(a_val + dm, dm, dp, omb, prec), mirror))
-    _table_cache[key] = rows
-    return rows
+        nodes.append(Node(a_val + dm, dm, dp, omb))
+        if level or k:  # all but the centre have a mirror
+            nodes.append(Node(a_val + dp, dp, dm, omb))
+        weights.append(w._mpf_)
+    return Level(nodes, weights, mp.prec)
+
+
+@lru_cache(maxsize=None)
+def _stop_bounds(digits: int) -> tuple[mpf, mpf]:
+    # integrate's two relative bounds, 10^(2 - digits) and 10^-(digits // 2),
+    # made at its working precision
+    return mpf(10) ** (2 - digits), mpf(10) ** -(digits // 2)
 
 
 def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) -> mpf:
     """Tanh-sinh value of the integral, aiming at `digits` good digits.
 
-    The integrand is called with each `Node` of the table for (working
-    precision, level, a, b), which is built on first use and kept, so the
-    values one integrand made a node compute serve the next one too.  The
-    nodes compute every value, polylogs included, at the working precision
-    of digits + 10, which each node also holds as `prec` (bits).  Any
-    callable that takes a Node and returns an mpf is an integrand; the
-    level sum adds the weighted values with mpmath.libmp at that precision,
-    as the mpf operators would, and makes the sum an mpf once per level.
+    The integrand is called once per level, with the `Level` of the table
+    for (working precision, a, b), which is built on first use and kept, so
+    the values and power lists one integrand made a level compute serve the
+    next one too.  Everything on the table is computed at the working
+    precision of digits + 10, which each level holds as `prec` (bits).  Any
+    callable that takes a Level and returns the raw libmp values of the
+    integrand at its nodes, one per node in node order, is an integrand
+    (a list of another length raises ValueError); `pointwise` makes one of
+    a function of one node.  The level sum adds the weighted
+    values with mpmath.libmp at that precision, as the mpf operators would,
+    and makes the sum an mpf once per level.
 
     Levels halve the step.  A level's estimate is accepted when it agrees
     with the previous one to 10^(2 - digits) relative, or sooner on the
@@ -196,17 +248,23 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     f = spec.integrand
     with mp.workdps(digits + 10):
         scale = frac_mpf(b - a)
-        tol = mpf(10) ** (2 - digits)
-        settled = mpf(10) ** -(digits // 2)
+        tol, settled = _stop_bounds(digits)
         ests: list[mpf] = []
         prec = mp.prec
+        levels = _table_cache.setdefault((prec, a, b), [])
         for level in range(0, max_level + 1):
+            if level == len(levels):
+                levels.append(_make_level(level, a, b))
+            values = f(levels[level])
+            weights = levels[level].weights
             part = fzero
-            for w, node, mirror in _level_table(level, a, b):
-                v = f(node)._mpf_
-                if mirror is not None:
-                    v = mpf_add(v, f(mirror)._mpf_, prec, _RND)
-                part = mpf_add(part, mpf_mul(w, v, prec, _RND), prec, _RND)
+            if level == 0:  # the centre, which has no mirror
+                part = mpf_add(part, mpf_mul(weights[0], values[0], prec, _RND), prec, _RND)
+                weights, values = weights[1:], values[1:]
+            pairs = iter(values)  # each node, then its mirror
+            for w, u, v in zip(weights, pairs, pairs, strict=True):
+                part = mpf_add(part, mpf_mul(w, mpf_add(u, v, prec, _RND), prec, _RND),
+                               prec, _RND)
             part = _wrap(part)
             if not mp.isfinite(part):
                 raise NonIntegrable(
@@ -235,13 +293,11 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
 def _power_product(first: str, i: int, second: str, j: int) -> Integrand:
     """The integrand first^i * second^j, first and second being names of
     `Node` values."""
-    get_first, get_second = attrgetter(first), attrgetter(second)
 
-    def f(node):
-        prec = node.prec
-        return _wrap(mpf_mul(mpf_pow_int(get_first(node)._mpf_, i, prec, _RND),
-                             mpf_pow_int(get_second(node)._mpf_, j, prec, _RND),
-                             prec, _RND))
+    def f(level):
+        prec = level.prec
+        return [mpf_mul(u, v, prec, _RND)
+                for u, v in zip(level.power(first, i), level.power(second, j))]
 
     return f
 
@@ -292,12 +348,11 @@ def _head_log1m(n, m, x):
 def _power_polylog(first: str, i: int, p: int) -> Integrand:
     """The integrand first^i * Li_p(t), first being the name of a `Node`
     value."""
-    get_first = attrgetter(first)
 
-    def f(node):
-        prec = node.prec
-        return _wrap(mpf_mul(mpf_pow_int(get_first(node)._mpf_, i, prec, _RND),
-                             node.polylogs(p)[p]._mpf_, prec, _RND))
+    def f(level):
+        prec = level.prec
+        return [mpf_mul(u, li, prec, _RND)
+                for u, li in zip(level.power(first, i), level.polylog(p))]
 
     return f
 
@@ -322,11 +377,12 @@ def _j(m, p, q, x):
     if p < 1 or q < 1:
         raise ParameterError(f"J needs p >= 1, q >= 1, got p={p}, q={q}")
 
-    def f_j(node):  # t^m * (Li_p(t) * Li_q(t))
-        prec = node.prec
-        li = node.polylogs(max(p, q))
-        return _wrap(mpf_mul(mpf_pow_int(node.dm._mpf_, m, prec, _RND),
-                             mpf_mul(li[p]._mpf_, li[q]._mpf_, prec, _RND), prec, _RND))
+    def f_j(level):  # t^m * (Li_p(t) * Li_q(t))
+        prec = level.prec
+        level.polylog(max(p, q))  # one kernel pass per node serves both orders
+        return [mpf_mul(u, mpf_mul(lp, lq, prec, _RND), prec, _RND)
+                for u, lp, lq in zip(level.power("dm", m), level.polylog(p),
+                                     level.polylog(q))]
 
     return f_j
 
@@ -337,12 +393,12 @@ def _k(r, p, q, x):
     if p < 0 or q < 0 or p + q < 1:
         raise ParameterError(f"K needs p, q >= 0 with p + q >= 1, got p={p}, q={q}")
 
-    def f_k(node):  # (log^r(t) * (Li_p(t) * Li_q(t))) / t
-        prec = node.prec
-        li = node.polylogs(max(p, q))
-        num = mpf_mul(mpf_pow_int(node.log_t._mpf_, r, prec, _RND),
-                      mpf_mul(li[p]._mpf_, li[q]._mpf_, prec, _RND), prec, _RND)
-        return _wrap(mpf_div(num, node.dm._mpf_, prec, _RND))
+    def f_k(level):  # (log^r(t) * (Li_p(t) * Li_q(t))) / t
+        prec = level.prec
+        level.polylog(max(p, q))  # one kernel pass per node serves both orders
+        return [mpf_div(mpf_mul(u, mpf_mul(lp, lq, prec, _RND), prec, _RND), t, prec, _RND)
+                for u, lp, lq, t in zip(level.power("log_t", r), level.polylog(p),
+                                        level.polylog(q), level.power("dm", 1))]
 
     return f_k
 

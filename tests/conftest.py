@@ -6,6 +6,7 @@ from plint import numerics as num
 from plint import quadrature as quad
 
 # the lru_cache'd closed-form builders, each with arguments it is built for
+# (`_at_one` takes a builder and its arguments)
 MEMOIZED = (
     (ev._l_symbolic, (2, 3)), (ev._m_symbolic, (3, 2)), (ev._m_at_zero, (3, 2)),
     (ev._a_base_symbolic, (4,)), (ev._b_base_symbolic, (4,)),
@@ -14,6 +15,7 @@ MEMOIZED = (
     (ev._j0_symbolic, (3, 4)), (ev._j1_symbolic, (3, 2)),
     (ev._j_base, (1, 4)), (ev._j_base, (-2, 3)),
     (es._k_base, (2, 3)), (es._reduce_s1, (5,)),
+    (ev._at_one, (ev._c_symbolic, (5, 3))),
 )
 
 

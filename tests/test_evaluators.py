@@ -857,8 +857,13 @@ class TestSerializedFormsArePinned:
             "2246033c3a055cad5d5dc0e00bc2f7e45178f56ada758a3bfe3a437ade220389")
 
 
+def _memo_id(builder, args):
+    # a builder among the arguments is shown by its name
+    return builder.__name__ + str(tuple(getattr(a, "__name__", a) for a in args))
+
+
 @pytest.mark.parametrize("builder, args", MEMOIZED,
-                         ids=[f"{b.__name__}{a}" for b, a in MEMOIZED])
+                         ids=[_memo_id(b, a) for b, a in MEMOIZED])
 def test_memoized_builder_matches_a_fresh_build(builder, args):
     # cases share these forms, so a cached one must be the form a cold
     # build gives
@@ -867,3 +872,17 @@ def test_memoized_builder_matches_a_fresh_build(builder, args):
     clear_caches()
     assert builder.cache_info().currsize == 0
     assert builder(*args) == cached
+
+
+@pytest.mark.parametrize("build, args", [
+    (ev.A_general, (5, 3)), (ev.B_general, (5, 3)), (ev.C_general, (5, 3)),
+    (ev.L_integral, (2, 3)), (ev.J0_eval, (3, 4)), (ev.J1_eval, (3, 2)),
+    (ev.J1_zero, (3,)),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_repeat_at_one_reuses_its_limit(build, args):
+    # the x -> 1- limit is kept per builder and arguments: a repeat returns
+    # the same form, and it serializes as a cold build does
+    first = build(*args, 1)
+    assert build(*args, 1) is first
+    clear_caches()
+    assert exact.dumps(build(*args, 1)) == exact.dumps(first)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import mpf_div, mpf_mul, mpf_pow_int, round_nearest
 
 from plint import families, verification
 from plint import numerics as num
@@ -59,7 +60,7 @@ class TestEngine:
             return mp.log(1 + node.t) ** 2 / node.t
 
         right = quad.integrate(
-            quad.IntegralSpec(Fraction(1, 2), Fraction(1), right_f), 25)
+            quad.IntegralSpec(Fraction(1, 2), Fraction(1), quad.pointwise(right_f)), 25)
         assert close(whole, left + right, mpf(10) ** -22)
 
     def test_precision_ladder(self):
@@ -73,7 +74,8 @@ class TestEngine:
 
     def test_no_convergence_reported(self):
         # 1/t is not integrable at 0; capped levels must refuse, not lie
-        spec = quad.IntegralSpec(Fraction(0), Fraction(1), lambda node: 1 / node.dm)
+        spec = quad.IntegralSpec(Fraction(0), Fraction(1),
+                                 quad.pointwise(lambda node: 1 / node.dm))
         with pytest.raises(NoConvergence):
             quad.integrate(spec, 20, max_level=5)
 
@@ -91,17 +93,25 @@ class TestEngine:
         spec = quad.family_spec("L", (1, 1), 1)
         calls = []
 
-        def counted(node):
-            calls.append(node.t)
-            return spec.integrand(node)
+        def counted(level):
+            calls.extend(node.t for node in level.nodes)
+            return spec.integrand(level)
 
         got = quad.integrate(quad.IntegralSpec(spec.a, spec.b, counted), 20)
         assert len(calls) == 71
         assert close(got, Fraction(-1, 4), mpf(10) ** -20)
 
     def test_inverted_interval_rejected(self):
-        spec = quad.IntegralSpec(Fraction(1), Fraction(0), lambda node: node.t)
+        spec = quad.IntegralSpec(Fraction(1), Fraction(0),
+                                 quad.pointwise(lambda node: node.t))
         with pytest.raises(ParameterError):
+            quad.integrate(spec, 20)
+
+    def test_integrand_gives_one_value_per_node(self):
+        # a level-0 integrand short of its last node is refused, not summed
+        spec = quad.IntegralSpec(Fraction(0), Fraction(1),
+                                 lambda level: [mpf(1)._mpf_] * (len(level.nodes) - 1))
+        with pytest.raises(ValueError):
             quad.integrate(spec, 20)
 
 
@@ -189,9 +199,9 @@ class TestFamilies:
         spec = quad.family_spec(family, params, 1)
         nodes = []
 
-        def counted(node):
-            nodes.append((node.dm, node.dp))
-            return spec.integrand(node)
+        def counted(level):
+            nodes.extend((node.dm, node.dp) for node in level.nodes)
+            return spec.integrand(level)
 
         quad.integrate(quad.IntegralSpec(spec.a, spec.b, counted), 20)
         # 71 nodes: levels 0-3, stopped at level 3 on the error estimate
@@ -288,6 +298,97 @@ class TestFamilies:
             quad.family_spec("Q", (1, 1), 1)
         with pytest.raises(ParameterError):
             quad.oracle_value("A", (1, 1), Fraction(3, 2))
+
+
+# the per-node spelling of each family integrand: fn(node, prec) -> the raw
+# libmp value at one node, by the same libmp calls in the same order
+_RND = round_nearest
+
+
+def _ref_power_product(first, i, second, j):
+    return lambda node, prec: mpf_mul(
+        mpf_pow_int(getattr(node, first)._mpf_, i, prec, _RND),
+        mpf_pow_int(getattr(node, second)._mpf_, j, prec, _RND), prec, _RND)
+
+
+def _ref_power_polylog(first, i, p):
+    return lambda node, prec: mpf_mul(
+        mpf_pow_int(getattr(node, first)._mpf_, i, prec, _RND),
+        node.polylogs(p)[p]._mpf_, prec, _RND)
+
+
+def _ref_j(m, p, q):
+    def f(node, prec):
+        li = node.polylogs(max(p, q))
+        return mpf_mul(mpf_pow_int(node.dm._mpf_, m, prec, _RND),
+                       mpf_mul(li[p]._mpf_, li[q]._mpf_, prec, _RND), prec, _RND)
+    return f
+
+
+def _ref_k(r, p, q):
+    def f(node, prec):
+        li = node.polylogs(max(p, q))
+        num_ = mpf_mul(mpf_pow_int(node.log_t._mpf_, r, prec, _RND),
+                       mpf_mul(li[p]._mpf_, li[q]._mpf_, prec, _RND), prec, _RND)
+        return mpf_div(num_, node.dm._mpf_, prec, _RND)
+    return f
+
+
+REFERENCE_INTEGRANDS = {
+    "A": lambda m, n: _ref_power_product("log1m", m, "dm", -n),
+    "B": lambda m, n: _ref_power_product("log1p", m, "dm", -n),
+    "C": lambda m, n: _ref_power_product("log_t", m, "one_minus", -n),
+    "L": lambda n, m: _ref_power_product("dm", n, "log_t", m),
+    "M": lambda n, m: _ref_power_product("t", n, "log_dp", m),
+    "HeadLog1m": lambda n, m: _ref_power_product("dm", n, "log1m", m),
+    "J0": lambda m, p: _ref_power_polylog("dm", m, p),
+    "J1": lambda m, p: _ref_power_polylog("log_t", m, p),
+    "J": _ref_j,
+    "K": _ref_k,
+}
+
+_POINTED = [("A", (3, 2)), ("B", (3, 2)), ("C", (2, 2)), ("L", (2, 3)),
+            ("HeadLog1m", (1, 2)), ("J0", (2, 3)), ("J1", (2, 2)), ("J1", (1, 0))]
+
+
+@pytest.mark.parametrize("digits", [20, 30])
+@pytest.mark.parametrize("x, members", [
+    (Fraction(1, 3), _POINTED),
+    (Fraction(1), [("A", (3, 2)), ("B", (2, 1)), ("C", (3, 2)), ("L", (1, 2)),
+                   ("HeadLog1m", (2, 1)), ("J0", (1, 3)), ("J1", (2, 2)),
+                   ("J", (1, 2, 5)), ("J", (-2, 1, 1)), ("K", (1, 3, 0)),
+                   ("K", (2, 1, 1)), ("K", (1, 0, 2))]),
+    (Fraction(1, 4), [("M", (2, 3)), ("M", (0, 1)), ("M", (3, 0))]),
+], ids=["0-1/3", "0-1", "1/4-1"])
+def test_level_integrands_match_the_per_node_spelling(x, members, digits):
+    # every member reads one shared level after the members before it; its
+    # values must be, bit for bit, the per-node spelling's on a fresh level
+    clear_caches()
+    with mp.workdps(digits + 10):
+        for level in range(5):
+            spec = quad.family_spec(*members[0], x)
+            shared = quad._make_level(level, spec.a, spec.b)
+            for family, params in members:
+                spec = quad.family_spec(family, params, x)
+                fresh = quad._make_level(level, spec.a, spec.b)
+                ref = REFERENCE_INTEGRANDS[family](*params)
+                want = [ref(node, fresh.prec) for node in fresh.nodes]
+                assert spec.integrand(shared) == want, (family, params, level)
+
+
+def test_cases_on_one_interval_share_power_lists(monkeypatch):
+    # B(3,2,x) after A(3,2,x) computes log(1 + t)^3 at every node but reads
+    # A's list of t^-2
+    clear_caches()
+    x = Fraction(1, 3)
+    quad.oracle_value("A", (3, 2), x, 20)
+    exponents = []
+    pow_int = quad.mpf_pow_int
+    monkeypatch.setattr(quad, "mpf_pow_int",
+                        lambda s, n, *args: exponents.append(n) or pow_int(s, n, *args))
+    quad.oracle_value("B", (3, 2), x, 20)
+    assert -2 not in exponents
+    assert exponents.count(3) == 71
 
 
 # one member of each pointed family at a point that is not dyadic; the

@@ -1,5 +1,5 @@
 """The benchmark's layer tracer (bench/tracing.py) still finds every name it
-hooks in plint.
+hooks in plint, and counts one oracle integrand call per tanh-sinh level.
 
 `tracing.install` reaches into the library by name (public functions of
 each layer, ClosedForm construction, NestedSumPlan.evaluate, the oracle's
@@ -17,7 +17,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(plint.__file__))
 
 # installs the tracer in a fresh interpreter (it rebinds module attributes
-# for good), then runs one traced closed form and one traced oracle value
+# for good), then runs one traced closed form and three traced oracle values,
+# each on an interval of its own: an integrand takes a whole level, so it is
+# called once per level the oracle visits, and those levels are the ones on
+# the node tables
 SCRIPT = """
 import sys
 from fractions import Fraction
@@ -29,7 +32,10 @@ tracing.install(tracer)
 from plint import families, quadrature
 x = Fraction(1, 2)
 families.closed_form("A", (4, 3), x)
-quadrature.oracle_value("A", (4, 3), x, 15)
+for case in [("A", (4, 3), x), ("J0", (2, 3), Fraction(1, 3)), ("K", (1, 3, 2), 1)]:
+    quadrature.oracle_value(*case, 15)
+    levels = sum(len(table) for table in quadrature._table_cache.values())
+    assert tracer.name_stat("quadrature.integrand")[0] == levels, case
 for name in ("evaluators.A_general", "exact.ClosedForm",
              "quadrature.oracle_value", "quadrature.integrand"):
     assert tracer.name_stat(name)[0] > 0, name
