@@ -467,10 +467,13 @@ def limit(form: ClosedForm, at: int) -> ClosedForm:
     and q > 0 are summed per (those factors, q): a sum whose coefficients
     cancel is O(u^e log(u)^q) and vanishes, as Li_1(x) + log(1-x) and
     (x^-k - 1) log^j(1-x) do at 1.  A term with p < 0, or such a sum that
-    does not cancel, raises DivergentAtOne naming a term and the end.
+    does not cancel, raises DivergentAtOne naming a term and the end.  A
+    form with no x-dependent atom is its own limit, and is returned as is.
     """
     if type(at) is not int or at not in (0, 1):
         raise ValueError(f"limits are taken at the int 0 or 1, got {at!r}")
+    if form.is_constant:
+        return form
     limits: dict[Atom, tuple] = {}
     out = []
     divergent: dict = {}  # (factors, q), or a term alone if p < 0 -> [coeff, a term]

@@ -3,10 +3,11 @@
 Everything here works on mpmath floats at an explicit decimal precision
 and is independent of the closed-form evaluators.  Zeta values come from
 mpmath's zeta, computed once per (s, precision).  Polylogarithms come in
-runs: one pass yields every order Li_0(t)..Li_k(t) of one argument.  The
-run of an exact argument is cached per (argument, digits); the run of an
-mpf argument is not, and the quadrature nodes keep their own, straight
-from the kernel `_polylog_orders`.  For t <= 1/2 the pass sums the
+runs: one pass yields every order Li_0(t)..Li_k(t) of one argument, and a
+later pass extends a run from its last order to the same bits.  The run of
+an exact argument is cached per (argument, digits); the run of an mpf
+argument is not, and the quadrature nodes keep their own, straight from
+the kernel `_polylog_orders`.  For t <= 1/2 the pass sums the
 defining series for all orders at once in integers scaled by 2^shift (fixed
 point), with the factor t taken out so that each sum lies in [1, 2) and
 keeps its relative accuracy at arguments near 0; its floor divisions and
@@ -18,10 +19,11 @@ within N + 70 units of 2^-shift for N terms summed, again under
 2^-(prec+1) relative.  A linear Euler sum S_{p,q} is a direct sum to
 N = p + q + 2 prec, H_N^(p) (zeta(q) - H_N^(q)) and one series in 1/N from
 B_m/m! cached per precision, all in fixed point, within 2^-(prec+6)
-relative.  `numeric_eval` sums a closed form's terms in integers as well:
-each distinct atom power is rounded once to an mpf, each term is the exact
-product of its coefficient and those powers, and every term is floored to
-one unit prec + 2 bit_length(N) + 8 bits below the largest of the N terms
+relative.  `numeric_eval` values each atom once per (atom, x, digits) and
+keeps it.  It sums a closed form's terms in integers as well: each distinct
+atom power is rounded once to an mpf, each term is the exact product of
+its coefficient and those powers, and every term is floored to one unit
+prec + 2 bit_length(N) + 8 bits below the largest of the N terms
 (`_sum_terms`).  The quadrature oracle and the CLI sit on top of this module.
 
 All public functions take a decimal `digits` target and compute with
@@ -117,11 +119,12 @@ def harmonic_value(n: int, m: int = 1) -> Fraction:
 _polylog_cache: dict[tuple[Fraction, int], tuple[mpf, ...]] = {}
 
 
-def _polylog_orders(kmax: int, t: Union[Fraction, mpf],
-                    comp: mpf) -> tuple[mpf, ...]:
-    """Li_0(t), ..., Li_kmax(t) for 0 <= t < 1 at the current working
+def _polylog_orders(kmax: int, t: Union[Fraction, mpf], comp: mpf,
+                    start: int = 0) -> tuple[mpf, ...]:
+    """Li_start(t), ..., Li_kmax(t) for 0 <= t < 1 at the current working
     precision prec, given t exactly (a Fraction, or an mpf at prec) and
-    comp = 1 - t at full relative accuracy.
+    comp = 1 - t at full relative accuracy.  Each order has the same bits
+    whatever start and kmax are, so a run extends by the orders past its end.
 
     For t > 1/2 the orders from 2 up come from the expansion around 1
     (`_polylog_log_branch`), and Li_1 = -log(1-t).  For t <= 1/2 every order
@@ -136,15 +139,17 @@ def _polylog_orders(kmax: int, t: Union[Fraction, mpf],
     prec + 4 terms, and the geometric tail it drops is below
     2^(guard-2) + 4 units.  With guard = bit_length(prec) + 5 each S_j is
     short by less than 2^-(prec+1) relative, and is rounded to an mpf once.
+    From start > 1 a term begins at floor(P / n^(start-1)), the same integer.
     """
     rational = isinstance(t, Fraction)
     tv = frac_mpf(t) if rational else t
-    orders = [tv / comp]
+    orders = [tv / comp] if start == 0 else []
     if kmax == 0:
         return tuple(orders)
     if tv > 0.5:
-        orders.append(-mp.log(comp))
-        orders += _polylog_log_branch(kmax, mp.log1p(-comp))
+        if start <= 1:
+            orders.append(-mp.log(comp))
+        orders += _polylog_log_branch(kmax, mp.log1p(-comp), start)
         return tuple(orders)
     if rational:
         a, b = t.numerator, t.denominator
@@ -154,13 +159,15 @@ def _polylog_orders(kmax: int, t: Union[Fraction, mpf],
     guard = mp.prec.bit_length() + 5
     shift = mp.prec + guard
     stop = 1 << (guard - 3)
-    sums = [0] * kmax
+    first = max(start, 1)
+    width = kmax - first + 1
+    sums = [0] * width
     power = 1 << shift
     n = 1
     while power >= stop:
-        term = power
-        for j in range(kmax):
-            term //= n  # floor(power / n^(j+1)), exactly
+        term = power // n ** (first - 1) if first > 1 else power
+        for j in range(width):
+            term //= n  # floor(power / n^(first+j)), exactly
             sums[j] += term
         n += 1
         power = power * a // b
@@ -188,9 +195,9 @@ def _log_branch_coefficients(k: int, shift: int) -> list[int]:
     return coeffs
 
 
-def _polylog_log_branch(kmax: int, mu: mpf) -> list[mpf]:
-    """Li_2(e^mu), ..., Li_kmax(e^mu) for mu in (-log 2, 0) at the current
-    working precision prec, from the expansion around 1:
+def _polylog_log_branch(kmax: int, mu: mpf, start: int = 2) -> list[mpf]:
+    """Li_k(e^mu) for max(2, start) <= k <= kmax and mu in (-log 2, 0) at
+    the current working precision prec, from the expansion around 1:
 
         Li_k(e^mu) = sum_{j >= 0, j != k-1} zeta(k-j) mu^j / j!
                      + mu^(k-1)/(k-1)! (H_{k-1} - log(-mu))
@@ -209,7 +216,8 @@ def _polylog_log_branch(kmax: int, mu: mpf) -> list[mpf]:
     than 25 units behind.  With one unit per floored product, an order of
     N terms is within N + 70 units, and N <= kmax + shift/3 + 2: for
     kmax < 4 prec that is below 2^-(prec+2), or 2^-(prec+1) relative, as
-    Li_k(e^mu) > 1/2.  Each order is rounded to an mpf once.
+    Li_k(e^mu) > 1/2.  Each order, rounded to an mpf once, depends only
+    on k, mu and prec.
     """
     prec = mp.prec
     shift = prec + prec.bit_length() + 5
@@ -218,7 +226,7 @@ def _polylog_log_branch(kmax: int, mu: mpf) -> list[mpf]:
         q = int(mp.ldexp(mu * mp.log(-mu), shift))
     powers = [1 << shift]  # mu^j, extended as far as some order needs
     out = []
-    for k in range(2, kmax + 1):
+    for k in range(max(2, start), kmax + 1):
         total = small_run = 0
         for j, c in enumerate(_log_branch_coefficients(k, shift)):
             if j == len(powers):
@@ -240,9 +248,10 @@ def polylog_value(k: int, t, digits: int = 30) -> mpf:
     """Li_k(t) for real 0 <= t <= 1 (t < 1 when k < 2).
 
     All orders 0..k of one argument come from one pass.  For an exact
-    argument (int or Fraction) the run is cached per (t, digits), so asking
-    for its highest order first makes its lower orders cache hits; an mpf
-    argument is rounded to the working precision and its run is not cached.
+    argument (int or Fraction) the run is cached per (t, digits): its lower
+    orders are cache hits, and a higher order extends the run from its last
+    order, to the same bits a cold run gives; an mpf argument is rounded to
+    the working precision and its run is not cached.
     For t <= 1/2 the pass is the fixed-point series of `_polylog_orders`,
     whose sums are short by less than 2^-(prec+1) relative before their
     one rounding each; above 1/2 it is the fixed-point expansion around 1
@@ -252,11 +261,12 @@ def polylog_value(k: int, t, digits: int = 30) -> mpf:
     if not isinstance(k, int) or k < 0:
         raise InvalidOrder(f"polylog_value requires integer k >= 0, got {k!r}")
     rational = isinstance(t, (int, Fraction))
+    run = ()
     if rational:
         t = Fraction(t)
-        orders = _polylog_cache.get((t, digits))
-        if orders is not None and k < len(orders):
-            return orders[k]
+        run = _polylog_cache.get((t, digits), ())
+        if k < len(run):
+            return run[k]
     with mp.workdps(digits + GUARD_DIGITS):
         if rational:
             tv, comp = frac_mpf(t), frac_mpf(1 - t)
@@ -269,10 +279,10 @@ def polylog_value(k: int, t, digits: int = 30) -> mpf:
             if k >= 2:
                 return zeta_value(k, digits)
             raise DivergentValue(f"Li_{k}(1) diverges")
-        orders = _polylog_orders(k, t, comp)
+        run += _polylog_orders(k, t, comp, len(run))
     if rational:
-        _polylog_cache[(t, digits)] = orders
-    return orders[k]
+        _polylog_cache[(t, digits)] = run
+    return run[k]
 
 
 # -- linear Euler sums --------------------------------------------------------------
@@ -418,15 +428,19 @@ _VALUE_RULES = {
        for kind, argument in _LI_ARGUMENTS.items()},
 }
 
+# (x, digits) -> {atom: its value at x, a raw libmp value at the working
+# precision of digits + GUARD_DIGITS}
+_atom_cache: dict[tuple[Optional[Fraction], int], dict[exact.Atom, tuple]] = {}
+
 
 def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
                digits: int) -> tuple[mpf, mpf]:
     """The form's value and the sum of its terms' magnitudes, with the atoms
     valued at `digits` and the sum taken at the working precision prec of
-    digits + GUARD_DIGITS.  Each distinct atom is valued once per call,
-    however many terms share it.  Polylog atoms are valued highest order
-    first, so the one pass that yields an argument's highest order also
-    yields every lower order of it.
+    digits + GUARD_DIGITS.  Each distinct atom is valued once per (atom, x,
+    digits) and kept (`_atom_cache`), however many terms and forms share
+    it.  Polylog atoms are valued highest order first, so the one pass that
+    yields an argument's highest order also yields every lower order of it.
 
     The sum is taken in integers.  Each distinct power atom^e is rounded
     once to prec bits (libmp.mpf_pow_int, within 2^(1-prec) relative), so a
@@ -439,11 +453,14 @@ def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
     of the exact sums of those products; each is rounded once to an mpf.
     """
     atoms = dict.fromkeys(atom for term in form.terms for atom, _ in term.factors)
-    ordered = sorted(atoms, key=lambda a: -a.args[0] if a.kind in _LI_ARGUMENTS else 0)
-    with mp.workdps(digits + GUARD_DIGITS):
-        prec = mp.prec
-        values = {atom: _VALUE_RULES[atom.kind](x, digits, *atom.args)._mpf_
-                  for atom in ordered}
+    values = _atom_cache.setdefault((x, digits), {})
+    missing = sorted((atom for atom in atoms if atom not in values),
+                     key=lambda a: -a.args[0] if a.kind in _LI_ARGUMENTS else 0)
+    if missing:
+        with mp.workdps(digits + GUARD_DIGITS):
+            for atom in missing:
+                values[atom] = _VALUE_RULES[atom.kind](x, digits, *atom.args)._mpf_
+    prec = libmp.dps_to_prec(digits + GUARD_DIGITS)  # mp.workdps's precision
     powers: dict[tuple[exact.Atom, int], tuple[int, int]] = {}
     products = []  # (p prod m_i, sum e_i, q) per term
     for term in form.terms:

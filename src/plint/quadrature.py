@@ -26,13 +26,14 @@ table cached per (mp.prec, a, b); everything on it is computed at that
 precision, which `integrate` sets from its `digits`.  `pointwise` makes an
 integrand of a function of one node.  Each family's parameter names and
 endpoint kind come from the family table (families.TABLE); this module adds
-one integrand builder per family.  The level sum and the family integrands'
-powers and products call mpmath.libmp directly (mpf_pow_int, mpf_mul,
-mpf_div, mpf_add) at the table's precision, rounding to nearest: the
-functions the mpf operators call, in the same order, so every value is the
-one the operator spelling gives, without the operators' dispatch.  The
-level sum becomes an mpf once per level.  Nothing here calls the
-closed-form evaluators; it exists to check them.
+one integrand builder per family.  The family integrands' powers and
+products, the level sums, the estimates and the stop test call
+mpmath.libmp directly (mpf_pow_int, mpf_mul, mpf_div, mpf_add, mpf_cmp) at
+the table's precision, rounding to nearest: the functions the mpf operators
+call, in the same order, so every value and every stop decision is the one
+the operator spelling gives, without the operators' dispatch.  Only the
+accepted estimate becomes an mpf.  Nothing here calls the closed-form
+evaluators; it exists to check them.
 """
 
 from __future__ import annotations
@@ -41,10 +42,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Callable, Sequence, Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_div, mpf_mul, mpf_pow_int, round_nearest
+from mpmath.libmp import (finf, fnan, fninf, fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
+                          mpf_mul, mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
 
 from .errors import NoConvergence, NonIntegrable, ParameterError
 from .families import LOWER, _member
@@ -61,6 +64,7 @@ MAX_LEVEL = 12
 # a raw libmp value an mpf
 _RND = round_nearest
 _wrap = mp.make_mpf
+_NOT_FINITE = (finf, fninf, fnan)
 
 
 @dataclass(frozen=True)
@@ -108,11 +112,12 @@ class Node:
 
     def polylogs(self, k: int) -> tuple[mpf, ...]:
         """(Li_0(t), ..., Li_K(t)) with K >= k and t = dm, at the precision
-        of the node's table: one pass of the kernel `_polylog_orders` serves
-        every order up to the highest asked for so far."""
+        of the node's table.  A higher order extends the run from its last
+        order with one pass of the kernel `_polylog_orders`, so each order
+        is computed once per node, to the bits a cold run gives."""
         if len(self.run) <= k:
             # one_minus may be 1 - dm formed exactly, past the working precision
-            self.run = numerics._polylog_orders(k, self.dm, +self.one_minus)
+            self.run += numerics._polylog_orders(k, self.dm, +self.one_minus, len(self.run))
         return self.run
 
 
@@ -142,9 +147,9 @@ class Level:
         return values
 
     def polylog(self, p: int) -> list[tuple]:
-        """Li_p(t) at each node.  A node computes every order up to p in one
-        kernel pass, so a case that needs several orders asks for the
-        highest first."""
+        """Li_p(t) at each node.  A node computes every order up to p it
+        lacks in one kernel pass, so a case that needs several orders asks
+        for the highest first."""
         values = self._polylogs.get(p)
         if values is None:
             values = self._polylogs[p] = [node.polylogs(p)[p]._mpf_
@@ -208,10 +213,10 @@ def _make_level(level: int, a: Fraction, b: Fraction) -> Level:
 
 
 @lru_cache(maxsize=None)
-def _stop_bounds(digits: int) -> tuple[mpf, mpf]:
+def _stop_bounds(digits: int) -> tuple[tuple, tuple]:
     # integrate's two relative bounds, 10^(2 - digits) and 10^-(digits // 2),
-    # made at its working precision
-    return mpf(10) ** (2 - digits), mpf(10) ** -(digits // 2)
+    # as raw libmp values at its working precision
+    return (mpf(10) ** (2 - digits))._mpf_, (mpf(10) ** -(digits // 2))._mpf_
 
 
 def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) -> mpf:
@@ -225,9 +230,10 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     callable that takes a Level and returns the raw libmp values of the
     integrand at its nodes, one per node in node order, is an integrand
     (a list of another length raises ValueError); `pointwise` makes one of
-    a function of one node.  The level sum adds the weighted
-    values with mpmath.libmp at that precision, as the mpf operators would,
-    and makes the sum an mpf once per level.
+    a function of one node.  The level sums, estimates and stop test run in
+    mpmath.libmp at that precision, with the calls the mpf operators make
+    (halving and 2^-level as exact shifts), so they reach the same values
+    and decisions; only the accepted estimate becomes an mpf.
 
     Levels halve the step.  A level's estimate is accepted when it agrees
     with the previous one to 10^(2 - digits) relative, or sooner on the
@@ -238,7 +244,8 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     - the level is at least 3,
     - the last relative difference is at most 10^-(digits // 2), and
     - the predicted error is below 10^-(digits + 3).
-    Raises NoConvergence if max_level is hit.
+    Raises NonIntegrable if a level sum is not finite, and NoConvergence if
+    max_level is hit.
     """
     a, b = Fraction(spec.a), Fraction(spec.b)
     if b < a:
@@ -247,41 +254,48 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
         return mp.zero
     f = spec.integrand
     with mp.workdps(digits + 10):
-        scale = frac_mpf(b - a)
+        scale = frac_mpf(b - a)._mpf_
         tol, settled = _stop_bounds(digits)
-        ests: list[mpf] = []
+        ests: list[tuple] = []
         prec = mp.prec
+        precs, rnds = repeat(prec), repeat(_RND)
         levels = _table_cache.setdefault((prec, a, b), [])
         for level in range(0, max_level + 1):
             if level == len(levels):
                 levels.append(_make_level(level, a, b))
-            values = f(levels[level])
-            weights = levels[level].weights
+            values, weights = f(levels[level]), levels[level].weights
+            if len(values) != len(levels[level].nodes):
+                raise ValueError(f"{len(values)} values for {len(levels[level].nodes)} nodes")
             part = fzero
             if level == 0:  # the centre, which has no mirror
-                part = mpf_add(part, mpf_mul(weights[0], values[0], prec, _RND), prec, _RND)
+                part = mpf_mul(weights[0], values[0], prec, _RND)
                 weights, values = weights[1:], values[1:]
-            pairs = iter(values)  # each node, then its mirror
-            for w, u, v in zip(weights, pairs, pairs, strict=True):
-                part = mpf_add(part, mpf_mul(w, mpf_add(u, v, prec, _RND), prec, _RND),
-                               prec, _RND)
-            part = _wrap(part)
-            if not mp.isfinite(part):
+            # each node, then its mirror
+            for term in map(mpf_mul, weights,
+                            map(mpf_add, values[0::2], values[1::2], precs, rnds),
+                            precs, rnds):
+                part = mpf_add(part, term, prec, _RND)
+            if part in _NOT_FINITE:
                 raise NonIntegrable(
                     f"integrand not finite on [{a}, {b}] at level {level}"
                 )
-            step_part = mpf(2) ** (-level) * scale * part
-            est = step_part if level == 0 else ests[-1] / 2 + step_part
+            est = mpf_mul(mpf_shift(scale, -level), part, prec, _RND)
+            if level:
+                est = mpf_add(mpf_shift(ests[-1], -1), est, prec, _RND)
             if level >= 2:
-                size = max(1, abs(est))
-                diff = abs(est - ests[-1])
-                if diff <= tol * size:
-                    return +est
-                if level >= 3 and diff <= settled * size:
-                    d1 = mp.log10(diff / size)
-                    d2 = mp.log10(abs(est - ests[-2]) / size)
+                # max(1, |est|), kept as a branch so that tol * 1 is tol
+                size = mpf_abs(est)
+                big = mpf_cmp(size, fone) > 0
+                diff = mpf_abs(mpf_sub(est, ests[-1], prec, _RND))
+                if mpf_cmp(diff, mpf_mul(tol, size, prec, _RND) if big else tol) <= 0:
+                    return _wrap(est)
+                if level >= 3 and mpf_cmp(
+                        diff, mpf_mul(settled, size, prec, _RND) if big else settled) <= 0:
+                    size = _wrap(size) if big else 1
+                    d1 = mp.log10(_wrap(diff) / size)
+                    d2 = mp.log10(abs(_wrap(est) - _wrap(ests[-2])) / size)
                     if d2 < 0 and d1 * d1 / d2 < -(digits + 3):
-                        return +est
+                        return _wrap(est)
             ests.append(est)
         raise NoConvergence(
             f"tanh-sinh did not reach {digits} digits within level {max_level}"

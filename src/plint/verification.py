@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Union
 
 from mpmath import mp, mpf
@@ -77,8 +78,14 @@ def format_value(v: mpf) -> str:
     return format(d, "f")
 
 
+@lru_cache(maxsize=None)
+def _ten_to_minus(digits: int, prec: int) -> mpf:
+    """10^-digits as mpf parses it at the ambient precision prec (bits)."""
+    return mpf(f"1e-{digits}")
+
+
 def _fmt_err(e: mpf, digits: Optional[int]) -> str:
-    if digits is not None and e < mpf(f"1e-{digits}"):
+    if digits is not None and e < _ten_to_minus(digits, mp.prec):
         return f"<1e-{digits}"
     if e == 0:
         return "0"
@@ -241,7 +248,7 @@ def _numeric(form, x: Fraction, digits: int) -> mpf:
 
 def run_case(case: Case, tol: Tol = None, digits: int = DEFAULT_DIGITS) -> dict:
     suite, family, params, x = case
-    tol = mpf(f"1e-{digits}" if tol is None else str(tol))
+    tol = _ten_to_minus(digits, mp.prec) if tol is None else mpf(str(tol))
     if suite == "oracle":
         form = closed_form(family, params, x)
         value = _numeric(form, x, digits)

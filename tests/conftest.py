@@ -4,6 +4,7 @@ from plint import eulersums as es
 from plint import evaluators as ev
 from plint import numerics as num
 from plint import quadrature as quad
+from plint import verification as ver
 
 # the lru_cache'd closed-form builders, each with arguments it is built for
 # (`_at_one` takes a builder and its arguments)
@@ -25,8 +26,9 @@ def clear_caches():
     precision cannot be served to a run under another, and a form is built
     afresh."""
     for cache in (num._polylog_cache, num._zeta_cache, num._euler_cache,
-                  num._log_branch_coeffs, num._bernoulli_coeffs,
+                  num._log_branch_coeffs, num._bernoulli_coeffs, num._atom_cache,
                   quad._node_cache, quad._table_cache):
         cache.clear()
-    for builder in {builder for builder, _ in MEMOIZED}:
-        builder.cache_clear()
+    for memoized in {builder for builder, _ in MEMOIZED} | {quad._stop_bounds,
+                                                          ver._ten_to_minus}:
+        memoized.cache_clear()

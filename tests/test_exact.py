@@ -315,6 +315,16 @@ class TestEvalAtOne:
             with pytest.raises(ValueError):
                 ex.limit(ex.ONE, at)
 
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_constant_form_is_its_own_limit(self, at):
+        constants = [ex.ZERO, ex.ONE, ev.J_eval(1, 2, 3), ev.A_general(3, 2, 1),
+                     cf_atom(ex.zeta(3), 2, Fraction(-3, 4)) + cf_atom(ex.euler_sum(1, 2))]
+        for form in constants:
+            assert ex.limit(form, at) is form
+        # an x-dependent form is still a new form, its limit
+        f = cf_atom(ex.zeta(2)) + cf_atom(ex.li_x(2)) + cf_atom(ex.li_1mx(2))
+        assert ex.limit(f, at) == cf_atom(ex.zeta(2), coeff=2)
+
     @pytest.mark.parametrize("m", range(2, 21))
     def test_a_and_c_agree_at_one(self, m):
         # A(m,n,1) = C(m,n,1) by t -> 1-t, now both limits of symbolic forms

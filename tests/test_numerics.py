@@ -222,6 +222,20 @@ class TestPolylogOrders:
         assert num.polylog_value(7, Fraction(1, 3), 30) == top
         assert [num.polylog_value(k, Fraction(1, 3), 30) for k in range(7)] == lower
 
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    @pytest.mark.parametrize("t", [Fraction(1, 10), Fraction(1, 3),   # series branch
+                                   Fraction(2, 3), Fraction(99, 100)])  # log branch
+    def test_extended_run_equals_a_cold_run(self, monkeypatch, t, digits):
+        monkeypatch.setattr(num, "_polylog_cache", {})
+        num.polylog_value(2, t, digits)
+        num.polylog_value(6, t, digits)
+        (extended,) = num._polylog_cache.values()
+        monkeypatch.setattr(num, "_polylog_cache", {})
+        num.polylog_value(6, t, digits)
+        (cold,) = num._polylog_cache.values()
+        assert len(cold) == 7
+        assert [v._mpf_ for v in extended] == [v._mpf_ for v in cold]
+
     def test_orders_do_not_depend_on_the_highest_order(self, monkeypatch):
         for t in (Fraction(1, 3), Fraction(4, 5)):
             monkeypatch.setattr(num, "_polylog_cache", {})
@@ -232,6 +246,7 @@ class TestPolylogOrders:
 
     def test_numeric_eval_runs_one_pass_per_argument(self, monkeypatch):
         monkeypatch.setattr(num, "_polylog_cache", {})
+        monkeypatch.setattr(num, "_atom_cache", {})
         calls = []
         kernel = num._polylog_orders
         monkeypatch.setattr(num, "_polylog_orders",

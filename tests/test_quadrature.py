@@ -114,6 +114,20 @@ class TestEngine:
         with pytest.raises(ValueError):
             quad.integrate(spec, 20)
 
+    @pytest.mark.parametrize("bad", [mp.inf, mp.nan])
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_non_finite_level_raises(self, bad, index):
+        # one node's value not finite, the centre (index 0) or one of a pair
+        seen = []
+
+        def fn(node):
+            seen.append(node)
+            return bad if len(seen) == index + 1 else node.t
+
+        spec = quad.IntegralSpec(Fraction(0), Fraction(1), quad.pointwise(fn))
+        with pytest.raises(NonIntegrable, match="not finite"):
+            quad.integrate(spec, 20)
+
 
 class TestFamilies:
     def test_product_of_two_li1(self):
@@ -252,6 +266,40 @@ class TestFamilies:
                             lambda ctx, *args: logs.append(args) or log(ctx, *args))
         quad.oracle_value("L", (1, 2), x, 20)
         assert [args for args in logs if len(args) == 1] == []
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    @pytest.mark.parametrize("t", [Fraction(1, 10), Fraction(1, 3),   # series branch
+                                   Fraction(2, 3), Fraction(99, 100)])  # log branch
+    def test_extended_node_run_equals_a_cold_run(self, t, digits):
+        def node():
+            tv = num.frac_mpf(t)
+            return quad.Node(tv, tv, num.frac_mpf(1 - t), mpf(0))
+
+        with mp.workdps(digits + 10):
+            extended = node()
+            assert len(extended.polylogs(2)) == 3
+            cold = node().polylogs(6)
+            assert [v._mpf_ for v in extended.polylogs(6)] == [v._mpf_ for v in cold]
+            assert len(cold) == 7
+
+    def test_extended_runs_compute_each_order_once(self, monkeypatch):
+        clear_caches()
+        calls = []  # (start, kmax) per kernel pass
+        kernel = num._polylog_orders
+        monkeypatch.setattr(num, "_polylog_orders",
+                            lambda *args: calls.append((args[3], args[0])) or kernel(*args))
+
+        def node_count():
+            (levels,) = quad._table_cache.values()
+            return sum(len(level.nodes) for level in levels)
+
+        x = Fraction(1, 3)
+        quad.oracle_value("J1", (2, 2), x, 20)
+        assert set(calls) == {(0, 2)} and len(calls) == node_count()
+        quad.oracle_value("J0", (1, 4), x, 20)
+        # J0 extends J1's runs and starts its deeper nodes, if any, cold
+        assert set(calls) <= {(0, 2), (3, 4), (0, 4)}
+        assert sum(kmax + 1 - start for start, kmax in calls) == 5 * node_count()
 
     @pytest.mark.parametrize("digits", [20, 30, 40])
     def test_node_polylogs_follow_the_table_precision(self, digits):
