@@ -146,7 +146,7 @@ def _polylog_orders(kmax: int, t: Union[Fraction, mpf], comp: mpf,
     orders = [tv / comp] if start == 0 else []
     if kmax == 0:
         return tuple(orders)
-    if tv > 0.5:
+    if libmp.mpf_cmp(tv._mpf_, libmp.fhalf) > 0:
         if start <= 1:
             orders.append(-mp.log(comp))
         orders += _polylog_log_branch(kmax, mp.log1p(-comp), start)

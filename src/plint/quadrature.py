@@ -13,27 +13,30 @@ when it is far below the working epsilon.  That is what lets log(1-t) and
 Li_k(t) be evaluated honestly at nodes within 1e-60 of 1.
 
 The unit of work is one level of one interval.  An integrand takes a
-`Level` and returns the raw libmp values of its integrand at all of that
-level's nodes, in node order.  A `Node` is one point t with its distances
+`Level` and returns its integrand's value at each of that level's nodes,
+in node order, as an exact binary fraction: a pair (man, exp) of ints, man
+signed, for man * 2^exp.  A `Node` is one point t with its distances
 dm = t - a and dp = b - t, and the values the families need at t (1 - t,
 log t, log(1 - t), log(1 + t), log(dp) and a run of polylog orders), each
 computed on first use and kept.  A `Level` holds its nodes and their
 weights, and builds on first use one list per (node value, exponent) --
 log(1 - t)^m, t^-n, log^m t and so on -- and one per polylog order, so
-every case on that interval and working precision reuses them and computes
-only its own products.  The levels of one interval at one precision form a
-table cached per (mp.prec, a, b); everything on it is computed at that
-precision, which `integrate` sets from its `digits`.  `pointwise` makes an
-integrand of a function of one node.  Each family's parameter names and
-endpoint kind come from the family table (families.TABLE); this module adds
-one integrand builder per family.  The family integrands' powers and
-products, the level sums, the estimates and the stop test call
-mpmath.libmp directly (mpf_pow_int, mpf_mul, mpf_div, mpf_add, mpf_cmp) at
-the table's precision, rounding to nearest: the functions the mpf operators
-call, in the same order, so every value and every stop decision is the one
-the operator spelling gives, without the operators' dispatch.  Only the
-accepted estimate becomes an mpf.  Nothing here calls the closed-form
-evaluators; it exists to check them.
+every case on that interval and working precision reuses them.  Each
+weight and each list entry is computed at the table's precision and kept
+as an exact pair; a family integrand multiplies its lists' pairs exactly
+(the product of the mans, the sum of the exps), with no rounding per
+node.  The levels of one interval at one precision form a table cached
+per (mp.prec, a, b); everything on it is computed at that precision, which
+`integrate` sets from its `digits`.  `pointwise` makes an integrand of a
+function of one node.  Each family's parameter names and endpoint kind
+come from the family table (families.TABLE); this module adds one
+integrand builder per family.  `integrate` sums a level the way
+numerics._sum_terms sums a closed form: every term w_k (f_k + f'_k) is
+formed exactly, all are floored to one unit and added as one int, and the
+sum is rounded once (`_level_sum`).  The estimates and the stop test run
+in mpmath.libmp at the table's precision; only the accepted estimate
+becomes an mpf.  Nothing here calls the closed-form evaluators; it exists
+to check them.
 """
 
 from __future__ import annotations
@@ -42,12 +45,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Sequence, Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import (finf, fnan, fninf, fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div,
-                          mpf_mul, mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_mul,
+                          mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
 
 from .errors import NoConvergence, NonIntegrable, ParameterError
 from .families import LOWER, _member
@@ -55,8 +57,9 @@ from . import numerics
 from .numerics import frac_mpf
 
 Number = Union[int, Fraction]
-# an integrand maps a Level to the raw libmp values at its nodes, in node order
-Integrand = Callable[["Level"], list]
+# an integrand maps a Level to its exact values (man, exp) at the level's
+# nodes, in node order
+Integrand = Callable[["Level"], list[tuple[int, int]]]
 
 MAX_LEVEL = 12
 
@@ -64,13 +67,21 @@ MAX_LEVEL = 12
 # a raw libmp value an mpf
 _RND = round_nearest
 _wrap = mp.make_mpf
-_NOT_FINITE = (finf, fninf, fnan)
+
+
+def _exact(value: tuple) -> tuple[int, int]:
+    """The raw libmp value as the exact pair (man, exp), man signed.
+    Raises NonIntegrable if it is inf or nan."""
+    sign, man, exp, _ = value
+    if not man and value != fzero:
+        raise NonIntegrable("integrand value not finite")
+    return (-man if sign else man, exp)
 
 
 @dataclass(frozen=True)
 class IntegralSpec:
-    """An integral over [a, b]; integrand(level) gives the integrand's raw
-    libmp values at the nodes of a `Level` of (a, b)."""
+    """An integral over [a, b]; integrand(level) gives the integrand's exact
+    values (man, exp) at the nodes of a `Level` of (a, b)."""
 
     a: Fraction
     b: Fraction
@@ -124,42 +135,45 @@ class Node:
 class Level:
     """The nodes of one tanh-sinh level on one interval at one working
     precision `prec` (bits): on level 0 the centre first, then each node
-    followed by its mirror at a + b - t.  `weights` holds one unit weight,
-    a raw libmp value, per centre or pair.  `power` and `polylog` give a
-    value at every node, in node order, as raw libmp values; each list is
-    built on first use and kept for every later case on this level."""
+    followed by its mirror at a + b - t.  `weights` holds one unit weight
+    per centre or pair; `power` and `polylog` give a value at every node,
+    in node order.  Each is an exact pair (man, exp), man signed, for
+    man * 2^exp: the value computed at prec bits.  Each list is built on
+    first use and kept for every later case on this level."""
 
     __slots__ = ("nodes", "weights", "prec", "_powers", "_polylogs")
 
-    def __init__(self, nodes: list[Node], weights: list[tuple], prec: int) -> None:
+    def __init__(self, nodes: list[Node], weights: list[tuple[int, int]], prec: int) -> None:
         self.nodes, self.weights, self.prec = nodes, weights, prec
-        self._powers: dict[tuple[str, int], list[tuple]] = {}
-        self._polylogs: dict[int, list[tuple]] = {}
+        self._powers: dict[tuple[str, int], list[tuple[int, int]]] = {}
+        self._polylogs: dict[int, list[tuple[int, int]]] = {}
 
-    def power(self, name: str, i: int) -> list[tuple]:
+    def power(self, name: str, i: int) -> list[tuple[int, int]]:
         """value^i at each node, value being the `Node` attribute `name`."""
         values = self._powers.get((name, i))
         if values is None:
             prec = self.prec
             values = self._powers[name, i] = [
-                mpf_pow_int(getattr(node, name)._mpf_, i, prec, _RND)
+                _exact(mpf_pow_int(getattr(node, name)._mpf_, i, prec, _RND))
                 for node in self.nodes]
         return values
 
-    def polylog(self, p: int) -> list[tuple]:
+    def polylog(self, p: int) -> list[tuple[int, int]]:
         """Li_p(t) at each node.  A node computes every order up to p it
         lacks in one kernel pass, so a case that needs several orders asks
         for the highest first."""
         values = self._polylogs.get(p)
         if values is None:
-            values = self._polylogs[p] = [node.polylogs(p)[p]._mpf_
+            values = self._polylogs[p] = [_exact(node.polylogs(p)[p]._mpf_)
                                           for node in self.nodes]
         return values
 
 
 def pointwise(fn: Callable[[Node], mpf]) -> Integrand:
-    """The integrand that calls fn(node) -> mpf at each node of a level."""
-    return lambda level: [fn(node)._mpf_ for node in level.nodes]
+    """The integrand that calls fn(node) -> mpf at each node of a level and
+    takes each value as an exact pair (man, exp).  Raises NonIntegrable if
+    a value is inf or nan."""
+    return lambda level: [_exact(fn(node)._mpf_) for node in level.nodes]
 
 
 # (mp.prec, level) -> [(sigma, 1 - sigma, unit weight), ...] with sigma the
@@ -208,8 +222,40 @@ def _make_level(level: int, a: Fraction, b: Fraction) -> Level:
         nodes.append(Node(a_val + dm, dm, dp, omb))
         if level or k:  # all but the centre have a mirror
             nodes.append(Node(a_val + dp, dp, dm, omb))
-        weights.append(w._mpf_)
+        weights.append(_exact(w._mpf_))
     return Level(nodes, weights, mp.prec)
+
+
+def _level_sum(weights: list[tuple[int, int]], values: list[tuple[int, int]],
+               prec: int) -> tuple:
+    """sum_k w_k (f_k + f'_k) over one level, f_k and f'_k the values at a
+    node and at its mirror, as a raw libmp value rounded once to prec bits.
+    An odd count of values means the level has a centre: its value comes
+    first and its term is w_0 f_0.
+
+    Every term is formed exactly from the pairs (man, exp).  All N terms are
+    floored to one unit 2^s, s = top - (prec + 2 bit_length(N) + 8) with
+    2^(top-1) at most the largest |term|, so the int total is short of the
+    exact sum by less than N units, under 2^-(prec + bit_length(N) + 7) of
+    the largest term; it is rounded to nearest once (numerics._sum_terms
+    sums a closed form's terms by the same rule)."""
+    terms = []
+    if len(values) % 2:  # the centre, which has no mirror
+        (wm, we), (fm, fe) = weights[0], values[0]
+        terms.append((wm * fm, we + fe))
+        weights, values = weights[1:], values[1:]
+    for (wm, we), (um, ue), (vm, ve) in zip(weights, values[0::2], values[1::2]):
+        if ue <= ve:
+            terms.append((wm * (um + (vm << (ve - ue))), we + ue))
+        else:
+            terms.append((wm * ((um << (ue - ve)) + vm), we + ve))
+    top = max((man.bit_length() + exp for man, exp in terms if man), default=None)
+    if top is None:
+        return fzero
+    unit = top - (prec + 2 * len(terms).bit_length() + 8)
+    total = sum(man << (exp - unit) if exp >= unit else man >> (unit - exp)
+                for man, exp in terms)
+    return from_man_exp(total, unit, prec, _RND)
 
 
 @lru_cache(maxsize=None)
@@ -227,13 +273,14 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     the values and power lists one integrand made a level compute serve the
     next one too.  Everything on the table is computed at the working
     precision of digits + 10, which each level holds as `prec` (bits).  Any
-    callable that takes a Level and returns the raw libmp values of the
-    integrand at its nodes, one per node in node order, is an integrand
-    (a list of another length raises ValueError); `pointwise` makes one of
-    a function of one node.  The level sums, estimates and stop test run in
-    mpmath.libmp at that precision, with the calls the mpf operators make
-    (halving and 2^-level as exact shifts), so they reach the same values
-    and decisions; only the accepted estimate becomes an mpf.
+    callable that takes a Level and returns the integrand's value at each
+    of its nodes, in node order, as an exact pair (man, exp) of ints for
+    man * 2^exp is an integrand (a list of another length raises
+    ValueError); `pointwise` makes one of a function of one node.  Each
+    level's sum is taken exactly in integers and rounded once to the
+    working precision (`_level_sum`).  The estimates and stop test run in
+    mpmath.libmp at that precision, halving and 2^-level as exact shifts;
+    only the accepted estimate becomes an mpf.
 
     Levels halve the step.  A level's estimate is accepted when it agrees
     with the previous one to 10^(2 - digits) relative, or sooner on the
@@ -244,8 +291,8 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     - the level is at least 3,
     - the last relative difference is at most 10^-(digits // 2), and
     - the predicted error is below 10^-(digits + 3).
-    Raises NonIntegrable if a level sum is not finite, and NoConvergence if
-    max_level is hit.
+    Raises NonIntegrable if an integrand value is inf or nan (see
+    `pointwise`), and NoConvergence if max_level is hit.
     """
     a, b = Fraction(spec.a), Fraction(spec.b)
     if b < a:
@@ -258,27 +305,14 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
         tol, settled = _stop_bounds(digits)
         ests: list[tuple] = []
         prec = mp.prec
-        precs, rnds = repeat(prec), repeat(_RND)
         levels = _table_cache.setdefault((prec, a, b), [])
         for level in range(0, max_level + 1):
             if level == len(levels):
                 levels.append(_make_level(level, a, b))
-            values, weights = f(levels[level]), levels[level].weights
+            values = f(levels[level])
             if len(values) != len(levels[level].nodes):
                 raise ValueError(f"{len(values)} values for {len(levels[level].nodes)} nodes")
-            part = fzero
-            if level == 0:  # the centre, which has no mirror
-                part = mpf_mul(weights[0], values[0], prec, _RND)
-                weights, values = weights[1:], values[1:]
-            # each node, then its mirror
-            for term in map(mpf_mul, weights,
-                            map(mpf_add, values[0::2], values[1::2], precs, rnds),
-                            precs, rnds):
-                part = mpf_add(part, term, prec, _RND)
-            if part in _NOT_FINITE:
-                raise NonIntegrable(
-                    f"integrand not finite on [{a}, {b}] at level {level}"
-                )
+            part = _level_sum(levels[level].weights, values, prec)
             est = mpf_mul(mpf_shift(scale, -level), part, prec, _RND)
             if level:
                 est = mpf_add(mpf_shift(ests[-1], -1), est, prec, _RND)
@@ -309,9 +343,8 @@ def _power_product(first: str, i: int, second: str, j: int) -> Integrand:
     `Node` values."""
 
     def f(level):
-        prec = level.prec
-        return [mpf_mul(u, v, prec, _RND)
-                for u, v in zip(level.power(first, i), level.power(second, j))]
+        return [(um * vm, ue + ve)
+                for (um, ue), (vm, ve) in zip(level.power(first, i), level.power(second, j))]
 
     return f
 
@@ -364,9 +397,8 @@ def _power_polylog(first: str, i: int, p: int) -> Integrand:
     value."""
 
     def f(level):
-        prec = level.prec
-        return [mpf_mul(u, li, prec, _RND)
-                for u, li in zip(level.power(first, i), level.polylog(p))]
+        return [(um * lm, ue + le)
+                for (um, ue), (lm, le) in zip(level.power(first, i), level.polylog(p))]
 
     return f
 
@@ -391,12 +423,11 @@ def _j(m, p, q, x):
     if p < 1 or q < 1:
         raise ParameterError(f"J needs p >= 1, q >= 1, got p={p}, q={q}")
 
-    def f_j(level):  # t^m * (Li_p(t) * Li_q(t))
-        prec = level.prec
+    def f_j(level):  # t^m Li_p(t) Li_q(t)
         level.polylog(max(p, q))  # one kernel pass per node serves both orders
-        return [mpf_mul(u, mpf_mul(lp, lq, prec, _RND), prec, _RND)
-                for u, lp, lq in zip(level.power("dm", m), level.polylog(p),
-                                     level.polylog(q))]
+        return [(um * pm * qm, ue + pe + qe)
+                for (um, ue), (pm, pe), (qm, qe) in zip(
+                    level.power("dm", m), level.polylog(p), level.polylog(q))]
 
     return f_j
 
@@ -407,12 +438,12 @@ def _k(r, p, q, x):
     if p < 0 or q < 0 or p + q < 1:
         raise ParameterError(f"K needs p, q >= 0 with p + q >= 1, got p={p}, q={q}")
 
-    def f_k(level):  # (log^r(t) * (Li_p(t) * Li_q(t))) / t
-        prec = level.prec
+    def f_k(level):  # log^r(t) Li_p(t) Li_q(t) t^-1
         level.polylog(max(p, q))  # one kernel pass per node serves both orders
-        return [mpf_div(mpf_mul(u, mpf_mul(lp, lq, prec, _RND), prec, _RND), t, prec, _RND)
-                for u, lp, lq, t in zip(level.power("log_t", r), level.polylog(p),
-                                        level.polylog(q), level.power("dm", 1))]
+        return [(um * pm * qm * tm, ue + pe + qe + te)
+                for (um, ue), (pm, pe), (qm, qe), (tm, te) in zip(
+                    level.power("log_t", r), level.polylog(p), level.polylog(q),
+                    level.power("dm", -1))]
 
     return f_k
 

@@ -265,7 +265,7 @@ def run_case(case: Case, tol: Tol = None, digits: int = DEFAULT_DIGITS) -> dict:
         else:
             other = ev.freitas_recurrence_eval(
                 "K", r=params[0], p=params[1], q=params[2])
-        structural = direct == other if family == "J0" else True
+        structural = direct == other
         value = _numeric(direct, x, digits)
         want = _numeric(other, x, digits)
         return _record(family, params, x, exact.compact(direct), value, want,

@@ -660,6 +660,25 @@ class TestKEval:
         form = ev.K_eval(m, p, q)
         assert not any(a.kind == "EulerSum" for a in form.atoms())
 
+    def test_pure_weight_and_euler_sums_by_parity(self):
+        # every member with m <= 7 and p, q <= 8 (560): each term has weight
+        # m+p+q+1, counting Zeta(k) as k and EulerSum(p,q) as p+q, and no
+        # term holds an Euler sum when m+p+q is even
+        members = violations = 0
+        for m in range(1, 8):
+            for p in range(9):
+                for q in range(9):
+                    if p + q == 0:
+                        continue
+                    members += 1
+                    for term in ev.K_eval(m, p, q).terms:
+                        kinds = {atom.kind for atom, _ in term.factors}
+                        weight = sum(sum(atom.args) * e for atom, e in term.factors)
+                        if (not kinds <= {"Zeta", "EulerSum"} or weight != m + p + q + 1
+                                or (m + p + q) % 2 == 0 and "EulerSum" in kinds):
+                            violations += 1
+        assert (members, violations) == (560, 0)
+
     def test_symmetry_structural(self):
         for m, p, q in [(1, 2, 1), (2, 3, 1), (1, 3, 2)]:
             assert ev.K_eval(m, p, q) == ev.K_eval(m, q, p)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_div, mpf_mul, mpf_pow_int, round_nearest
+from mpmath.libmp import mpf_pow_int, round_nearest
 
 from plint import families, verification
 from plint import numerics as num
@@ -110,7 +110,7 @@ class TestEngine:
     def test_integrand_gives_one_value_per_node(self):
         # a level-0 integrand short of its last node is refused, not summed
         spec = quad.IntegralSpec(Fraction(0), Fraction(1),
-                                 lambda level: [mpf(1)._mpf_] * (len(level.nodes) - 1))
+                                 lambda level: [(1, 0)] * (len(level.nodes) - 1))
         with pytest.raises(ValueError):
             quad.integrate(spec, 20)
 
@@ -348,37 +348,49 @@ class TestFamilies:
             quad.oracle_value("A", (1, 1), Fraction(3, 2))
 
 
-# the per-node spelling of each family integrand: fn(node, prec) -> the raw
-# libmp value at one node, by the same libmp calls in the same order
+# the per-node spelling of each family integrand: fn(node, prec) -> its
+# exact value (man, exp) at one node, the exact product of the same factors,
+# each rounded once to prec bits
 _RND = round_nearest
 
 
+def _pair(value):
+    sign, man, exp, _ = value
+    return (-man if sign else man, exp)
+
+
+def _product(*values):
+    man, exp = 1, 0
+    for value in values:
+        m, e = _pair(value)
+        man, exp = man * m, exp + e
+    return (man, exp)
+
+
+def _pow(node, name, i, prec):
+    return mpf_pow_int(getattr(node, name)._mpf_, i, prec, _RND)
+
+
 def _ref_power_product(first, i, second, j):
-    return lambda node, prec: mpf_mul(
-        mpf_pow_int(getattr(node, first)._mpf_, i, prec, _RND),
-        mpf_pow_int(getattr(node, second)._mpf_, j, prec, _RND), prec, _RND)
+    return lambda node, prec: _product(_pow(node, first, i, prec), _pow(node, second, j, prec))
 
 
 def _ref_power_polylog(first, i, p):
-    return lambda node, prec: mpf_mul(
-        mpf_pow_int(getattr(node, first)._mpf_, i, prec, _RND),
-        node.polylogs(p)[p]._mpf_, prec, _RND)
+    return lambda node, prec: _product(_pow(node, first, i, prec), node.polylogs(p)[p]._mpf_)
 
 
 def _ref_j(m, p, q):
     def f(node, prec):
         li = node.polylogs(max(p, q))
-        return mpf_mul(mpf_pow_int(node.dm._mpf_, m, prec, _RND),
-                       mpf_mul(li[p]._mpf_, li[q]._mpf_, prec, _RND), prec, _RND)
+        return _product(_pow(node, "dm", m, prec), li[p]._mpf_, li[q]._mpf_)
     return f
 
 
 def _ref_k(r, p, q):
     def f(node, prec):
         li = node.polylogs(max(p, q))
-        num_ = mpf_mul(mpf_pow_int(node.log_t._mpf_, r, prec, _RND),
-                       mpf_mul(li[p]._mpf_, li[q]._mpf_, prec, _RND), prec, _RND)
-        return mpf_div(num_, node.dm._mpf_, prec, _RND)
+        return _product(_pow(node, "log_t", r, prec), li[p]._mpf_, li[q]._mpf_,
+                        _pow(node, "dm", -1, prec))
     return f
 
 
@@ -424,6 +436,68 @@ def test_level_integrands_match_the_per_node_spelling(x, members, digits):
                 assert spec.integrand(shared) == want, (family, params, level)
 
 
+def _fraction(pair):
+    man, exp = pair
+    return man * Fraction(2) ** exp
+
+
+def reference_level_sum(weights, values):
+    """The exact sum over one level of w_k (f_k + f'_k), the centre's term
+    w_0 f_0 first when the count of values is odd, and the largest |term|."""
+    terms = []
+    if len(values) % 2:
+        terms.append(_fraction(weights[0]) * _fraction(values[0]))
+        weights, values = weights[1:], values[1:]
+    terms += [_fraction(w) * (_fraction(u) + _fraction(v))
+              for w, u, v in zip(weights, values[0::2], values[1::2])]
+    return sum(terms), max(map(abs, terms))
+
+
+# one member or more of each of the ten families
+_LEVEL_SUM_CASES = [
+    ("A", (3, 2), Fraction(1, 3)), ("B", (2, 1), Fraction(1)), ("C", (3, 2), Fraction(1, 10)),
+    ("L", (1, 2), Fraction(1)), ("M", (2, 3), Fraction(1, 4)),
+    ("HeadLog1m", (1, 2), Fraction(1, 3)), ("J0", (2, 3), Fraction(9, 10)),
+    ("J1", (2, 2), Fraction(1, 3)), ("J", (1, 2, 5), Fraction(1)), ("J", (-2, 1, 1), Fraction(1)),
+    ("K", (1, 0, 2), Fraction(1)), ("K", (2, 1, 1), Fraction(1))]
+
+
+@pytest.mark.parametrize("digits", [20, 30])
+def test_level_sums_are_within_their_bound(digits):
+    """On every level integrate visits, the fixed-point level sum is within
+    N units of the exact sum of its N terms, plus half an ulp of its one
+    rounding: the unit is 2^(top - (prec + 2 bit_length(N) + 8)), 2^(top-1)
+    at most the largest |term| < 2^top."""
+    clear_caches()
+    assert {family for family, _, _ in _LEVEL_SUM_CASES} == set(quad._INTEGRANDS)
+    checked = []
+
+    def check(level, values, case):
+        got = quad._level_sum(level.weights, values, level.prec)
+        exact, largest = reference_level_sum(level.weights, values)
+        top = largest.numerator.bit_length() - largest.denominator.bit_length() + 1
+        if largest < Fraction(2) ** (top - 1):
+            top -= 1
+        count = (len(values) + 1) // 2
+        unit = Fraction(2) ** (top - (level.prec + 2 * count.bit_length() + 8))
+        sign, man, exp, bc = got
+        half_ulp = Fraction(2) ** (exp + bc - level.prec - 1) if man else 0
+        error = abs(_fraction((-man if sign else man, exp)) - exact)
+        assert error <= count * unit + half_ulp, (case, len(checked))
+        checked.append(case)
+
+    for case in _LEVEL_SUM_CASES:
+        spec = quad.family_spec(*case)
+
+        def checked_integrand(level, integrand=spec.integrand, case=case):
+            values = integrand(level)
+            check(level, values, case)
+            return values
+
+        quad.integrate(quad.IntegralSpec(spec.a, spec.b, checked_integrand), digits)
+    assert len(checked) > 40
+
+
 def test_cases_on_one_interval_share_power_lists(monkeypatch):
     # B(3,2,x) after A(3,2,x) computes log(1 + t)^3 at every node but reads
     # A's list of t^-2
@@ -458,7 +532,7 @@ def test_oracle_values_are_pinned():
     values = [quad.oracle_value(*job)._mpf_ for job in jobs]
     assert len(values) == 839
     assert hashlib.sha256(repr(values).encode()).hexdigest() == (
-        "1f88ae2c940492059093da721335f953069d9347b47dad36657fb05f3442374c")
+        "311a4a10420568b0238549b47f2c533d1ed64b80512ce06056c197ddb663f3f5")
 
 
 _MEMBERS = st.sampled_from(sorted(families.TABLE)).flatmap(

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf
 
+from plint import evaluators as ev
+from plint import exact
 from plint import verification as vf
 from plint.errors import ParameterError
 
@@ -61,6 +63,22 @@ class TestRecords:
         record = vf.run_case(("dual-route", "J", (0, 2, 2), Fraction(1)))
         assert record["pass"] is True
         assert record["value"] == record["oracle"]
+
+    @pytest.mark.parametrize("family, params", [("J", (1, 2, 3)), ("K", (1, 2, 2))])
+    def test_dual_route_checks_structure(self, monkeypatch, family, params):
+        # the recurrence route plus zeta(2)^2 - (5/2) zeta(4), which is 0 as a
+        # number but not as a form: the values agree, the record fails
+        case = ("dual-route", family, params, Fraction(1))
+        assert case in vf.build_cases("dual-route")
+        assert vf.run_case(case)["pass"] is True
+        recurrence = ev.freitas_recurrence_eval
+        zero = (exact.ClosedForm.of(exact.zeta(2), 2)
+                - exact.ClosedForm.of(exact.zeta(4), 1, Fraction(5, 2)))
+        monkeypatch.setattr(ev, "freitas_recurrence_eval",
+                            lambda *args, **kwargs: recurrence(*args, **kwargs) + zero)
+        record = vf.run_case(case)
+        assert record["rel_err"] == "<1e-20"
+        assert record["pass"] is False
 
     def test_crashing_case_becomes_failing_record(self):
         record = vf._run_case_guarded(("oracle", "A", (1, 2), Fraction(1)),
