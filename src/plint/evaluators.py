@@ -48,17 +48,17 @@ Body = Callable[[tuple[int, ...]], ClosedForm]
 
 
 @lru_cache(maxsize=None)
-def _at_one(builder: Callable[..., ClosedForm], args: tuple[int, ...]) -> ClosedForm:
-    """The x -> 1- limit of the symbolic form builder(*args), kept per
-    builder and arguments."""
-    return exact.limit(builder(*args), 1)
+def _limit(builder: Callable[..., ClosedForm], args: tuple[int, ...], at: int = 1) -> ClosedForm:
+    """The x -> 1- (at = 1) or x -> 0+ (at = 0) limit of the symbolic form
+    builder(*args), kept per builder, arguments and end."""
+    return exact.limit(builder(*args), at)
 
 
 def _at_point(builder: Callable[..., ClosedForm], args: tuple[int, ...],
               x: Fraction) -> ClosedForm:
     """The symbolic form builder(*args) at x: its x -> 1- limit at x = 1,
     itself elsewhere."""
-    return _at_one(builder, args) if x == 1 else builder(*args)
+    return _limit(builder, args) if x == 1 else builder(*args)
 
 
 def _check_point(name: str, value: EvalPoint, *, allow_zero: bool = False) -> Fraction:
@@ -161,11 +161,6 @@ def _m_symbolic(n: int, m: int) -> ClosedForm:
     return exact.subst_one_minus_x(image)
 
 
-@lru_cache(maxsize=None)
-def _m_at_zero(n: int, m: int) -> ClosedForm:
-    return exact.limit(_m_symbolic(n, m), 0)
-
-
 def M_integral(n: int, m: int, frm: EvalPoint = 0) -> ClosedForm:
     """integral_frm^1 of y^n log^m(1-y) dy.
 
@@ -180,7 +175,7 @@ def M_integral(n: int, m: int, frm: EvalPoint = 0) -> ClosedForm:
     if frm == 1:
         return exact.ZERO
     if frm == 0:
-        return _m_at_zero(n, m)
+        return _limit(_m_symbolic, (n, m), 0)
     return _m_symbolic(n, m)
 
 
@@ -285,7 +280,7 @@ def _b_symbolic(m: int, n: int) -> ClosedForm:
 def _c_symbolic(m: int, n: int) -> ClosedForm:
     # t -> 1-t: C(m,n,x) = A(m,n,1) - A(m,n,1-x)
     a = _a_symbolic(m, n)
-    return _at_one(_a_symbolic, (m, n)) - exact.subst_one_minus_x(a)
+    return _limit(_a_symbolic, (m, n)) - exact.subst_one_minus_x(a)
 
 
 def A_base(m: int, x: EvalPoint = 1) -> ClosedForm:
@@ -374,7 +369,7 @@ def _j0_symbolic(m: int, p: int) -> ClosedForm:
         parts.append(_term(coeff, (exact.x_pow(m + 1), 1), (exact.li_x(j), 1)))
     tail_scale = Fraction((-1) ** (p - 1), (m + 1) ** (p - 1))
     parts.append(_m_symbolic(m, 1).scale(tail_scale))
-    parts.append(_m_at_zero(m, 1).scale(-tail_scale))
+    parts.append(_limit(_m_symbolic, (m, 1), 0).scale(-tail_scale))
     return _sum(parts)
 
 

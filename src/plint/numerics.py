@@ -20,11 +20,11 @@ within N + 70 units of 2^-shift for N terms summed, again under
 N = p + q + 2 prec, H_N^(p) (zeta(q) - H_N^(q)) and one series in 1/N from
 B_m/m! cached per precision, all in fixed point, within 2^-(prec+6)
 relative.  `numeric_eval` values each atom once per (atom, x, digits) and
-keeps it.  It sums a closed form's terms in integers as well: each distinct
-atom power is rounded once to an mpf, each term is the exact product of
-its coefficient and those powers, and every term is floored to one unit
-prec + 2 bit_length(N) + 8 bits below the largest of the N terms
-(`_sum_terms`).  The quadrature oracle and the CLI sit on top of this module.
+keeps it.  It sums a closed form's terms in integers, each term the exact
+product of its coefficient and atom powers rounded once (`_sum_terms`),
+all floored to one unit by `_floor_to_unit`, which states the sum rule and
+its bound and also sums the quadrature oracle's levels.  The quadrature
+oracle and the CLI sit on top of this module.
 
 All public functions take a decimal `digits` target and compute with
 guard digits internally; returned mpf values carry the guard precision.
@@ -433,24 +433,40 @@ _VALUE_RULES = {
 _atom_cache: dict[tuple[Optional[Fraction], int], dict[exact.Atom, tuple]] = {}
 
 
+def _floor_to_unit(terms: list[tuple[int, int, int]], prec: int) -> tuple[list[int], int]:
+    """The exact terms man 2^exp / den (den > 0) as ints floored to one
+    unit 2^unit, and that unit: the sum rule of `numeric_eval` and of the
+    oracle's level sums.  With top = bit_length(man) + exp - bit_length(den)
+    + 1 largest over the nonzero terms, 2^(top-2) is at most the largest
+    |term| (2^(top-1) if den = 1), and unit = top - (prec + 2 bit_length(N)
+    + 8) for N terms.  Each floor loses under one unit, so a sum of the ints
+    (or of their magnitudes) is short of the exact sum by less than N units,
+    under 2^-(prec + bit_length(N) + 6) of the largest term, before it is
+    rounded once to prec bits."""
+    top = max((man.bit_length() + exp - den.bit_length() + 1
+               for man, exp, den in terms if man), default=0)
+    unit = top - (prec + 2 * len(terms).bit_length() + 8)
+    # floor(floor(man / 2^k) / den) = floor(man / (2^k den)): shift, then divide
+    return [(man << (exp - unit) if exp >= unit else man >> (unit - exp)) // den
+            for man, exp, den in terms], unit
+
+
 def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
-               digits: int) -> tuple[mpf, mpf]:
-    """The form's value and the sum of its terms' magnitudes, with the atoms
-    valued at `digits` and the sum taken at the working precision prec of
-    digits + GUARD_DIGITS.  Each distinct atom is valued once per (atom, x,
-    digits) and kept (`_atom_cache`), however many terms and forms share
-    it.  Polylog atoms are valued highest order first, so the one pass that
+               digits: int) -> tuple[int, int, int, int]:
+    """(total, magnitude, unit, prec): the form's value and the sum of its
+    terms' magnitudes as total 2^unit and magnitude 2^unit, with the atoms
+    valued at `digits` and prec the working precision of digits +
+    GUARD_DIGITS.  Each distinct atom is valued once per (atom, x, digits)
+    and kept (`_atom_cache`), however many terms and forms share it.
+    Polylog atoms are valued highest order first, so the one pass that
     yields an argument's highest order also yields every lower order of it.
 
-    The sum is taken in integers.  Each distinct power atom^e is rounded
-    once to prec bits (libmp.mpf_pow_int, within 2^(1-prec) relative), so a
-    term with f factors is within 2 f 2^-prec of the exact product of its
-    atom values.  A term, coeff p/q times the powers m_i 2^e_i, is then the
-    exact fraction p prod m_i 2^(sum e_i) / q.  All N terms are floored to
-    one unit 2^s, s = t - (prec + 2 bit_length(N) + 8) with 2^(t-2) at most
-    the largest |term|, so the integer total and sum of magnitudes are
-    within N units, under 2^-(prec + bit_length(N) + 6) of the largest term,
-    of the exact sums of those products; each is rounded once to an mpf.
+    Each distinct power atom^e is rounded once to prec bits
+    (libmp.mpf_pow_int, within 2^(1-prec) relative), so a term with f
+    factors is within 2 f 2^-prec of the exact product of its atom values.
+    A term, coeff p/q times the powers m_i 2^e_i, is then the exact
+    fraction p prod m_i 2^(sum e_i) / q, and the terms are summed by the
+    rule of `_floor_to_unit`.
     """
     atoms = dict.fromkeys(atom for term in form.terms for atom, _ in term.factors)
     values = _atom_cache.setdefault((x, digits), {})
@@ -474,17 +490,8 @@ def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
             man *= power[0]
             exp += power[1]
         products.append((man, exp, term.coeff.denominator))
-    top = max((man.bit_length() + exp - den.bit_length() + 1
-               for man, exp, den in products if man), default=0)
-    unit = top - (prec + 2 * len(products).bit_length() + 8)
-    total = magnitude = 0
-    for man, exp, den in products:
-        shift = exp - unit
-        term = (man << shift) // den if shift >= 0 else man // (den << -shift)
-        total += term
-        magnitude += abs(term)
-    return (mp.make_mpf(libmp.from_man_exp(total, unit, prec, libmp.round_nearest)),
-            mp.make_mpf(libmp.from_man_exp(magnitude, unit, prec, libmp.round_nearest)))
+    floored, unit = _floor_to_unit(products, prec)
+    return sum(floored), sum(map(abs, floored)), unit, prec
 
 
 def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
@@ -498,16 +505,17 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
 
     Each distinct atom is valued once per pass over the terms, whatever the
     number of terms it occurs in.  A pass values the atoms at digits + extra
-    digits, extra = 0 at first, and is accepted when its own
-    sum |term| / |value| is at most 10^(extra + GUARD_DIGITS), so that the
-    extra and guard digits cover what the cancellation costs.  Otherwise it
-    is repeated with extra = ceil(log10 of that ratio), as often as needed:
-    a pass whose total is rounding noise reads a ratio that is too small.
+    digits, extra = 0 at first, into the ints total and magnitude = sum
+    |term| on one unit (`_sum_terms`, by the rule of `_floor_to_unit`), and
+    is accepted when magnitude <= |total| 10^(extra + GUARD_DIGITS).
+    Otherwise it is repeated with extra the least e with |total| 10^e >=
+    magnitude, as often as needed: a noisy total reads too small a ratio.
     A total of exactly 0 counts as every working digit lost, and extra
     becomes digits + extra + GUARD_DIGITS; so a form whose value is exactly
     0 but which is not structurally zero never settles.  Past
     MAX_EXTRA_DIGITS extra digits the loop raises NonConvergent instead of
-    returning noise.
+    returning noise.  The accepted total is rounded to the pass's precision,
+    then to that of digits + GUARD_DIGITS.
     """
     if x is not None:
         x = Fraction(x)
@@ -520,15 +528,18 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
         raise ParameterError("closed form depends on x but no point was given")
     extra = 0
     while True:
-        total, magnitude = _sum_terms(form, x, digits + extra)
-        with mp.workdps(digits + extra + GUARD_DIGITS):
-            if not magnitude or (
-                    total and magnitude <= abs(total) * mpf(10) ** (extra + GUARD_DIGITS)):
-                break
-            extra = (digits + extra + GUARD_DIGITS if not total
-                     else math.ceil(mp.log10(magnitude / abs(total))))
+        total, magnitude, unit, prec = _sum_terms(form, x, digits + extra)
+        if magnitude <= abs(total) * 10 ** (extra + GUARD_DIGITS):
+            break
+        if not total:  # every working digit lost
+            extra = digits + extra + GUARD_DIGITS
+        else:  # the least e past extra + GUARD_DIGITS with |total| 10^e >= magnitude
+            extra += GUARD_DIGITS + 1
+            while abs(total) * 10**extra < magnitude:
+                extra += 1
         if extra > MAX_EXTRA_DIGITS:
             raise NonConvergent(
                 f"the terms of the form cancel past {MAX_EXTRA_DIGITS} extra digits")
-    with mp.workdps(digits + GUARD_DIGITS):
-        return +total
+    value = libmp.from_man_exp(total, unit, prec, libmp.round_nearest)
+    return mp.make_mpf(libmp.mpf_pos(value, libmp.dps_to_prec(digits + GUARD_DIGITS),
+                                     libmp.round_nearest))

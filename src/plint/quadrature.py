@@ -30,12 +30,12 @@ per (mp.prec, a, b); everything on it is computed at that precision, which
 `integrate` sets from its `digits`.  `pointwise` makes an integrand of a
 function of one node.  Each family's parameter names and endpoint kind
 come from the family table (families.TABLE); this module adds one
-integrand builder per family.  `integrate` sums a level the way
-numerics._sum_terms sums a closed form: every term w_k (f_k + f'_k) is
-formed exactly, all are floored to one unit and added as one int, and the
-sum is rounded once (`_level_sum`).  The estimates and the stop test run
-in mpmath.libmp at the table's precision; only the accepted estimate
-becomes an mpf.  Nothing here calls the closed-form evaluators; it exists
+integrand builder per family.  `integrate` sums a level as numeric_eval
+sums a closed form, by numerics._floor_to_unit: every term w_k (f_k + f'_k)
+is formed exactly, all are floored to one unit and added as one int, and
+the sum is rounded once (`_level_sum`).  The estimates and the stop test
+run in mpmath.libmp at the table's precision, its logarithms as floats;
+only the accepted estimate becomes an mpf.  Nothing here calls the closed-form evaluators; it exists
 to check them.
 """
 
@@ -67,6 +67,7 @@ MAX_LEVEL = 12
 # a raw libmp value an mpf
 _RND = round_nearest
 _wrap = mp.make_mpf
+_LOG10_2 = math.log10(2)
 
 
 def _exact(value: tuple) -> tuple[int, int]:
@@ -229,33 +230,27 @@ def _make_level(level: int, a: Fraction, b: Fraction) -> Level:
 def _level_sum(weights: list[tuple[int, int]], values: list[tuple[int, int]],
                prec: int) -> tuple:
     """sum_k w_k (f_k + f'_k) over one level, f_k and f'_k the values at a
-    node and at its mirror, as a raw libmp value rounded once to prec bits.
-    An odd count of values means the level has a centre: its value comes
-    first and its term is w_0 f_0.
-
-    Every term is formed exactly from the pairs (man, exp).  All N terms are
-    floored to one unit 2^s, s = top - (prec + 2 bit_length(N) + 8) with
-    2^(top-1) at most the largest |term|, so the int total is short of the
-    exact sum by less than N units, under 2^-(prec + bit_length(N) + 7) of
-    the largest term; it is rounded to nearest once (numerics._sum_terms
-    sums a closed form's terms by the same rule)."""
+    node and at its mirror, each term formed exactly from the pairs
+    (man, exp), summed by numerics._floor_to_unit and rounded once to prec
+    bits as a raw libmp value.  An odd count of values means the level has
+    a centre: its value comes first and its term is w_0 f_0."""
     terms = []
     if len(values) % 2:  # the centre, which has no mirror
         (wm, we), (fm, fe) = weights[0], values[0]
-        terms.append((wm * fm, we + fe))
+        terms.append((wm * fm, we + fe, 1))
         weights, values = weights[1:], values[1:]
     for (wm, we), (um, ue), (vm, ve) in zip(weights, values[0::2], values[1::2]):
         if ue <= ve:
-            terms.append((wm * (um + (vm << (ve - ue))), we + ue))
+            terms.append((wm * (um + (vm << (ve - ue))), we + ue, 1))
         else:
-            terms.append((wm * ((um << (ue - ve)) + vm), we + ve))
-    top = max((man.bit_length() + exp for man, exp in terms if man), default=None)
-    if top is None:
-        return fzero
-    unit = top - (prec + 2 * len(terms).bit_length() + 8)
-    total = sum(man << (exp - unit) if exp >= unit else man >> (unit - exp)
-                for man, exp in terms)
-    return from_man_exp(total, unit, prec, _RND)
+            terms.append((wm * ((um << (ue - ve)) + vm), we + ve, 1))
+    floored, unit = numerics._floor_to_unit(terms, prec)
+    return from_man_exp(sum(floored), unit, prec, _RND)
+
+
+def _log10(value: tuple) -> float:
+    """log10 |v| of a nonzero raw libmp value v = +-man 2^exp, as a float."""
+    return math.log10(value[1]) + value[2] * _LOG10_2
 
 
 @lru_cache(maxsize=None)
@@ -272,15 +267,15 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     for (working precision, a, b), which is built on first use and kept, so
     the values and power lists one integrand made a level compute serve the
     next one too.  Everything on the table is computed at the working
-    precision of digits + 10, which each level holds as `prec` (bits).  Any
-    callable that takes a Level and returns the integrand's value at each
-    of its nodes, in node order, as an exact pair (man, exp) of ints for
-    man * 2^exp is an integrand (a list of another length raises
-    ValueError); `pointwise` makes one of a function of one node.  Each
-    level's sum is taken exactly in integers and rounded once to the
-    working precision (`_level_sum`).  The estimates and stop test run in
-    mpmath.libmp at that precision, halving and 2^-level as exact shifts;
-    only the accepted estimate becomes an mpf.
+    precision of digits + numerics.GUARD_DIGITS, which each level holds as
+    `prec` (bits).  Any callable that takes a Level and returns the
+    integrand's value at each of its nodes, in node order, as an exact pair
+    (man, exp) of ints for man * 2^exp is an integrand (a list of another
+    length raises ValueError); `pointwise` makes one of a function of one
+    node.  Each level is summed by numerics._floor_to_unit and rounded
+    once (`_level_sum`).  The estimates and stop test run in mpmath.libmp
+    at the working precision, halving and 2^-level as exact shifts, with
+    float log10s (`_log10`); only the accepted estimate becomes an mpf.
 
     Levels halve the step.  A level's estimate is accepted when it agrees
     with the previous one to 10^(2 - digits) relative, or sooner on the
@@ -288,7 +283,7 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     log10 relative differences of the newest estimate from the two before
     it, the error is about 10^(D1^2 / D2), as each level about doubles the
     good digits.  That estimate is trusted only when
-    - the level is at least 3,
+    - the level is at least 3 and the estimate two levels back differs,
     - the last relative difference is at most 10^-(digits // 2), and
     - the predicted error is below 10^-(digits + 3).
     Raises NonIntegrable if an integrand value is inf or nan (see
@@ -300,7 +295,7 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     if a == b:
         return mp.zero
     f = spec.integrand
-    with mp.workdps(digits + 10):
+    with mp.workdps(digits + numerics.GUARD_DIGITS):
         scale = frac_mpf(b - a)._mpf_
         tol, settled = _stop_bounds(digits)
         ests: list[tuple] = []
@@ -325,9 +320,10 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
                     return _wrap(est)
                 if level >= 3 and mpf_cmp(
                         diff, mpf_mul(settled, size, prec, _RND) if big else settled) <= 0:
-                    size = _wrap(size) if big else 1
-                    d1 = mp.log10(_wrap(diff) / size)
-                    d2 = mp.log10(abs(_wrap(est) - _wrap(ests[-2])) / size)
+                    back = mpf_sub(est, ests[-2], prec, _RND)
+                    log_size = _log10(size) if big else 0.0
+                    d1 = _log10(diff) - log_size
+                    d2 = _log10(back) - log_size if back[1] else 0.0
                     if d2 < 0 and d1 * d1 / d2 < -(digits + 3):
                         return _wrap(est)
             ests.append(est)

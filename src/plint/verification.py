@@ -30,6 +30,7 @@ from __future__ import annotations
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Optional, Union
 
 from mpmath import mp, mpf
@@ -337,16 +338,11 @@ def run_suite(suite: str, tol: Tol = None, grid: str = "full",
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_case_runner, [(c, tol, digits) for c in cases],
+            records = list(pool.map(_run_case_guarded, cases, repeat(tol), repeat(digits),
                                     chunksize=8))
     else:
         records = [_run_case_guarded(c, tol, digits) for c in cases]
     return sorted(records, key=_sort_key)
-
-
-def _case_runner(packed: tuple[Case, Tol, int]) -> dict:
-    case, tol, digits = packed
-    return _run_case_guarded(case, tol, digits)
 
 
 def all_passed(records: Iterable[dict]) -> bool:

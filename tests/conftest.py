@@ -7,16 +7,16 @@ from plint import quadrature as quad
 from plint import verification as ver
 
 # the lru_cache'd closed-form builders, each with arguments it is built for
-# (`_at_one` takes a builder and its arguments)
+# (`_limit` takes a builder, its arguments and, for x -> 0+, the end 0)
 MEMOIZED = (
-    (ev._l_symbolic, (2, 3)), (ev._m_symbolic, (3, 2)), (ev._m_at_zero, (3, 2)),
+    (ev._l_symbolic, (2, 3)), (ev._m_symbolic, (3, 2)),
     (ev._a_base_symbolic, (4,)), (ev._b_base_symbolic, (4,)),
     (ev._a_symbolic, (5, 3)), (ev._b_symbolic, (5, 3)),
     (ev._c_symbolic, (4, 1)), (ev._c_symbolic, (5, 3)),
     (ev._j0_symbolic, (3, 4)), (ev._j1_symbolic, (3, 2)),
     (ev._j_base, (1, 4)), (ev._j_base, (-2, 3)),
     (es._k_base, (2, 3)), (es._reduce_s1, (5,)),
-    (ev._at_one, (ev._c_symbolic, (5, 3))),
+    (ev._limit, (ev._c_symbolic, (5, 3))), (ev._limit, (ev._m_symbolic, (3, 2), 0)),
 )
 
 

@@ -5,12 +5,14 @@ mpmath's own zeta/polylog implementations, classical identities
 (Basel, Landen, dilog reflection), and brute-force partial sums.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from plint import exact as ex
 from plint import families
@@ -542,10 +544,13 @@ class TestFixedPointSum:
     largest term; one rounding of each result to prec bits."""
 
     def assert_within_bound(self, form, x, digits):
-        total, magnitude = num._sum_terms(form, x, digits)
+        total, magnitude, unit, prec = num._sum_terms(form, x, digits)
+        # each int rounded once to prec bits, as numeric_eval rounds a total
+        total, magnitude = (mp.make_mpf(from_man_exp(v, unit, prec, round_nearest))
+                            for v in (total, magnitude))
         want_total, want_magnitude = reference_sum_terms(form, x, digits, 64)
         with mp.workdps(digits + num.GUARD_DIGITS):
-            prec = mp.prec
+            assert prec == mp.prec
         factors = max((len(t.factors) for t in form.terms), default=0)
         with mp.workprec(prec + 80):
             spread = mp.ldexp((2 * factors + 1) * want_magnitude, -prec)
@@ -575,4 +580,97 @@ class TestFixedPointSum:
             self.assert_within_bound(form, None, digits)
 
     def test_empty_form(self):
-        assert num._sum_terms(ex.ZERO, None, 20) == (0, 0)
+        assert num._sum_terms(ex.ZERO, None, 20)[:2] == (0, 0)
+
+
+_EXACT_TERMS = st.lists(
+    st.tuples(st.integers(-2**200, 2**200), st.integers(-400, 400),
+              st.one_of(st.just(1), st.integers(2, 2**80))),
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=_EXACT_TERMS, prec=st.integers(2, 400))
+def test_floor_to_unit_is_within_its_bound(terms, prec):
+    """Each int is its term floored to the unit, so the sum of the N ints
+    is short of the exact sum by less than N units, N units are under
+    2^-(prec + bit_length(N) + 6) of the largest term, and one rounding to
+    prec bits adds at most half an ulp; den = 1 and den > 1 alike."""
+    floored, unit = num._floor_to_unit(terms, prec)
+    step = Fraction(2) ** unit
+    exact = [Fraction(man) * Fraction(2) ** exp / den for man, exp, den in terms]
+    assert len(floored) == len(terms)
+    for got, want in zip(floored, exact):
+        assert got * step <= want < (got + 1) * step
+    count = len(terms)
+    total = sum(exact)
+    assert 0 <= total - sum(floored) * step < count * step
+    largest = max(map(abs, exact))
+    if largest:
+        assert count * step <= largest * Fraction(2) ** -(prec + count.bit_length() + 6)
+    sign, man, exp, bc = from_man_exp(sum(floored), unit, prec, round_nearest)
+    half_ulp = Fraction(2) ** (exp + bc - prec - 1) if man else 0
+    rounded = (-1) ** sign * man * Fraction(2) ** exp
+    assert abs(rounded - total) <= count * step + half_ulp
+
+
+def test_value_is_rounded_through_the_pass_precision(monkeypatch):
+    """A pass that does not cover its cancellation is repeated with extra
+    the least e with |total| 10^e >= magnitude, and the accepted total is
+    rounded to that pass's precision and then to digits + GUARD_DIGITS.
+    The total below lies just under a tie at the final precision, so it
+    rounds up to the tie and then, half to even, up again; rounded once it
+    would go down."""
+    digits, guard = 20, num.GUARD_DIGITS
+    final = libmp.dps_to_prec(digits + guard)
+    low = libmp.dps_to_prec(digits + 2 * guard + 5) + 5 - final  # bits below final
+    head = 2 ** (final - 1) + 1  # odd, so a tie rounds it up
+    passes = []
+
+    def fake_sum_terms(form, x, pass_digits):
+        passes.append(pass_digits)
+        prec = libmp.dps_to_prec(pass_digits + guard)
+        if len(passes) == 1:
+            return 1, 10 ** (guard + 5), 0, prec
+        total = head << low | (1 << (low - 1)) - 1
+        return total, total, -7, prec
+
+    monkeypatch.setattr(num, "_sum_terms", fake_sum_terms)
+    value = num.numeric_eval(ex.ONE, digits=digits)
+    assert passes == [digits, digits + guard + 5]
+    assert value._mpf_ == libmp.from_man_exp(head + 1, low - 7)
+
+
+def _numeric_eval_battery():
+    """(form, x, digits) for the pin below: every oracle-grid form at 20, 30
+    and 50 digits; A(n,n,1/2), B(n,n,1) and C(n,n,7/8) for n <= 30 and
+    B(120,60,1), whose terms cancel up to 220 digits; J(1,k,k) for k <= 11
+    and K(1,k,k) for k <= 8, all at 30 digits."""
+    from plint.verification import build_cases
+
+    for _, family, params, x in build_cases("oracle"):
+        form = families.closed_form(family, params, x)
+        for digits in (20, 30, 50):
+            yield form, None if x == 1 else x, digits
+    for n in range(1, 31):
+        for family, x in (("A", Fraction(1, 2)), ("B", Fraction(1)), ("C", Fraction(7, 8))):
+            yield families.closed_form(family, (n, n), x), None if x == 1 else x, 30
+    yield families.closed_form("B", (120, 60), 1), None, 30
+    for k in range(1, 12):
+        yield families.closed_form("J", (1, k, k)), None, 30
+    for k in range(1, 9):
+        yield families.closed_form("K", (1, k, k)), None, 30
+
+
+def test_numeric_eval_values_are_pinned():
+    """numeric_eval gives the same mpf, bit for bit, over the battery as
+    when the pin was taken: the sha256 of repr() of the list of their
+    `_mpf_` values.  The verify report prints only ten decimals, so this
+    is the check that a change to the sum or the stop test keeps every
+    bit of every value."""
+    clear_caches()
+    values = [num.numeric_eval(form, x, digits)._mpf_
+              for form, x, digits in _numeric_eval_battery()]
+    assert len(values) == 2603
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == (
+        "3f9c8fe7fd7b1a8afcb2589948a0906205d36903846144d40e004e8f23873896")

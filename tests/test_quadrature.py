@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import mpf_pow_int, round_nearest
+from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
 
 from plint import families, verification
 from plint import numerics as num
@@ -511,6 +511,42 @@ def test_cases_on_one_interval_share_power_lists(monkeypatch):
     quad.oracle_value("B", (3, 2), x, 20)
     assert -2 not in exponents
     assert exponents.count(3) == 71
+
+
+@pytest.mark.parametrize("dps", [30, 2000])
+def test_float_log10_matches_mpmath(dps):
+    """The stop test's log10, read as a float from a raw libmp value
+    (man, exp), is mp.log10 to 1e-12, out to exponents of +-400 and for
+    mans of thousands of bits; the sign is ignored."""
+    with mp.workdps(dps):
+        for text in ("1", "0.5", "7", "-3.25e-17", "1e-400", "9.99e-400",
+                     "2.5e399", "1e400", "-6.02e400", "1.7976931348623157e308"):
+            value = mpf(text) * (1 + mp.pi * mpf(10) ** -(dps // 2))
+            assert abs(quad._log10(value._mpf_) - float(mp.log10(abs(value)))) <= 1e-12, text
+
+
+def test_zero_back_difference_never_stops_a_level(monkeypatch):
+    """Level sums set to give the estimates 1, 1 + 2^-40, 1, 1 + 2^-40, ...:
+    on level 3 the last difference, 2^-40, is settled but above tol, and
+    the difference from two levels back is exactly 0, which predicts
+    nothing.  The level must not stop there, nor fail; level 4 repeats
+    level 3 and stops on agreement."""
+    ests = [Fraction(1), 1 + Fraction(1, 2**40), Fraction(1), 1 + Fraction(1, 2**40),
+            1 + Fraction(1, 2**40)]
+    parts = [ests[0]] + [2**k * (ests[k] - ests[k - 1] / 2) for k in range(1, len(ests))]
+    levels = []
+
+    def fake_level_sum(weights, values, prec):
+        part = parts[len(levels)]
+        levels.append(len(levels))
+        return from_man_exp(part.numerator, 1 - part.denominator.bit_length())
+
+    monkeypatch.setattr(quad, "_level_sum", fake_level_sum)
+    spec = quad.IntegralSpec(Fraction(0), Fraction(1),
+                             lambda level: [(0, 0)] * len(level.nodes))
+    value = quad.integrate(spec, 20)
+    assert levels == [0, 1, 2, 3, 4]
+    assert value == mpf(1) + mpf(2) ** -40
 
 
 # one member of each pointed family at a point that is not dyadic; the
