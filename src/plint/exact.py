@@ -554,33 +554,28 @@ def loads(text: str) -> ClosedForm:
 
 # -- compact rendering ----------------------------------------------------------
 
-def _render_factor(atom: Atom, exp: int) -> str:
-    row = VOCABULARY[atom.kind]
-    if row.minimums == (NONZERO,):  # a power: its exponent folds into exp
-        body, exp = row.spelling, atom.args[0] * exp
-    else:
-        body = row.spelling.format(*atom.args)
-    return body if exp == 1 else f"{body}^{exp}"
+# VOCABULARY index -> (spelling, whether the kind is a power)
+_SPELLINGS = tuple((row.spelling, row.minimums == (NONZERO,)) for row in VOCABULARY.values())
 
 
 def compact(form: ClosedForm) -> str:
-    """Deterministic short rendering, e.g. '2*z3' or 'z2 - 1'."""
+    """Deterministic short rendering, e.g. '2*z3' or 'z2 - 1', from each
+    coefficient's ints and each factor's spelling; a power kind's argument
+    joins the exponent (x^-2), and a coefficient 1 before factors is dropped."""
     if not form.terms:
         return "0"
     parts: list[str] = []
-    for i, term in enumerate(form.terms):
-        coeff = term.coeff
-        mag = abs(coeff)
-        mag_str = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        body = "*".join(_render_factor(a, e) for a, e in term.factors)
-        if not body:
-            piece = mag_str
-        elif mag == 1:
-            piece = body
-        else:
-            piece = f"{mag_str}*{body}"
-        if i == 0:
-            parts.append(piece if coeff > 0 else f"-{piece}")
-        else:
-            parts.append(f" + {piece}" if coeff > 0 else f" - {piece}")
-    return "".join(parts)
+    for term in form.terms:
+        num, den = term.coeff.numerator, term.coeff.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        pieces = [] if mag == "1" and term.factors else [mag]
+        for (index, args), exp in term.factors:
+            body, power = _SPELLINGS[index]
+            if power:
+                exp *= args[0]
+            else:
+                body = body.format(*args)
+            pieces.append(body if exp == 1 else f"{body}^{exp}")
+        parts.append((" - " if num < 0 else " + ") + "*".join(pieces))
+    text = "".join(parts)  # the first term's " - " becomes "-", its " + " goes
+    return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -19,12 +19,12 @@ within N + 70 units of 2^-shift for N terms summed, again under
 2^-(prec+1) relative.  A linear Euler sum S_{p,q} is a direct sum to
 N = p + q + 2 prec, H_N^(p) (zeta(q) - H_N^(q)) and one series in 1/N from
 B_m/m! cached per precision, all in fixed point, within 2^-(prec+6)
-relative.  `numeric_eval` values each atom once per (atom, x, digits) and
-keeps it.  It sums a closed form's terms in integers, each term the exact
-product of its coefficient and atom powers rounded once (`_sum_terms`),
-all floored to one unit by `_floor_to_unit`, which states the sum rule and
-its bound and also sums the quadrature oracle's levels.  The quadrature
-oracle and the CLI sit on top of this module.
+relative.  `numeric_eval` values each atom and each atom power once per
+(x, digits) and keeps them.  It sums a closed form's terms in integers,
+each term the exact product of its coefficient and atom powers rounded
+once (`_sum_terms`), all floored to one unit by `_floor_to_unit`, which
+states the sum rule and its bound and also sums the quadrature oracle's
+levels.  The quadrature oracle and the CLI sit on top of this module.
 
 All public functions take a decimal `digits` target and compute with
 guard digits internally; returned mpf values carry the guard precision.
@@ -429,7 +429,8 @@ _VALUE_RULES = {
 }
 
 # (x, digits) -> {atom: its value at x, a raw libmp value at the working
-# precision of digits + GUARD_DIGITS}
+# precision of digits + GUARD_DIGITS, and (atom, e): that value^e rounded
+# likewise, an exact pair (man, exp); an atom never equals such a pair}
 _atom_cache: dict[tuple[Optional[Fraction], int], dict[exact.Atom, tuple]] = {}
 
 
@@ -461,8 +462,8 @@ def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
     Polylog atoms are valued highest order first, so the one pass that
     yields an argument's highest order also yields every lower order of it.
 
-    Each distinct power atom^e is rounded once to prec bits
-    (libmp.mpf_pow_int, within 2^(1-prec) relative), so a term with f
+    Each distinct power atom^e is rounded to prec bits once per (x, digits)
+    and kept (libmp.mpf_pow_int, within 2^(1-prec) relative), so a term with f
     factors is within 2 f 2^-prec of the exact product of its atom values.
     A term, coeff p/q times the powers m_i 2^e_i, is then the exact
     fraction p prod m_i 2^(sum e_i) / q, and the terms are summed by the
@@ -477,16 +478,15 @@ def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
             for atom in missing:
                 values[atom] = _VALUE_RULES[atom.kind](x, digits, *atom.args)._mpf_
     prec = libmp.dps_to_prec(digits + GUARD_DIGITS)  # mp.workdps's precision
-    powers: dict[tuple[exact.Atom, int], tuple[int, int]] = {}
     products = []  # (p prod m_i, sum e_i, q) per term
     for term in form.terms:
         man, exp = term.coeff.numerator, 0
         for factor in term.factors:
-            power = powers.get(factor)
+            power = values.get(factor)
             if power is None:
                 sign, m, e, _ = libmp.mpf_pow_int(values[factor[0]], factor[1], prec,
                                                   libmp.round_nearest)
-                power = powers[factor] = (-m if sign else m, e)
+                power = values[factor] = (-m if sign else m, e)
             man *= power[0]
             exp += power[1]
         products.append((man, exp, term.coeff.denominator))
@@ -503,16 +503,16 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
     exact.limit(form, 1), so removable factors and divergences that cancel
     drop out exactly and genuinely divergent forms raise DivergentAtOne.
 
-    Each distinct atom is valued once per pass over the terms, whatever the
-    number of terms it occurs in.  A pass values the atoms at digits + extra
-    digits, extra = 0 at first, into the ints total and magnitude = sum
-    |term| on one unit (`_sum_terms`, by the rule of `_floor_to_unit`), and
-    is accepted when magnitude <= |total| 10^(extra + GUARD_DIGITS).
-    Otherwise it is repeated with extra the least e with |total| 10^e >=
-    magnitude, as often as needed: a noisy total reads too small a ratio.
-    A total of exactly 0 counts as every working digit lost, and extra
-    becomes digits + extra + GUARD_DIGITS; so a form whose value is exactly
-    0 but which is not structurally zero never settles.  Past
+    Each distinct atom and atom power is computed once per (x, digits),
+    whatever the number of terms and forms it occurs in.  A pass values the
+    atoms at digits + extra digits, extra = 0 at first, into the ints total
+    and magnitude = sum |term| on one unit (`_sum_terms`, by the rule of
+    `_floor_to_unit`), and is accepted when magnitude <= |total| 10^(extra +
+    GUARD_DIGITS).  Otherwise it is repeated with extra the least e with
+    |total| 10^e >= magnitude, as often as needed: a noisy total reads too
+    small a ratio.  A total of exactly 0 counts as every working digit lost,
+    and extra becomes digits + extra + GUARD_DIGITS; so a form whose value
+    is exactly 0 but which is not structurally zero never settles.  Past
     MAX_EXTRA_DIGITS extra digits the loop raises NonConvergent instead of
     returning noise.  The accepted total is rounded to the pass's precision,
     then to that of digits + GUARD_DIGITS.

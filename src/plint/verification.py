@@ -27,7 +27,8 @@ key before emission so --jobs never changes the output.
 
 from __future__ import annotations
 
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal,
+                     InvalidOperation, localcontext)
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -62,19 +63,23 @@ def _x_str(x: Fraction) -> str:
     return str(float(x))
 
 
+# format_value's decimal context, whatever the caller's: room for every digit
+# at any exponent, and only an invalid operation (an infinite value) raises
+_DECIMAL = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX,
+                   Emin=MIN_EMIN, traps=[InvalidOperation])
+_TEN_DECIMALS = Decimal("1e-10")
+
+
 def format_value(v: mpf) -> str:
     """Render a numeric value with ten decimal places, round half to even;
     a nonzero value that rounds to zero gets ten significant digits in
-    exponent form instead (1.890413649e-11)."""
-    with mp.workdps(25):
-        text = mp.nstr(v, 20)
-    unrounded = Decimal(text)
-    with localcontext() as ctx:
-        # room for every integer digit plus the ten decimals
-        ctx.prec = max(ctx.prec, unrounded.adjusted() + 11)
-        d = unrounded.quantize(Decimal("1e-10"), rounding=ROUND_HALF_EVEN)
-    if d == 0:
-        return "0.0000000000" if unrounded == 0 else format(unrounded, ".9e")
+    exponent form instead (1.890413649e-11).  The text depends on neither
+    the ambient mpmath precision nor the caller's decimal context."""
+    unrounded = Decimal(mp.nstr(v, 20))  # nstr reads only v, not mp.prec
+    d = unrounded.quantize(_TEN_DECIMALS, context=_DECIMAL)
+    if d == 0 and unrounded != 0:
+        with localcontext(_DECIMAL):  # format rounds in the current context
+            return format(unrounded, ".9e")
     # str() would switch to exponent form below 1e-6
     return format(d, "f")
 

@@ -7,7 +7,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plint import evaluators as ev
 from plint import exact as ex
@@ -433,6 +433,84 @@ class TestCompact:
              * cf_atom(ex.li_at_half(4)) * cf_atom(ex.log_two())
              * cf_atom(ex.li_inv_1px(2)) * cf_atom(ex.log_1px()))
         assert ex.compact(f) == "l2*Li4(h)*H(5,2)*S(2,2)*l1px*Li2(1/(1+x))"
+
+
+# kind -> its compact spelling from the atom's arguments, written out kind
+# by kind; the three power kinds give their base, the argument joins the
+# exponent
+_REFERENCE_SPELLINGS = {
+    "Zeta": lambda s: f"z{s}",
+    "LogTwo": lambda: "l2",
+    "LiAtHalf": lambda k: f"Li{k}(h)",
+    "Harmonic": lambda n, m: f"H({n},{m})",
+    "EulerSum": lambda p, q: f"S({p},{q})",
+    "LogX": lambda: "lx",
+    "Log1mX": lambda: "l1mx",
+    "Log1pX": lambda: "l1px",
+    "XPow": lambda j: "x",
+    "OneMinusXPow": lambda j: "(1-x)",
+    "OnePlusXPow": lambda j: "(1+x)",
+    "LiX": lambda k: f"Li{k}(x)",
+    "Li1mX": lambda k: f"Li{k}(1-x)",
+    "LiInv1pX": lambda k: f"Li{k}(1/(1+x))",
+}
+_POWER_KINDS = {"XPow", "OneMinusXPow", "OnePlusXPow"}
+
+
+def reference_factor(atom, exp):
+    if atom.kind in _POWER_KINDS:
+        exp *= atom.args[0]
+    body = _REFERENCE_SPELLINGS[atom.kind](*atom.args)
+    return body if exp == 1 else f"{body}^{exp}"
+
+
+def reference_compact(form):
+    """compact as one Fraction and one factor at a time."""
+    text = ""
+    for i, term in enumerate(form.terms):
+        mag = abs(term.coeff)
+        body = "*".join(reference_factor(a, e) for a, e in term.factors)
+        piece = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        if i == 0:
+            text = piece if term.coeff > 0 else "-" + piece
+        else:
+            text += (" + " if term.coeff > 0 else " - ") + piece
+    return text or "0"
+
+
+def _any_atom(kind):
+    """A valid atom of `kind`: each argument at or above its minimum, and a
+    power kind's argument any nonzero int, negative ones included."""
+    args = [st.integers(-6, 6).filter(bool) if low is ex.NONZERO else st.integers(low, low + 12)
+            for low in ex.VOCABULARY[kind].minimums]
+    return st.tuples(*args).map(lambda a: ex.Atom(kind, a))
+
+
+_EVERY_ATOM = st.sampled_from(sorted(ex.VOCABULARY)).flatmap(_any_atom)
+_COEFFS = st.one_of(st.sampled_from([1, -1]), st.integers(-10**6, 10**6).filter(bool),
+                    st.fractions(min_value=-50, max_value=50).filter(bool))
+_RENDER_TERMS = st.builds(
+    lambda c, picks: ex.Term(c, ex._merge_factors(tuple(picks))), _COEFFS,
+    st.lists(st.tuples(_EVERY_ATOM, st.integers(1, 3)), max_size=4))
+_RENDER_FORMS = st.lists(_RENDER_TERMS, max_size=5).map(ex.ClosedForm)
+
+
+class TestCompactAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_RENDER_FORMS)
+    def test_random_forms(self, form):
+        assert ex.compact(form) == reference_compact(form)
+
+    @pytest.mark.parametrize("kind", sorted(ex.VOCABULARY))
+    def test_every_kind_with_each_coefficient_shape(self, kind):
+        atom = ex.Atom(kind, tuple(-2 if low is ex.NONZERO else low + 1
+                                   for low in ex.VOCABULARY[kind].minimums))
+        for coeff in (1, -1, 7, -7, Fraction(3, 5), Fraction(-3, 5)):
+            for exp in (1, 2):
+                form = ex.ClosedForm.of(atom, exp, coeff) + ex.ClosedForm.number(Fraction(-2, 3))
+                assert ex.compact(form) == reference_compact(form)
+            assert ex.compact(ex.ClosedForm.number(coeff)) == reference_compact(
+                ex.ClosedForm.number(coeff))
 
 
 def _assert_canonical(form):

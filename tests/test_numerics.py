@@ -262,6 +262,42 @@ class TestPolylogOrders:
         assert sorted(calls) == [3, 4, 5]
 
 
+class TestAtomPowers:
+    """_sum_terms keeps each atom power per (x, digits) in _atom_cache."""
+
+    def count_powers(self, monkeypatch):
+        calls = []
+        pow_int = libmp.mpf_pow_int
+        monkeypatch.setattr(libmp, "mpf_pow_int",
+                            lambda *args: calls.append(args[1]) or pow_int(*args))
+        return calls
+
+    def test_second_evaluation_forms_no_power(self, monkeypatch):
+        monkeypatch.setattr(num, "_atom_cache", {})
+        calls = self.count_powers(monkeypatch)
+        form = families.closed_form("A", (3, 2), Fraction(1, 4))
+        first = num.numeric_eval(form, Fraction(1, 4), 30)
+        assert len(calls) == len({f for term in form.terms for f in term.factors})
+        calls.clear()
+        assert num.numeric_eval(form, Fraction(1, 4), 30)._mpf_ == first._mpf_
+        assert calls == []
+
+    def test_powers_are_kept_per_point_and_digits(self, monkeypatch):
+        monkeypatch.setattr(num, "_atom_cache", {})
+        calls = self.count_powers(monkeypatch)
+        form = (ex.ClosedForm.of(ex.log_1mx(), 3) + ex.ClosedForm.of(ex.li_x(2), 2)
+                + ex.ClosedForm.of(ex.x_pow(-2)))
+        num.numeric_eval(form, Fraction(1, 3), 20)
+        num.numeric_eval(form, Fraction(1, 3), 20)
+        assert sorted(calls) == [1, 2, 3]
+        calls.clear()
+        warm = {(x, d): num.numeric_eval(form, x, d)._mpf_
+                for x, d in ((Fraction(1, 3), 30), (Fraction(2, 3), 20))}
+        assert sorted(calls) == [1, 1, 2, 2, 3, 3]
+        monkeypatch.setattr(num, "_atom_cache", {})
+        assert {(x, d): num.numeric_eval(form, x, d)._mpf_ for x, d in warm} == warm
+
+
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(0, 8), digits=st.integers(10, 60),
        t=st.fractions(min_value=0, max_value=1, max_denominator=1000)

@@ -1,9 +1,13 @@
 """Unit checks for the verification engine itself: grids, records, ordering."""
 
+import decimal
+from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from plint import evaluators as ev
 from plint import exact
@@ -121,6 +125,82 @@ class TestFormatting:
                 "620448401733239439360000.0000000000")
             assert vf.format_value(-mpf(10) ** 30) == (
                 "-1000000000000000000000000000000.0000000000")
+
+
+def reference_format_value(v):
+    """format_value as it was spelled with a local copy of the caller's
+    decimal context: the reference for the default context."""
+    with mp.workdps(25):
+        text = mp.nstr(v, 20)
+    unrounded = Decimal(text)
+    with decimal.localcontext() as ctx:
+        # room for every integer digit plus the ten decimals
+        ctx.prec = max(ctx.prec, unrounded.adjusted() + 11)
+        d = unrounded.quantize(Decimal("1e-10"), rounding=ROUND_HALF_EVEN)
+    if d == 0:
+        return "0.0000000000" if unrounded == 0 else format(unrounded, ".9e")
+    # str() would switch to exponent form below 1e-6
+    return format(d, "f")
+
+
+def _decimal_mpf(text):
+    with mp.workdps(60):  # every digit of text survives nstr(v, 20)
+        return mpf(text)
+
+
+_SIGNS = st.sampled_from(["", "-"])
+# |v| from 1e-59 to 1e40 with up to 20 significant digits, so up to 40
+# integer digits, past the default context's 28
+_DECIMAL_VALUES = st.builds(lambda sign, m, e: _decimal_mpf(f"{sign}{m}e{e}"),
+                            _SIGNS, st.integers(1, 10**20 - 1), st.integers(-59, 20))
+# ties at the tenth decimal: round half to even decides them
+_TIES = st.builds(lambda sign, i, d: _decimal_mpf(f"{sign}{i}.{d:010d}5"),
+                  _SIGNS, st.integers(0, 10**9), st.integers(0, 10**10 - 1))
+# ties at the tenth significant digit of the exponent form
+_EXPONENT_TIES = st.builds(lambda sign, d, e: _decimal_mpf(f"{sign}{d}5e{e}"),
+                           _SIGNS, st.integers(10**9, 10**10 - 1), st.integers(-50, -22))
+# around +-5e-11, where the ten decimals round to zero or not
+_NEAR_HALF_UNIT = st.builds(lambda sign, k: _decimal_mpf(f"{sign}{5 * 10**19 + k}e-30"),
+                            _SIGNS, st.integers(-10**11, 10**11))
+# binary values, as the numeric routes return them
+_BINARY_VALUES = st.builds(lambda man, exp: mp.make_mpf(from_man_exp(man, exp)),
+                           st.integers(-2**100, 2**100).filter(bool), st.integers(-233, 33))
+_VALUES = st.one_of(_DECIMAL_VALUES, _TIES, _EXPONENT_TIES, _NEAR_HALF_UNIT, _BINARY_VALUES)
+
+# decimal contexts a caller may have set
+_HOSTILE = {
+    "trap inexact": lambda ctx: ctx.traps.__setitem__(decimal.Inexact, True),
+    "trap rounded": lambda ctx: ctx.traps.__setitem__(decimal.Rounded, True),
+    "round down": lambda ctx: setattr(ctx, "rounding", decimal.ROUND_DOWN),
+    "round half up": lambda ctx: setattr(ctx, "rounding", decimal.ROUND_HALF_UP),
+    "small Emax": lambda ctx: setattr(ctx, "Emax", 5),
+    "small Emin": lambda ctx: setattr(ctx, "Emin", -5),
+    "five digits": lambda ctx: setattr(ctx, "prec", 5),
+}
+_HOSTILE_VALUES = ["4.99999999999e-11", "-1e-25", "1.8904136494e-11", "2.4e-9",
+                   "1e30", "-620448401733239439360000", "0.12345678905", "0.12345678915",
+                   "1.2345678905e-11", "-4.0000000005e-12", "2.4041138063", "0"]
+
+
+class TestFormatValueSpelling:
+    @settings(max_examples=400, deadline=None)
+    @given(_VALUES)
+    def test_equals_the_local_context_spelling(self, v):
+        assert vf.format_value(v) == reference_format_value(v)
+
+    @pytest.mark.parametrize("hostile", sorted(_HOSTILE))
+    def test_does_not_depend_on_the_callers_context(self, hostile):
+        values = [_decimal_mpf(text) for text in _HOSTILE_VALUES]
+        want = [reference_format_value(v) for v in values]
+        with decimal.localcontext() as ctx:
+            _HOSTILE[hostile](ctx)
+            assert [vf.format_value(v) for v in values] == want
+
+    def test_infinities_and_nan(self):
+        for v in (mp.inf, -mp.inf):
+            with pytest.raises(decimal.InvalidOperation):
+                vf.format_value(v)
+        assert vf.format_value(mp.nan) == "NaN"
 
 
 class TestRunSuite:
