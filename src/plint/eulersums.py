@@ -39,15 +39,26 @@ def reduce_S1(i: int) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _reduce_s1(i: int) -> ClosedForm:
-    parts = [exact.monomial(Fraction(i + 2, 2), (exact.zeta(i + 1), 1))]
+    acc = exact.Accumulator()
+    acc.add(i + 2, (exact.zeta(i + 1), 1), den=2)
     for k in range(1, i - 1):
-        parts.append(exact.monomial(Fraction(-1, 2),
-                                    (exact.zeta(k + 1), 1), (exact.zeta(i - k), 1)))
-    return exact.total(parts)
+        acc.add(-1, *_zeta_pair(k + 1, i - k), den=2)
+    return acc.form()
 
 
-def _odd_weight_reduction(p: int, q: int) -> ClosedForm:
-    """Zeta-only form of S(p,q) for odd weight w = p+q, p >= 2.
+def _zeta_pair(a: int, b: int) -> exact.Factors:
+    """The canonical factors of zeta(a) zeta(b): one squared factor when
+    a == b."""
+    if a == b:
+        return ((exact.zeta(a), 2),)
+    if a > b:
+        a, b = b, a
+    return ((exact.zeta(a), 1), (exact.zeta(b), 1))
+
+
+def _add_odd_weight(acc: exact.Accumulator, p: int, q: int, coeff: int) -> None:
+    """Add coeff times the zeta-only form of S(p,q), odd weight w = p+q,
+    p >= 2, to acc:
 
     S(p,q) = zeta(w) (1/2 - (-1)^p C(w-1,p)/2 - (-1)^p C(w-1,q)/2)
              + (1 - (-1)^p)/2 * zeta(p) zeta(q)
@@ -59,18 +70,27 @@ def _odd_weight_reduction(p: int, q: int) -> ClosedForm:
     """
     w = p + q
     sign = (-1) ** p
-    head = Fraction(1, 2) - Fraction(sign, 2) * (math.comb(w - 1, p) + math.comb(w - 1, q))
-    parts = [exact.monomial(head, (exact.zeta(w), 1))]
+    acc.add(coeff * (1 - sign * (math.comb(w - 1, p) + math.comb(w - 1, q))),
+            (exact.zeta(w), 1), den=2)
     if p % 2 == 1:
-        parts.append(exact.monomial(1, (exact.zeta(p), 1), (exact.zeta(q), 1)))
+        acc.add(coeff, *_zeta_pair(p, q))
     for bound, other in ((p, q), (q, p)):
         for k in range(1, bound // 2 + 1):
             if w - 2 * k < 2:
                 continue
-            coeff = sign * math.comb(w - 2 * k - 1, other - 1)
-            parts.append(exact.monomial(coeff, (exact.zeta(2 * k), 1),
-                                        (exact.zeta(w - 2 * k), 1)))
-    return exact.total(parts)
+            acc.add(coeff * sign * math.comb(w - 2 * k - 1, other - 1),
+                    *_zeta_pair(2 * k, w - 2 * k))
+
+
+def _add_s(acc: exact.Accumulator, p: int, q: int, coeff: int) -> None:
+    """Add coeff times S(p,q), reduced as reduce_S reduces it, to acc;
+    p >= 1 and q >= 2."""
+    if p == 1:
+        acc.add_form(_reduce_s1(q), coeff)
+    elif (p + q) % 2 == 1:
+        _add_odd_weight(acc, p, q, coeff)
+    else:
+        acc.add(coeff, (exact.euler_sum(p, q), 1))
 
 
 def reduce_S(p: int, q: int) -> ClosedForm:
@@ -85,11 +105,9 @@ def reduce_S(p: int, q: int) -> ClosedForm:
         raise ParameterError(f"q must be an int, got {q!r}")
     if q < 2:
         raise DivergentValue(f"S({p},{q}) diverges: it needs q >= 2")
-    if p == 1:
-        return reduce_S1(q)
-    if (p + q) % 2 == 1:
-        return _odd_weight_reduction(p, q)
-    return ClosedForm.of(exact.euler_sum(p, q))
+    acc = exact.Accumulator()
+    _add_s(acc, p, q, 1)
+    return acc.form()
 
 
 def K_base(m: int, q: int) -> ClosedForm:
@@ -108,8 +126,17 @@ def K_base(m: int, q: int) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _k_base(m: int, q: int) -> ClosedForm:
-    s_part = reduce_S(q, m + 1) - ClosedForm.of(exact.zeta(m + q + 1))
-    return s_part.scale(Fraction((-1) ** m * math.factorial(m)))
+    acc = exact.Accumulator()
+    _add_k_base(acc, m, q, math.factorial(m))
+    return acc.form()
+
+
+def _add_k_base(acc: exact.Accumulator, m: int, q: int, coeff: int) -> None:
+    """Add coeff/m! times K(m,0,q), coeff (-1)^m (S(q, m+1) - zeta(m+q+1)),
+    to acc, as K_base would build it but without its checks."""
+    coeff *= (-1) ** m
+    _add_s(acc, q, m + 1, coeff)
+    acc.add(-coeff, (exact.zeta(m + q + 1), 1))
 
 
 def freitas_K0_recurrence(r: int, q: int) -> ClosedForm:

@@ -25,6 +25,13 @@ NestedSumPlan, which walks every chain one by one, is kept as the literal
 reading of the expansions.  freitas_recurrence_eval re-derives J0/J/K from
 their recurrences instead and exists solely as an independent second route
 for the verification suites.
+
+Each builder adds its summands, coeff times atom powers or coeff times a
+smaller form, into one exact.Accumulator and makes its ClosedForm once.
+The coefficients stay ints wherever the sums allow: the A/B chain weights
+are counted times (n-1)!, and each K summand's chain factor 1/(m+1)_s is
+folded into the (m+s)! its K_base terminal carries, leaving an int times m!,
+so the terminals are streamed in rather than built as forms and scaled.
 """
 
 from __future__ import annotations
@@ -37,8 +44,8 @@ from typing import Callable, Iterator, Union
 
 from . import exact
 from .errors import InvalidOrder, ParameterError, _require_int
-from .eulersums import K_base, reduce_S1
-from .exact import ClosedForm, monomial as _term, total as _sum
+from .eulersums import K_base, _add_k_base, reduce_S1
+from .exact import Accumulator, ClosedForm, monomial as _term
 from .numerics import harmonic_value
 
 EvalPoint = Union[Fraction, int]
@@ -114,7 +121,10 @@ class NestedSumPlan:
         return descend(())
 
     def evaluate(self) -> ClosedForm:
-        return _sum([self.body(chain) for chain in self.chains()])
+        acc = Accumulator()
+        for chain in self.chains():
+            acc.add_form(self.body(chain))
+        return acc.form()
 
 
 def _compositions(s: int, parts: int) -> int:
@@ -132,11 +142,11 @@ def _compositions(s: int, parts: int) -> int:
 
 @lru_cache(maxsize=None)
 def _l_symbolic(n: int, m: int) -> ClosedForm:
-    parts = []
+    acc = Accumulator()
     for j in range(m + 1):
-        coeff = Fraction((-1) ** j * _rising(m + 1 - j, j), (n + 1) ** (j + 1))
-        parts.append(_term(coeff, (exact.x_pow(n + 1), 1), (exact.log_x(), m - j)))
-    return _sum(parts)
+        acc.add((-1) ** j * _rising(m + 1 - j, j), (exact.x_pow(n + 1), 1),
+                (exact.log_x(), m - j), den=(n + 1) ** (j + 1))
+    return acc.form()
 
 
 def L_integral(n: int, m: int, at: EvalPoint = 1) -> ClosedForm:
@@ -156,9 +166,10 @@ def L_integral(n: int, m: int, at: EvalPoint = 1) -> ClosedForm:
 @lru_cache(maxsize=None)
 def _m_symbolic(n: int, m: int) -> ClosedForm:
     # M(n,m,1-x) = sum_j (-1)^j C(n,j) L(j,m,x): y = 1-u, (1-u)^n expanded
-    image = _sum([_l_symbolic(j, m).scale((-1) ** j * math.comb(n, j))
-                  for j in range(n + 1)])
-    return exact.subst_one_minus_x(image)
+    image = Accumulator()
+    for j in range(n + 1):
+        image.add_form(_l_symbolic(j, m), (-1) ** j * math.comb(n, j))
+    return exact.subst_one_minus_x(image.form())
 
 
 def M_integral(n: int, m: int, frm: EvalPoint = 0) -> ClosedForm:
@@ -199,44 +210,47 @@ def _check_orders(family: str, m: int, n: int) -> None:
 
 @lru_cache(maxsize=None)
 def _a_base_symbolic(m: int) -> ClosedForm:
-    parts = [_term(1, (exact.log_x(), 1), (exact.log_1mx(), m))]
+    acc = Accumulator()
+    acc.add(1, (exact.log_x(), 1), (exact.log_1mx(), m))
     for k in range(m - 1):
-        coeff = (-1) ** k * _rising(m - k, k + 1)
-        parts.append(_term(coeff, (exact.log_1mx(), m - k - 1), (exact.li_1mx(k + 2), 1)))
-    parts.append(_term((-1) ** (m - 1) * math.factorial(m), (exact.li_1mx(m + 1), 1)))
-    parts.append(ClosedForm.of(exact.zeta(m + 1), coeff=(-1) ** m * math.factorial(m)))
-    return _sum(parts)
+        acc.add((-1) ** k * _rising(m - k, k + 1),
+                (exact.log_1mx(), m - k - 1), (exact.li_1mx(k + 2), 1))
+    acc.add((-1) ** (m - 1) * math.factorial(m), (exact.li_1mx(m + 1), 1))
+    acc.add((-1) ** m * math.factorial(m), (exact.zeta(m + 1), 1))
+    return acc.form()
 
 
 @lru_cache(maxsize=None)
 def _b_base_symbolic(m: int) -> ClosedForm:
-    parts = [
-        _term(1, (exact.log_x(), 1), (exact.log_1px(), m)),
-        _term(Fraction(-m, m + 1), (exact.log_1px(), m + 1)),
-        ClosedForm.of(exact.zeta(m + 1), coeff=math.factorial(m)),
-    ]
+    acc = Accumulator()
+    acc.add(1, (exact.log_x(), 1), (exact.log_1px(), m))
+    acc.add(-m, (exact.log_1px(), m + 1), den=m + 1)
+    acc.add(math.factorial(m), (exact.zeta(m + 1), 1))
     for i in range(1, m + 1):
-        coeff = -math.comb(m, i) * math.factorial(i)
-        parts.append(_term(coeff, (exact.log_1px(), m - i), (exact.li_inv_1px(i + 1), 1)))
-    return _sum(parts)
+        acc.add(-math.comb(m, i) * math.factorial(i),
+                (exact.log_1px(), m - i), (exact.li_inv_1px(i + 1), 1))
+    return acc.form()
 
 
-def _descending_weights(n: int) -> list[dict[int, Fraction]]:
+def _descending_weights(n: int) -> list[dict[int, int]]:
     """For each length y = 0 .. n-2, the summed weight 1/(n-1) prod_j 1/(i_j - 1)
     of the descending chains n > i_1 > ... > i_y >= 2, keyed by the last index
-    (n for the empty chain).
+    (n for the empty chain), times (n-1)!.
 
     A chain ending at t extends any chain ending above t, so
-    W_y[t] = sum_{u > t} W_(y-1)[u] / (t-1), one suffix sum per length.
+    W_y[t] = sum_{u > t} W_(y-1)[u] / (t-1), one suffix sum per length.  The
+    weights times (n-1)! are ints, as each chain's 1/(i_j - 1) over distinct
+    i_j in 2..n-1 have a product dividing (n-2)!, so each suffix sum divides
+    exactly by t-1.
     """
-    layers = [{n: Fraction(1, n - 1)}]
+    layers = [{n: math.factorial(n - 2)}]
     for _ in range(n - 2):
-        above = Fraction(0)
+        above = 0
         layer = {}
         for t in range(n - 1, 1, -1):
             above += layers[-1].get(t + 1, 0)
             if above:
-                layer[t] = above / (t - 1)
+                layer[t] = above // (t - 1)
         layers.append(layer)
     return layers
 
@@ -254,16 +268,17 @@ def _descending_chains(m: int, n: int, log_atom: exact.Atom,
     if n == 1:
         return base(m)
     flip = sign ** (n + 1)
-    parts = []
+    den = math.factorial(n - 1)
+    acc = Accumulator()
     for y, layer in enumerate(_descending_weights(n)):
         f_y, f_y1 = _falling(m, y), _falling(m, y + 1)
         for tail, w in layer.items():
-            parts.append(_term(w * f_y * (-1) ** (y + 1) * sign ** (n + tail),
-                               (log_atom, m - y), (exact.x_pow(1 - tail), 1)))
+            acc.add(w * f_y * (-1) ** (y + 1) * sign ** (n + tail),
+                    (log_atom, m - y), (exact.x_pow(1 - tail), 1), den=den)
         w = sum(layer.values())
-        parts.append(_term(flip * w * f_y * (-1) ** y, (log_atom, m - y)))
-        parts.append(base(m - y - 1).scale(flip * w * f_y1 * (-1) ** (y + 1)))
-    return _sum(parts)
+        acc.add(flip * w * f_y * (-1) ** y, (log_atom, m - y), den=den)
+        acc.add_form(base(m - y - 1), flip * w * f_y1 * (-1) ** (y + 1), den)
+    return acc.form()
 
 
 @lru_cache(maxsize=None)
@@ -279,8 +294,10 @@ def _b_symbolic(m: int, n: int) -> ClosedForm:
 @lru_cache(maxsize=None)
 def _c_symbolic(m: int, n: int) -> ClosedForm:
     # t -> 1-t: C(m,n,x) = A(m,n,1) - A(m,n,1-x)
-    a = _a_symbolic(m, n)
-    return _limit(_a_symbolic, (m, n)) - exact.subst_one_minus_x(a)
+    acc = Accumulator()
+    acc.add_form(_limit(_a_symbolic, (m, n)))
+    acc.add_form(exact.subst_one_minus_x(_a_symbolic(m, n)), -1)
+    return acc.form()
 
 
 def A_base(m: int, x: EvalPoint = 1) -> ClosedForm:
@@ -363,14 +380,14 @@ def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _j0_symbolic(m: int, p: int) -> ClosedForm:
-    parts = []
+    acc = Accumulator()
     for j in range(2, p + 1):
-        coeff = Fraction((-1) ** (p - j), (m + 1) ** (p + 1 - j))
-        parts.append(_term(coeff, (exact.x_pow(m + 1), 1), (exact.li_x(j), 1)))
-    tail_scale = Fraction((-1) ** (p - 1), (m + 1) ** (p - 1))
-    parts.append(_m_symbolic(m, 1).scale(tail_scale))
-    parts.append(_limit(_m_symbolic, (m, 1), 0).scale(-tail_scale))
-    return _sum(parts)
+        acc.add((-1) ** (p - j), (exact.x_pow(m + 1), 1), (exact.li_x(j), 1),
+                den=(m + 1) ** (p + 1 - j))
+    tail_sign, tail_den = (-1) ** (p - 1), (m + 1) ** (p - 1)
+    acc.add_form(_m_symbolic(m, 1), tail_sign, tail_den)
+    acc.add_form(_limit(_m_symbolic, (m, 1), 0), -tail_sign, tail_den)
+    return acc.form()
 
 
 def J0_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
@@ -387,9 +404,14 @@ def J0_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
 
 
 def _j1_zero_symbolic(m: int) -> ClosedForm:
+    acc = Accumulator()
     if m == 0:  # -L(0,0,x) + C(0,1,x), C(0,1,x) = -log(1-x)
-        return _sum([_term(-1, (exact.log_1mx(), 1)), _term(-1, (exact.x_pow(1), 1))])
-    return _c_symbolic(m, 1) - _l_symbolic(0, m)
+        acc.add(-1, (exact.log_1mx(), 1))
+        acc.add(-1, (exact.x_pow(1), 1))
+    else:
+        acc.add_form(_c_symbolic(m, 1))
+        acc.add_form(_l_symbolic(0, m), -1)
+    return acc.form()
 
 
 def J1_zero(m: int, x: EvalPoint = 1) -> ClosedForm:
@@ -405,22 +427,18 @@ def J1_zero(m: int, x: EvalPoint = 1) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _j1_symbolic(m: int, p: int) -> ClosedForm:
-    parts = []
+    acc = Accumulator()
     for y in range(1, p + 1):
+        li = exact.li_x(p - y + 1)
         for s in range(m):
-            coeff = _compositions(s, y) * _falling(m, s) * (-1) ** (s + y - 1)
-            parts.append(_term(
-                coeff,
-                (exact.x_pow(1), 1),
-                (exact.li_x(p - y + 1), 1),
-                (exact.log_x(), m - s),
-            ))
-        coeff = _compositions(m - 1, y) * math.factorial(m) * (-1) ** (m + y - 1)
-        parts.append(_j0_symbolic(0, p - y + 1).scale(coeff))
+            acc.add(_compositions(s, y) * _falling(m, s) * (-1) ** (s + y - 1),
+                    (exact.log_x(), m - s), (exact.x_pow(1), 1), (li, 1))
+        acc.add_form(_j0_symbolic(0, p - y + 1),
+                     _compositions(m - 1, y) * math.factorial(m) * (-1) ** (m + y - 1))
     for s in range(m):
-        coeff = _compositions(s, p) * _falling(m, s) * (-1) ** (s + p)
-        parts.append(_j1_zero_symbolic(m - s).scale(coeff))
-    return _sum(parts)
+        acc.add_form(_j1_zero_symbolic(m - s),
+                     _compositions(s, p) * _falling(m, s) * (-1) ** (s + p))
+    return acc.form()
 
 
 def J1_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
@@ -463,12 +481,11 @@ def J_at_one_v1(m: int, p: int) -> ClosedForm:
     """
     _require_int("m", m, 0)
     _require_int("p", p, 1)
-    parts = []
+    acc = Accumulator()
     for j in range(2, p + 1):
-        inner = [
-            ClosedForm.of(exact.zeta(i), coeff=Fraction(-1, (m + 1) ** (p + 2 - j - i)))
-            for i in range(2, p + 2 - j)
-        ]
+        z_j, sign = exact.zeta(j), (-1) ** (p - j)
+        for i in range(2, p + 2 - j):
+            acc.add(-sign, (z_j, 1), (exact.zeta(i), 1), den=(m + 1) ** (p + 2 - j - i))
         rational = sum(
             (
                 Fraction(1, (m + 1) ** (p + 2 - j - i)) * harmonic_value(m + 1, i)
@@ -476,17 +493,17 @@ def J_at_one_v1(m: int, p: int) -> ClosedForm:
             ),
             Fraction(0),
         )
-        inner.append(ClosedForm.number(rational))
-        parts.append(ClosedForm.of(exact.zeta(j), coeff=(-1) ** (p - j)) * _sum(inner))
+        acc.add(sign * rational, (z_j, 1))
     sign = (-1) ** (p - 1)
     for i in range(2, p + 1):
         partial = sum(
             (harmonic_value(n) / Fraction(n**i) for n in range(1, m + 2)), Fraction(0)
         )
-        piece = reduce_S1(i) - ClosedForm.number(partial)
-        parts.append(piece.scale(Fraction(-sign, (m + 1) ** (p - i + 1))))
-    parts.append(ClosedForm.number(Fraction(sign, (m + 1) ** p) * _h_square_block(m)))
-    return _sum(parts)
+        den = (m + 1) ** (p - i + 1)
+        acc.add_form(reduce_S1(i), -sign, den)
+        acc.add(sign * partial, den=den)
+    acc.add(sign * _h_square_block(m), den=(m + 1) ** p)
+    return acc.form()
 
 
 def J_at_one_v2(m: int, p: int) -> ClosedForm:
@@ -497,21 +514,19 @@ def J_at_one_v2(m: int, p: int) -> ClosedForm:
     """
     _require_int("m", m, 0)
     _require_int("p", p, 1)
-    parts = []
+    acc = Accumulator()
     for i in range(2, p + 1):
-        inner = [reduce_S1(i)]
+        sign, den = (-1) ** (p - i), (m + 1) ** (p - i + 1)
+        acc.add_form(reduce_S1(i), sign, den)
         rational = Fraction(0)
         for k in range(2, i + 1):
-            inner.append(ClosedForm.of(
-                exact.zeta(k), coeff=(-1) ** (i - k) * harmonic_value(m + 1, i - k + 1)
-            ))
+            acc.add(sign * (-1) ** (i - k) * harmonic_value(m + 1, i - k + 1),
+                    (exact.zeta(k), 1), den=den)
         for j in range(1, m + 2):
             rational += Fraction((-1) ** (i - 1), j**i) * harmonic_value(j)
-        inner.append(ClosedForm.number(rational))
-        parts.append(_sum(inner).scale(Fraction((-1) ** (p - i), (m + 1) ** (p - i + 1))))
-    head = Fraction((-1) ** (p - 1), (m + 1) ** p) * _h_square_block(m)
-    parts.append(ClosedForm.number(head))
-    return _sum(parts)
+        acc.add(sign * rational, den=den)
+    acc.add((-1) ** (p - 1) * _h_square_block(m), den=(m + 1) ** p)
+    return acc.form()
 
 
 def J_at_one_devoto(m: int) -> ClosedForm:
@@ -530,13 +545,14 @@ def J_neg2_at_one(p: int) -> ClosedForm:
     + (1/2) sum_{i=3}^p sum_{k=1}^{i-2} zeta(k+1) zeta(i-k).
     """
     _require_int("p", p, 1)
-    parts = [ClosedForm.of(exact.zeta(2), coeff=2)]
+    acc = Accumulator()
+    acc.add(2, (exact.zeta(2), 1))
     for i in range(2, p + 1):
-        parts.append(ClosedForm.of(exact.zeta(i + 1), coeff=Fraction(-i, 2)))
+        acc.add(-i, (exact.zeta(i + 1), 1), den=2)
     for i in range(3, p + 1):
         for k in range(1, i - 1):
-            parts.append(_zz(k + 1, i - k, Fraction(1, 2)))
-    return _sum(parts)
+            acc.add(1, (exact.zeta(k + 1), 1), (exact.zeta(i - k), 1), den=2)
+    return acc.form()
 
 
 @lru_cache(maxsize=None)
@@ -569,17 +585,19 @@ def J_eval(m: int, p: int, q: int) -> ClosedForm:
         p, q = q, p
     if q == 1:
         return _j_base(m, p)
-    parts = []
+    acc = Accumulator()
     for stage in range(1, q):
+        z_q = exact.zeta(q - stage + 1)
         for s in range(p - 1):
-            coeff = Fraction((-1) ** (s + stage - 1), (m + 1) ** (s + stage))
-            parts.append(_zz(p - s, q - stage + 1, coeff * _compositions(s, stage)))
-        coeff = Fraction((-1) ** (p - 2 + stage), (m + 1) ** (p - 2 + stage))
-        parts.append(_j_base(m, q - stage + 1).scale(coeff * _compositions(p - 2, stage)))
+            acc.add((-1) ** (s + stage - 1) * _compositions(s, stage),
+                    (exact.zeta(p - s), 1), (z_q, 1), den=(m + 1) ** (s + stage))
+        acc.add_form(_j_base(m, q - stage + 1),
+                     (-1) ** (p - 2 + stage) * _compositions(p - 2, stage),
+                     (m + 1) ** (p - 2 + stage))
     for s in range(p - 1):
-        coeff = Fraction((-1) ** (s + q - 1), (m + 1) ** (s + q - 1))
-        parts.append(_j_base(m, p - s).scale(coeff * _compositions(s, q - 1)))
-    return _sum(parts)
+        acc.add_form(_j_base(m, p - s), (-1) ** (s + q - 1) * _compositions(s, q - 1),
+                     (m + 1) ** (s + q - 1))
+    return acc.form()
 
 
 def K_eval(m: int, p: int, q: int) -> ClosedForm:
@@ -600,15 +618,18 @@ def K_eval(m: int, p: int, q: int) -> ClosedForm:
         p, q = q, p
     if q == 0:
         return K_base(m, p)
-    parts = []
+    # K_base(m+s, .) carries (m+s)! and (m+1)_s = (m+s)!/m!, so a chain
+    # factor (-1)^s / (m+1)_s times K_base(m+s, .) is the int (-1)^s m!
+    # times K_base(m+s, .)/(m+s)!, which _add_k_base adds
+    acc = Accumulator()
+    m_fact = math.factorial(m)
     for stage in range(1, q + 1):
-        coeff = Fraction((-1) ** (p + stage - 1), _rising(m + 1, p + stage - 1))
-        parts.append(K_base(m + p + stage - 1, q - stage + 1).scale(
-            coeff * _compositions(p - 1, stage)))
+        s = p + stage - 1
+        _add_k_base(acc, m + s, q - stage + 1,
+                    (-1) ** s * m_fact * _compositions(p - 1, stage))
     for s in range(q, p + q):
-        coeff = Fraction((-1) ** s, _rising(m + 1, s))
-        parts.append(K_base(m + s, p + q - s).scale(coeff * _compositions(s - q, q)))
-    return _sum(parts)
+        _add_k_base(acc, m + s, p + q - s, (-1) ** s * m_fact * _compositions(s - q, q))
+    return acc.form()
 
 
 # -- recurrence route (verification only) -------------------------------------------

@@ -27,17 +27,27 @@ Equal construction histories therefore yield identical tuples, so ``==``
 on ClosedForm is structural identity of the canonical form and the JSON
 serialization is byte-deterministic.
 
+A closed form that is a long sum, as ``limit`` and every builder in
+``evaluators`` and ``eulersums`` make, is summed in an ``Accumulator``:
+each summand, coeff times atom powers or coeff times a form, is added into
+one map {canonical factors: int numerator} over a running common
+denominator, and ``form`` makes each coefficient a Fraction once and the
+ClosedForm once, through ``ClosedForm.__init__``.  The ring operations
+(``+``, ``-``, ``*``, ``scale``) stay for short expressions and for tests,
+which check the accumulator against them.
+
 The public ``Term(coeff, factors)`` validates its parts (nonzero
 coefficient, factors strictly sorted, exponents >= 1), because terms can
 come from outside, as in ``from_dict``/``loads``.  The terms this module
-builds itself from parts that are already canonical (``monomial`` after
-merging its factors, merging in ``ClosedForm``, ``*``, unary ``-``,
-``scale``, the x -> 1-x substitution and the limits) go through
-``_trusted_term``, which skips those checks; ``monomial`` checks only that
-its merged exponents are positive.  A one-term form, and a scaled or
-negated one, keeps its terms in canonical order, so ``_trusted_form`` makes
-it without merging or sorting again, and the x -> 1-x image of a canonical
-form is only re-sorted.
+builds itself from parts that are already canonical (``monomial`` and
+``Accumulator.add`` after merging their factors, merging in ``ClosedForm``,
+``*``, unary ``-``, ``scale``, the x -> 1-x substitution and the limits) go
+through ``_trusted_term``, which skips those checks; factors written in
+canonical order are taken as they are, others are merged: an atom whose
+exponents sum to 0 drops out, and a negative sum raises.  A one-term form,
+and a scaled or negated one, keeps its terms in canonical order, so
+``_trusted_form`` makes it without merging or sorting again, and the
+x -> 1-x image of a canonical form is only re-sorted.
 
 Coefficients are `fractions.Fraction`; its invariants (normalized sign,
 gcd-reduced, nonzero denominator) are exactly what is needed, so no
@@ -47,6 +57,7 @@ wrapper type is introduced.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
@@ -230,6 +241,24 @@ def _merge_factors(*factor_groups: Factors) -> Factors:
     return tuple(sorted((a, e) for a, e in acc.items() if e != 0))
 
 
+def _canonical(pairs: tuple[tuple[Atom, int], ...]) -> Factors:
+    """The (atom, exponent) pairs of a product as canonical factors: the
+    pairs themselves when their atoms strictly ascend and every exponent is
+    >= 1, else merged; an atom whose exponents sum to 0 drops out, and a
+    negative exponent raises."""
+    last = None
+    for atom, exp in pairs:
+        if exp < 1 or (last is not None and atom <= last):
+            break
+        last = atom
+    else:
+        return pairs
+    merged = _merge_factors(pairs)
+    if any(exp < 1 for _, exp in merged):
+        raise ValueError("Term exponents must be >= 1")
+    return merged
+
+
 @dataclass(frozen=True)
 class Term:
     """coeff times a product of atom powers; factors sorted, exponents >= 1."""
@@ -397,15 +426,63 @@ def monomial(coeff: RationalLike, *factors: tuple[Atom, int]) -> ClosedForm:
     coeff = Fraction(coeff)
     if coeff == 0:
         return ZERO
-    merged = _merge_factors(factors)
-    if any(exp < 1 for _, exp in merged):
-        raise ValueError("Term exponents must be >= 1")
-    return _trusted_form((_trusted_term(coeff, merged),))
+    return _trusted_form((_trusted_term(coeff, _canonical(factors)),))
 
 
-def total(parts: Iterable[ClosedForm]) -> ClosedForm:
-    """parts[0] + parts[1] + ..., canonicalized once rather than per addition."""
-    return ClosedForm(t for part in parts for t in part.terms)
+class Accumulator:
+    """A closed form under construction, made a ClosedForm once by `form`.
+
+    `add` and `add_form` add coeff/den times atom powers or times a form, for
+    an int or Fraction coeff and a nonzero int den, into one map {canonical
+    factors: int numerator} over a running common denominator, which grows
+    to a multiple of each denominator it meets.  Each coefficient becomes a
+    Fraction once, in `form`.
+    """
+
+    __slots__ = ("_den", "_nums")
+
+    def __init__(self) -> None:
+        self._den = 1
+        self._nums: dict[Factors, int] = {}
+
+    def _over(self, num: int, den: int) -> int:
+        """num/den as a numerator over the running denominator, grown first
+        to a multiple of den if it is not one; den is nonzero."""
+        have = self._den
+        if have % den:
+            grow = den // math.gcd(have, den)
+            nums = self._nums
+            for factors in nums:
+                nums[factors] *= grow
+            self._den = have = have * grow
+        return num * (have // den)
+
+    def add(self, coeff: RationalLike, *factors: tuple[Atom, int], den: int = 1) -> None:
+        """Add coeff/den times a product of atom powers, merged as by
+        `monomial`."""
+        num = coeff.numerator
+        if num:
+            num = self._over(num, coeff.denominator * den)
+            factors = _canonical(factors)
+            nums = self._nums
+            nums[factors] = nums.get(factors, 0) + num
+
+    def add_form(self, form: ClosedForm, coeff: RationalLike = 1, den: int = 1) -> None:
+        """Add coeff/den times a closed form."""
+        num = coeff.numerator
+        if num:
+            den *= coeff.denominator
+            nums = self._nums
+            for term in form.terms:
+                c = term.coeff
+                part = self._over(num * c.numerator, den * c.denominator)
+                nums[term.factors] = nums.get(term.factors, 0) + part
+
+    def form(self) -> ClosedForm:
+        """The sum as a canonical ClosedForm."""
+        den = self._den
+        return ClosedForm(_trusted_term(Fraction(num, den), factors)
+                          for factors, num in self._nums.items() if num)
 
 
 ZERO = ClosedForm(())
@@ -475,7 +552,7 @@ def limit(form: ClosedForm, at: int) -> ClosedForm:
     if form.is_constant:
         return form
     limits: dict[Atom, tuple] = {}
-    out = []
+    out = Accumulator()
     divergent: dict = {}  # (factors, q), or a term alone if p < 0 -> [coeff, a term]
     for term in form.terms:
         coeff = term.coeff
@@ -504,12 +581,12 @@ def limit(form: ClosedForm, at: int) -> ClosedForm:
             key = term if alg_order else (factors, log_order)
             divergent.setdefault(key, [0, term])[0] += coeff
         else:
-            out.append(_trusted_term(coeff, factors))
+            out.add(coeff, *factors)
     for coeff, term in divergent.values():
         if coeff:
             end = ("x -> 0+", "x -> 1-")[at]
             raise DivergentAtOne(f"term {compact(ClosedForm((term,)))!r} diverges as {end}")
-    return ClosedForm(out)
+    return out.form()
 
 
 # -- serialization -------------------------------------------------------------

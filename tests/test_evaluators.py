@@ -176,7 +176,7 @@ def ref_c_base(m):
     for i in range(2, m + 2):
         coeff = m * (-1) ** (i - 1) * math.comb(m - 1, i - 2) * math.factorial(i - 2)
         parts.append(ev._term(coeff, (exact.log_x(), m + 1 - i), (exact.li_x(i), 1)))
-    return exact.total(parts)
+    return sum(parts, exact.ZERO)
 
 
 def ref_m(n, m):
@@ -188,7 +188,7 @@ def ref_m(n, m):
             coeff = outer * Fraction((-1) ** i * ev._rising(m + 1 - i, i), (j + 1) ** i)
             parts.append(ev._term(coeff, (exact.one_minus_x_pow(j + 1), 1),
                                   (exact.log_1mx(), m - i)))
-    return exact.total(parts)
+    return sum(parts, exact.ZERO)
 
 
 def ref_m_at_zero(n, m):
@@ -563,7 +563,55 @@ class TestJ1:
             assert close(got, want, "1e-15"), (m, p, x)
 
 
+def _bernoulli(n):
+    """B_0 .. B_n as exact rationals, from sum_{j<=k} C(k+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for k in range(1, n + 1):
+        b.append(-sum(math.comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
+
+
+def _zeta_ratio(k):
+    """r_k with zeta(2k) = r_k zeta(2)^k, from Euler's
+    zeta(2k) = (-1)^(k+1) B_2k (2 pi)^2k / (2 (2k)!) and zeta(2) = pi^2/6."""
+    return (-1) ** (k + 1) * _bernoulli(2 * k)[2 * k] * 2 ** (2 * k) * 6 ** k / (
+        2 * math.factorial(2 * k))
+
+
+def even_zeta_rule(form):
+    """form with each zeta(2k) written as r_k zeta(2)^k, summed by +."""
+    out = exact.ZERO
+    for term in form.terms:
+        coeff, pairs = term.coeff, []
+        for atom, exp in term.factors:
+            if atom.kind == "Zeta" and atom.args[0] % 2 == 0:
+                k = atom.args[0] // 2
+                coeff *= _zeta_ratio(k) ** exp
+                pairs.append((exact.zeta(2), k * exp))
+            else:
+                pairs.append((atom, exp))
+        out = out + exact.monomial(coeff, *pairs)
+    return out
+
+
 class TestJAtOne:
+    def test_zeta_ratios(self):
+        # zeta(4) = pi^4/90, zeta(6) = pi^6/945, zeta(8) = pi^8/9450
+        assert [_zeta_ratio(k) for k in (1, 2, 3, 4)] == [
+            1, Fraction(36, 90), Fraction(216, 945), Fraction(1296, 9450)]
+
+    def test_v1_v2_agree_under_the_even_zeta_rule(self):
+        # the two routes spell the same value with different even-zeta
+        # monomials; with every zeta(2k) rewritten as r_k zeta(2)^k they
+        # must be one form
+        differ_raw = 0
+        for m in range(11):
+            for p in range(1, 11):
+                v1, v2 = ev.J_at_one_v1(m, p), ev.J_at_one_v2(m, p)
+                differ_raw += v1 != v2
+                assert even_zeta_rule(v1) == even_zeta_rule(v2), (m, p)
+        assert differ_raw > 0
+
     def test_v1_base_values(self):
         assert ev.J_at_one_v1(0, 1) == num(2)
         assert ev.J_at_one_v1(1, 1) == num(Fraction(7, 4))
@@ -837,6 +885,29 @@ def _at_one_battery():
             yield f"L({n},{m},1)", ev.L_integral(n, m, 1)
 
 
+def _ladder_battery():
+    """(label, form) for the deep ladders past the other batteries: A, B, C
+    at (n,n,x) for n = 2..20 and J1(k,k,x) for k = 1..10, each at x in
+    {1/3, 9/10, 1}; J(1,k,k) for k = 2..16; K(1,k,k) for k = 1..8 with
+    K(1,1,50) and K(1,1,100); J_at_one_v1(m,p) for m <= 12, 1 <= p <= 12."""
+    for x in (THIRD, Fraction(9, 10), Fraction(1)):
+        for name, build in (("A", ev.A_general), ("B", ev.B_general),
+                            ("C", ev.C_general)):
+            for n in range(2, 21):
+                yield f"{name}({n},{n},{x})", build(n, n, x)
+        for k in range(1, 11):
+            yield f"J1({k},{k},{x})", ev.J1_eval(k, k, x)
+    for k in range(2, 17):
+        yield f"J(1,{k},{k})", ev.J_eval(1, k, k)
+    for k in range(1, 9):
+        yield f"K(1,{k},{k})", ev.K_eval(1, k, k)
+    for q in (50, 100):
+        yield f"K(1,1,{q})", ev.K_eval(1, 1, q)
+    for m in range(13):
+        for p in range(1, 13):
+            yield f"Jv1({m},{p})", ev.J_at_one_v1(m, p)
+
+
 class TestSerializedFormsArePinned:
     def test_at_one_forms_are_pinned(self):
         # sha256 of exact.dumps over the x = 1 battery: these constant forms
@@ -874,6 +945,21 @@ class TestSerializedFormsArePinned:
         assert count == 943
         assert digest.hexdigest() == (
             "2246033c3a055cad5d5dc0e00bc2f7e45178f56ada758a3bfe3a437ade220389")
+
+    def test_ladder_forms_are_pinned(self):
+        # sha256 of exact.dumps and of exact.compact over the deep ladders,
+        # taken before the builders summed into exact.Accumulator
+        dumps, compact = hashlib.sha256(), hashlib.sha256()
+        count = 0
+        for label, form in _ladder_battery():
+            dumps.update(f"{label} {exact.dumps(form)}\n".encode())
+            compact.update(f"{label} {exact.compact(form)}\n".encode())
+            count += 1
+        assert count == 382
+        assert dumps.hexdigest() == (
+            "f9114a8858f0dcc9d19dc02de74090018fb2791c578ab3aa537737a0e5d7e874")
+        assert compact.hexdigest() == (
+            "621b4ac49996b7283ec80615b7f76a69885a0619841f9b2698e09dff7f03a793")
 
 
 def _memo_id(builder, args):

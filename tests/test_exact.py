@@ -3,6 +3,7 @@ x -> 1-x substitution, the limits x -> 1- and x -> 0+, pickling and JSON
 round-trips."""
 
 import copy
+import math
 import pickle
 from fractions import Fraction
 
@@ -560,3 +561,79 @@ class TestTrustedTerms:
                     _assert_canonical(form)
                     count += 1
         assert count > 500
+
+
+# denominators that make the running one grow: rising factorials (t)_n of
+# either sign, so later ones share some factors with earlier ones and not
+# others
+_DENS = st.builds(lambda t, n, sign: sign * math.prod(range(t, t + n)),
+                  st.integers(1, 8), st.integers(0, 10), st.sampled_from([1, -1]))
+# a summand: a form over every kind, or atom powers as a caller writes them
+# (any order, repeats, zero exponents)
+_PARTS = st.tuples(
+    _COEFFS, _DENS,
+    st.one_of(_RENDER_FORMS,
+              st.lists(st.tuples(_EVERY_ATOM, st.integers(0, 3)), max_size=4).map(tuple)))
+
+
+def _accumulated(parts):
+    acc = ex.Accumulator()
+    for coeff, den, item in parts:
+        if isinstance(item, ex.ClosedForm):
+            acc.add_form(item, coeff, den)
+        else:
+            acc.add(coeff, *item, den=den)
+    return acc.form()
+
+
+def _summed(parts):
+    """The same sum by the ring operations: each part scaled, then +."""
+    out = ex.ZERO
+    for coeff, den, item in parts:
+        c = Fraction(coeff) / den
+        out = out + (item.scale(c) if isinstance(item, ex.ClosedForm)
+                     else ex.monomial(c, *item))
+    return out
+
+
+class TestAccumulator:
+    """exact.Accumulator sums to the form that scale and + give."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_PARTS, max_size=8))
+    def test_matches_the_ring_operations(self, parts):
+        got = _accumulated(parts)
+        want = _summed(parts)
+        assert got == want
+        assert ex.dumps(got) == ex.dumps(want)
+        _assert_canonical(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_PARTS, min_size=1, max_size=6), st.randoms(use_true_random=False))
+    def test_a_sum_and_its_negation_cancel(self, parts, rng):
+        both = parts + [(-Fraction(coeff), den, item) for coeff, den, item in parts]
+        rng.shuffle(both)
+        assert _accumulated(both) == ex.ZERO
+        assert ex.dumps(_accumulated(both)) == ex.dumps(ex.ZERO)
+
+    def test_empty_sum(self):
+        assert ex.Accumulator().form() == ex.ZERO
+        assert ex.dumps(ex.Accumulator().form()) == ex.dumps(ex.ZERO)
+
+    def test_growing_denominators(self):
+        # zeta(3)/k! - log(2)/(7 k!) for k = 1..12: the running
+        # denominator grows at each step and the sum still reduces
+        acc = ex.Accumulator()
+        want = ex.ZERO
+        for k in range(1, 13):
+            den = math.factorial(k)
+            acc.add(1, (ex.zeta(3), 1), den=den)
+            acc.add_form(cf_atom(ex.log_two()), Fraction(-1, 7), den)
+            want = (want + cf_atom(ex.zeta(3), coeff=Fraction(1, den))
+                    + cf_atom(ex.log_two(), coeff=Fraction(-1, 7 * den)))
+        assert acc.form() == want
+        assert ex.dumps(acc.form()) == ex.dumps(want)
+
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError):
+            ex.Accumulator().add(1, (ex.zeta(2), -1))
