@@ -39,21 +39,22 @@ def reduce_S1(i: int) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _reduce_s1(i: int) -> ClosedForm:
+    zeta = [None, None, *map(exact.zeta, range(2, i + 2))]  # each atom fetched once
     acc = exact.Accumulator()
-    acc.add(i + 2, (exact.zeta(i + 1), 1), den=2)
+    acc.add(i + 2, (zeta[i + 1], 1), den=2)
     for k in range(1, i - 1):
-        acc.add(-1, *_zeta_pair(k + 1, i - k), den=2)
+        acc.add(-1, *_zeta_pair(zeta, k + 1, i - k), den=2)
     return acc.form()
 
 
-def _zeta_pair(a: int, b: int) -> exact.Factors:
-    """The canonical factors of zeta(a) zeta(b): one squared factor when
-    a == b."""
+def _zeta_pair(zeta: list, a: int, b: int) -> exact.Factors:
+    """The canonical factors of zeta(a) zeta(b), zeta[s] being the atom
+    zeta(s): one squared factor when a == b."""
     if a == b:
-        return ((exact.zeta(a), 2),)
+        return ((zeta[a], 2),)
     if a > b:
         a, b = b, a
-    return ((exact.zeta(a), 1), (exact.zeta(b), 1))
+    return ((zeta[a], 1), (zeta[b], 1))
 
 
 def _add_odd_weight(acc: exact.Accumulator, p: int, q: int, coeff: int) -> None:
@@ -66,20 +67,22 @@ def _add_odd_weight(acc: exact.Accumulator, p: int, q: int, coeff: int) -> None:
              + (-1)^p sum_{k=1}^{floor(q/2)} C(w-2k-1, p-1) zeta(2k) zeta(w-2k)
 
     with zeta(1) := 0, which silently drops any product whose second order
-    degenerates to 1.
+    degenerates to 1 (k <= (w-3)/2).  Each C(n, r) steps exactly from
+    C(n+2, r), from C(w-1, q-1) = C(w-1, p) and C(w-1, p-1) = C(w-1, q).
     """
     w = p + q
     sign = (-1) ** p
-    acc.add(coeff * (1 - sign * (math.comb(w - 1, p) + math.comb(w - 1, q))),
-            (exact.zeta(w), 1), den=2)
+    zeta = [None, None, *map(exact.zeta, range(2, w + 1))]  # each atom fetched once
+    c_p, c_q = math.comb(w - 1, p), math.comb(w - 1, q)
+    acc.add(coeff * (1 - sign * (c_p + c_q)), (zeta[w], 1), den=2)
     if p % 2 == 1:
-        acc.add(coeff, *_zeta_pair(p, q))
-    for bound, other in ((p, q), (q, p)):
-        for k in range(1, bound // 2 + 1):
-            if w - 2 * k < 2:
-                continue
-            acc.add(coeff * sign * math.comb(w - 2 * k - 1, other - 1),
-                    *_zeta_pair(2 * k, w - 2 * k))
+        acc.add(coeff, *_zeta_pair(zeta, p, q))
+    for bound, r, binom in ((p, q - 1, c_p), (q, p - 1, c_q)):
+        n = w - 1
+        for k in range(1, min(bound // 2, (w - 3) // 2) + 1):
+            binom = binom * (n - r) * (n - r - 1) // (n * (n - 1))  # C(n - 2, r)
+            n -= 2
+            acc.add(coeff * sign * binom, *_zeta_pair(zeta, 2 * k, w - 2 * k))
 
 
 def _add_s(acc: exact.Accumulator, p: int, q: int, coeff: int) -> None:

@@ -1,30 +1,28 @@
 """High-precision numeric values for the symbolic atoms.
 
-Everything here works on mpmath floats at an explicit decimal precision
-and is independent of the closed-form evaluators.  Zeta values come from
-mpmath's zeta, computed once per (s, precision).  Polylogarithms come in
-runs: one pass yields every order Li_0(t)..Li_k(t) of one argument, and a
-later pass extends a run from its last order to the same bits.  The run of
-an exact argument is cached per (argument, digits); the run of an mpf
-argument is not, and the quadrature nodes keep their own, straight from
-the kernel `_polylog_orders`.  For t <= 1/2 the pass sums the
-defining series for all orders at once in integers scaled by 2^shift (fixed
-point), with the factor t taken out so that each sum lies in [1, 2) and
-keeps its relative accuracy at arguments near 0; its floor divisions and
-the dropped tail leave each sum short by less than 2^-(prec+1) relative.
-For t > 1/2 it uses the expansion around the logarithmic singularity at 1,
-also in fixed point: the powers of log t are shared among orders, the
-coefficients zeta(k-j)/j! are cached per precision, and each order lands
-within N + 70 units of 2^-shift for N terms summed, again under
-2^-(prec+1) relative.  A linear Euler sum S_{p,q} is a direct sum to
-N = p + q + 2 prec, H_N^(p) (zeta(q) - H_N^(q)) and one series in 1/N from
-B_m/m! cached per precision, all in fixed point, within 2^-(prec+6)
-relative.  `numeric_eval` values each atom and each atom power once per
-(x, digits) and keeps them.  It sums a closed form's terms in integers,
-each term the exact product of its coefficient and atom powers rounded
-once (`_sum_terms`), all floored to one unit by `_floor_to_unit`, which
-states the sum rule and its bound and also sums the quadrature oracle's
-levels.  The quadrature oracle and the CLI sit on top of this module.
+Everything here works at an explicit decimal precision and is independent
+of the closed-form evaluators.  Zeta values come from mpmath's zeta,
+computed once per (s, precision).  Polylogarithms come in runs: one pass
+of the kernel `_polylog_orders` yields every order Li_0(t)..Li_k(t) of one
+argument as raw libmp values, and a later pass extends a run from its last
+order to the same bits.  `polylog_value` caches the run of an exact
+argument per (argument, digits); a quadrature node keeps its own, with the
+logs and fixed-point state it started from, so extending it takes no
+logarithm.  For t <= 1/2 the pass sums the defining series for all orders
+at once in integers scaled by 2^shift (fixed point), relative to t so that
+arguments near 0 keep their accuracy; for t > 1/2 it sums the expansion
+around the logarithmic singularity at 1, also in fixed point, with the
+coefficients zeta(k-j)/j! cached per precision.  Both land within
+2^-(prec+1) relative before one rounding.  A linear Euler sum S_{p,q} is a
+direct sum to N = p + q + 2 prec, H_N^(p) (zeta(q) - H_N^(q)) and one
+series in 1/N from B_m/m! cached per precision, all in fixed point, within
+2^-(prec+6) relative.  `numeric_eval` values each atom and each atom power
+once per (x, digits) and keeps them.  It sums a closed form's terms in
+integers, each term the exact product of its coefficient and atom powers
+rounded once (`_sum_terms`), all floored to one unit by `_floor_to_unit`,
+which states the sum rule and its bound and also sums the quadrature
+oracle's levels.  The quadrature oracle and the CLI sit on top of this
+module.
 
 All public functions take a decimal `digits` target and compute with
 guard digits internally; returned mpf values carry the guard precision.
@@ -43,6 +41,8 @@ from . import exact
 from .errors import DivergentValue, InvalidOrder, NonConvergent, ParameterError
 
 GUARD_DIGITS = 10
+
+_RND = libmp.round_nearest  # the rounding of mp's arithmetic, for libmp calls
 
 # the most digits numeric_eval adds to cover cancellation among a form's
 # terms; B(120,60,1), whose terms cancel 220 digits, is within it
@@ -119,45 +119,49 @@ def harmonic_value(n: int, m: int = 1) -> Fraction:
 _polylog_cache: dict[tuple[Fraction, int], tuple[mpf, ...]] = {}
 
 
-def _polylog_orders(kmax: int, t: Union[Fraction, mpf], comp: mpf,
-                    start: int = 0) -> tuple[mpf, ...]:
+def _polylog_orders(kmax: int, t: Union[Fraction, tuple], comp: tuple, start: int = 0,
+                    node=None) -> tuple:
     """Li_start(t), ..., Li_kmax(t) for 0 <= t < 1 at the current working
-    precision prec, given t exactly (a Fraction, or an mpf at prec) and
-    comp = 1 - t at full relative accuracy.  Each order has the same bits
-    whatever start and kmax are, so a run extends by the orders past its end.
+    precision prec, raw libmp values, given t exactly (a Fraction, or raw
+    at prec) and comp = 1 - t, raw at prec and at full relative accuracy.
+    Each order has the same bits whatever start and kmax are, so a run
+    extends by the orders past its end.
 
     For t > 1/2 the orders from 2 up come from the expansion around 1
-    (`_polylog_log_branch`), and Li_1 = -log(1-t).  For t <= 1/2 every order
-    from 1 up comes from one integer pass over the defining series:
-    Li_j(t) = t S_j with S_j = sum_{n >= 1} t^(n-1) / n^j, which lies in
-    [1, 2), so a fixed point scaled by 2^shift, shift = prec + guard, keeps
-    the full relative accuracy of S_j however small t is.  The running
-    power P = t^(n-1) 2^shift is floored at each step (P <- P a // b for
-    t = a/b, an mpf being man / 2^-exp), which keeps it within 2 units of
-    its exact value because t <= 1/2; each term floor(P / n^j) then loses
-    fewer than 3 units.  The pass stops once P < 2^(guard-3), after at most
-    prec + 4 terms, and the geometric tail it drops is below
-    2^(guard-2) + 4 units.  With guard = bit_length(prec) + 5 each S_j is
-    short by less than 2^-(prec+1) relative, and is rounded to an mpf once.
-    From start > 1 a term begins at floor(P / n^(start-1)), the same integer.
+    (`_log_branch_orders`), and Li_1 = -log(1-t).  A quadrature `node`
+    gives its `log1m` and `branch` (`_log_branch_state` of its `log_t`),
+    the bits of log(comp) and log1p(-comp), so extending its run makes no
+    log call.  For t <= 1/2 every order from 1 up comes from one integer
+    pass over the defining series: Li_j(t) = t S_j with S_j = sum_{n >= 1}
+    t^(n-1) / n^j, which lies in [1, 2), so a fixed point scaled by
+    2^shift, shift = prec + guard, keeps the full relative accuracy of S_j
+    however small t is.  The running power P = t^(n-1) 2^shift is floored
+    at each step (P <- P a // b for t = a/b, a shift when b is a power of
+    2, as at every raw t), which keeps it within 2 units of its exact value
+    because t <= 1/2; each term floor(P / n^j) then loses fewer than 3
+    units.  The pass stops once P < 2^(guard-3), after at most prec + 4
+    terms, and the geometric tail it drops is below 2^(guard-2) + 4 units.
+    With guard = bit_length(prec) + 5 each S_j is short by less than
+    2^-(prec+1) relative, and is rounded once.  From start > 1 a term
+    begins at floor(P / n^(start-1)), the same integer.
     """
+    prec = mp.prec
     rational = isinstance(t, Fraction)
-    tv = frac_mpf(t) if rational else t
-    orders = [tv / comp] if start == 0 else []
+    tv = frac_mpf(t)._mpf_ if rational else t
+    orders = [libmp.mpf_div(tv, comp, prec, _RND)] if start == 0 else []
     if kmax == 0:
         return tuple(orders)
-    if libmp.mpf_cmp(tv._mpf_, libmp.fhalf) > 0:
+    if libmp.mpf_cmp(tv, libmp.fhalf) > 0:
         if start <= 1:
-            orders.append(-mp.log(comp))
-        orders += _polylog_log_branch(kmax, mp.log1p(-comp), start)
+            orders.append(libmp.mpf_neg(node.log1m if node else libmp.mpf_log(comp, prec, _RND)))
+        if kmax > 1:
+            orders += _log_branch_orders(kmax, node.branch if node else _log_branch_state(
+                mp.log1p(mp.make_mpf(libmp.mpf_neg(comp)))._mpf_, prec), start, prec)
         return tuple(orders)
-    if rational:
-        a, b = t.numerator, t.denominator
-    else:
-        _, man, exp, _ = t._mpf_
-        a, b = int(man), 1 << -exp
-    guard = mp.prec.bit_length() + 5
-    shift = mp.prec + guard
+    a, b = (t.numerator, t.denominator) if rational else (t[1], 1 << -t[2])
+    s = b.bit_length() - 1 if not b & (b - 1) else 0  # b = 2^s, or 0
+    guard = prec.bit_length() + 5
+    shift = prec + guard
     stop = 1 << (guard - 3)
     first = max(start, 1)
     width = kmax - first + 1
@@ -170,14 +174,15 @@ def _polylog_orders(kmax: int, t: Union[Fraction, mpf], comp: mpf,
             term //= n  # floor(power / n^(first+j)), exactly
             sums[j] += term
         n += 1
-        power = power * a // b
-    orders += (tv * mp.ldexp(mpf(acc), -shift) for acc in sums)
+        power = power * a >> s if s else power * a // b
+    orders += (libmp.mpf_mul(tv, libmp.mpf_shift(libmp.from_int(acc, prec, _RND), -shift),
+                             prec, _RND) for acc in sums)
     return tuple(orders)
 
 
 # (k, shift) -> [c_0, c_1, ...], c_j = 2^shift zeta(k-j)/j! floored, except
 # c_{k-1} = 2^shift H_{k-1}/(k-1)!; shift is set by the working precision
-# (_polylog_log_branch), and the list is long enough for any mu in (-log 2, 0)
+# (_log_branch_orders), and the list is long enough for any mu in (-log 2, 0)
 _log_branch_coeffs: dict[tuple[int, int], list[int]] = {}
 
 
@@ -195,9 +200,19 @@ def _log_branch_coefficients(k: int, shift: int) -> list[int]:
     return coeffs
 
 
-def _polylog_log_branch(kmax: int, mu: mpf, start: int = 2) -> list[mpf]:
+def _log_branch_state(mu: tuple, prec: int) -> tuple[int, int, list[int]]:
+    """(M, Q, [2^shift]) of `_log_branch_orders` for t = e^mu, mu raw at prec."""
+    shift = prec + prec.bit_length() + 5
+    wide = shift + 8
+    q = libmp.mpf_mul(mu, libmp.mpf_log(libmp.mpf_neg(mu), wide, _RND), wide, _RND)
+    return (libmp.to_int(libmp.mpf_shift(mu, shift)), libmp.to_int(libmp.mpf_shift(q, shift)),
+            [1 << shift])
+
+
+def _log_branch_orders(kmax: int, branch: tuple[int, int, list[int]], start: int,
+                       prec: int) -> list[tuple]:
     """Li_k(e^mu) for max(2, start) <= k <= kmax and mu in (-log 2, 0) at
-    the current working precision prec, from the expansion around 1:
+    working precision prec, as raw libmp values, from the expansion around 1:
 
         Li_k(e^mu) = sum_{j >= 0, j != k-1} zeta(k-j) mu^j / j!
                      + mu^(k-1)/(k-1)! (H_{k-1} - log(-mu))
@@ -210,21 +225,18 @@ def _polylog_log_branch(kmax: int, mu: mpf, start: int = 2) -> list[mpf]:
     P_j = P_{j-1} M >> shift, from M = mu truncated, stay within 5 units
     because |mu| < log 2.  The log term, -P_{k-2} Q / (k-1)! with
     Q = mu log(-mu) within 1 unit (|Q| < 1/e), is within 4 units however
-    close t is to 1.  Past j = 1 the terms shrink by a factor of at least
-    0.65, some being 0 (zeta vanishes at negative even integers), so the
-    sum stops on a run of three terms of at most 2 units and leaves less
-    than 25 units behind.  With one unit per floored product, an order of
-    N terms is within N + 70 units, and N <= kmax + shift/3 + 2: for
+    close t is to 1; `branch` holds M, Q and the powers, extended in place
+    (`_log_branch_state`).  Past j = 1 the terms shrink by a factor of at
+    least 0.65, some being 0 (zeta vanishes at negative even integers), so
+    the sum stops on a run of three terms of at most 2 units and leaves
+    less than 25 units behind.  With one unit per floored product, an order
+    of N terms is within N + 70 units, and N <= kmax + shift/3 + 2: for
     kmax < 4 prec that is below 2^-(prec+2), or 2^-(prec+1) relative, as
-    Li_k(e^mu) > 1/2.  Each order, rounded to an mpf once, depends only
-    on k, mu and prec.
+    Li_k(e^mu) > 1/2.  Each order, rounded once, depends only on k, mu and
+    prec.
     """
-    prec = mp.prec
     shift = prec + prec.bit_length() + 5
-    with mp.workprec(shift + 8):
-        m = int(mp.ldexp(mu, shift))
-        q = int(mp.ldexp(mu * mp.log(-mu), shift))
-    powers = [1 << shift]  # mu^j, extended as far as some order needs
+    m, q, powers = branch
     out = []
     for k in range(max(2, start), kmax + 1):
         total = small_run = 0
@@ -240,23 +252,20 @@ def _polylog_log_branch(kmax: int, mu: mpf, start: int = 2) -> list[mpf]:
             small_run = small_run + 1 if -2 <= term <= 2 else 0
             if small_run == 3:
                 break
-        out.append(mp.ldexp(mpf(total), -shift))
+        out.append(libmp.mpf_shift(libmp.from_int(total, prec, _RND), -shift))
     return out
 
 
 def polylog_value(k: int, t, digits: int = 30) -> mpf:
     """Li_k(t) for real 0 <= t <= 1 (t < 1 when k < 2).
 
-    All orders 0..k of one argument come from one pass.  For an exact
-    argument (int or Fraction) the run is cached per (t, digits): its lower
-    orders are cache hits, and a higher order extends the run from its last
-    order, to the same bits a cold run gives; an mpf argument is rounded to
-    the working precision and its run is not cached.
-    For t <= 1/2 the pass is the fixed-point series of `_polylog_orders`,
-    whose sums are short by less than 2^-(prec+1) relative before their
-    one rounding each; above 1/2 it is the fixed-point expansion around 1
-    of `_polylog_log_branch`, within 2^-(prec+1) relative too, with
-    Li_1 = -log(1-t).
+    All orders 0..k of one argument come from one pass of
+    `_polylog_orders`, each within 2^-(prec+1) relative before its one
+    rounding.  For an exact argument (int or Fraction) the run is cached
+    per (t, digits): its lower orders are cache hits, and a higher order
+    extends the run from its last order, to the same bits a cold run
+    gives; an mpf argument is rounded to the working precision and its run
+    is not cached.  The kernel's raw values become mpfs here.
     """
     if not isinstance(k, int) or k < 0:
         raise InvalidOrder(f"polylog_value requires integer k >= 0, got {k!r}")
@@ -279,7 +288,8 @@ def polylog_value(k: int, t, digits: int = 30) -> mpf:
             if k >= 2:
                 return zeta_value(k, digits)
             raise DivergentValue(f"Li_{k}(1) diverges")
-        run += _polylog_orders(k, t, comp, len(run))
+        run += tuple(map(mp.make_mpf, _polylog_orders(
+            k, t if rational else tv._mpf_, comp._mpf_, len(run))))
     if rational:
         _polylog_cache[(t, digits)] = run
     return run[k]
@@ -484,8 +494,7 @@ def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
         for factor in term.factors:
             power = values.get(factor)
             if power is None:
-                sign, m, e, _ = libmp.mpf_pow_int(values[factor[0]], factor[1], prec,
-                                                  libmp.round_nearest)
+                sign, m, e, _ = libmp.mpf_pow_int(values[factor[0]], factor[1], prec, _RND)
                 power = values[factor] = (-m if sign else m, e)
             man *= power[0]
             exp += power[1]
@@ -540,6 +549,5 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
         if extra > MAX_EXTRA_DIGITS:
             raise NonConvergent(
                 f"the terms of the form cancel past {MAX_EXTRA_DIGITS} extra digits")
-    value = libmp.from_man_exp(total, unit, prec, libmp.round_nearest)
-    return mp.make_mpf(libmp.mpf_pos(value, libmp.dps_to_prec(digits + GUARD_DIGITS),
-                                     libmp.round_nearest))
+    value = libmp.from_man_exp(total, unit, prec, _RND)
+    return mp.make_mpf(libmp.mpf_pos(value, libmp.dps_to_prec(digits + GUARD_DIGITS), _RND))

@@ -1,41 +1,32 @@
 """Independent numeric route: tanh-sinh quadrature for the integral families.
 
 The engine substitutes t = tanh((pi/2) sinh(u)) and applies the trapezoid
-rule in u, halving the step per level and reusing previous nodes.  It
-stops when two successive levels agree to 10^(2 - digits), or sooner on
-the Bailey-Jeyabalan-Li error estimate from the last three levels, which
-it trusts only from level 3 on, once the last two levels agree to half
-the digits, and when it predicts an error below 10^-(digits + 3) (see
-`integrate`).  Node positions are stored as distances to both interval
-endpoints, computed directly from exp(2s) rather than by subtraction, so
-integrands see the distance to an endpoint at full relative accuracy even
-when it is far below the working epsilon.  That is what lets log(1-t) and
-Li_k(t) be evaluated honestly at nodes within 1e-60 of 1.
+rule in u, halving the step per level and reusing previous nodes, until
+two levels agree or the Bailey-Jeyabalan-Li error estimate is trusted
+(see `integrate`).  Node positions are stored as distances to both
+interval endpoints, computed directly from exp(2s) rather than by
+subtraction, so log(1-t) and Li_k(t) are honest at nodes within 1e-60 of 1.
 
 The unit of work is one level of one interval.  An integrand takes a
-`Level` and returns its integrand's value at each of that level's nodes,
-in node order, as an exact binary fraction: a pair (man, exp) of ints, man
-signed, for man * 2^exp.  A `Node` is one point t with its distances
-dm = t - a and dp = b - t, and the values the families need at t (1 - t,
-log t, log(1 - t), log(1 + t), log(dp) and a run of polylog orders), each
-computed on first use and kept.  A `Level` holds its nodes and their
-weights, and builds on first use one list per (node value, exponent) --
-log(1 - t)^m, t^-n, log^m t and so on -- and one per polylog order, so
-every case on that interval and working precision reuses them.  Each
-weight and each list entry is computed at the table's precision and kept
-as an exact pair; a family integrand multiplies its lists' pairs exactly
-(the product of the mans, the sum of the exps), with no rounding per
-node.  The levels of one interval at one precision form a table cached
-per (mp.prec, a, b); everything on it is computed at that precision, which
-`integrate` sets from its `digits`.  `pointwise` makes an integrand of a
-function of one node.  Each family's parameter names and endpoint kind
-come from the family table (families.TABLE); this module adds one
-integrand builder per family.  `integrate` sums a level as numeric_eval
-sums a closed form, by numerics._floor_to_unit: every term w_k (f_k + f'_k)
-is formed exactly, all are floored to one unit and added as one int, and
-the sum is rounded once (`_level_sum`).  The estimates and the stop test
-run in mpmath.libmp at the table's precision, its logarithms as floats;
-only the accepted estimate becomes an mpf.  Nothing here calls the closed-form evaluators; it exists
+`Level` and returns its value at each of that level's nodes, in node
+order, as an exact pair (man, exp) of ints, man signed, for man * 2^exp.
+A `Node` is one point t with its distances dm = t - a and dp = b - t, and
+the values the families need at t (1 - t, log t, log(1 - t), log(1 + t),
+log(dp) and a run of polylog orders), each a raw libmp value computed by
+libmp calls on first use and kept; `pointwise` makes an integrand of a
+function that reads them and returns an mpf.  A `Level` holds its nodes
+and their weights, and builds on first use one list per (node value,
+exponent) -- log(1 - t)^m, t^-n and so on -- and one per polylog order,
+each entry an exact pair, so every case on that interval and precision
+reuses them; a family integrand multiplies its lists' pairs exactly, with
+no rounding per node.  The levels of one interval form a table cached per
+(mp.prec, a, b), all of it at the precision `integrate` sets from its
+`digits`.  Each family's parameter names and endpoint kind come from the
+family table (families.TABLE); this module adds one integrand builder per
+family.  `integrate` sums a level as numeric_eval sums a closed form, by
+numerics._floor_to_unit, rounding once (`_level_sum`), and runs its
+estimates and stop test in mpmath.libmp; only the accepted estimate
+becomes an mpf.  Nothing here calls the closed-form evaluators; it exists
 to check them.
 """
 
@@ -48,8 +39,9 @@ from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_mul,
-                          mpf_pow_int, mpf_shift, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_log,
+                          mpf_mul, mpf_neg, mpf_pos, mpf_pow_int, mpf_shift, mpf_sub,
+                          round_nearest)
 
 from .errors import NoConvergence, NonIntegrable, ParameterError
 from .families import LOWER, _member
@@ -89,47 +81,53 @@ class IntegralSpec:
     integrand: Integrand
 
 
-# value name -> rule: a Node computes each of these on first use and keeps
-# it.  All but log_dp read t as dm, so they hold on intervals [0, b] only;
-# log_dp is log(1 - t) on [x, 1].
-_RULES: dict[str, Callable[["Node"], mpf]] = {
+# value name -> rule(node, prec): a Node computes each of these on first use,
+# as a raw libmp value at prec bits, and keeps it.  All but log_dp read t as
+# dm, so they hold on intervals [0, b] only; log_dp is log(1 - t) on [x, 1].
+# branch is the polylog kernel's fixed-point state for t > 1/2.
+_RULES: dict[str, Callable[["Node", int], tuple]] = {
     # 1 - t at full relative accuracy: (1 - b) + dp near b, else 1 - dm exactly
-    "one_minus": lambda n: n.omb + n.dp if n.dp < n.dm else mp.fsub(1, n.dm, exact=True),
-    "log_t": lambda n: mp.log1p(-n.one_minus) if n.dp < n.dm else mp.log(n.dm),
-    "log1m": lambda n: mp.log(n.one_minus),
-    "log1p": lambda n: mp.log(mp.fadd(1, n.dm, exact=True)),
-    "log_dp": lambda n: mp.log(n.dp),
+    "one_minus": lambda n, prec: (mpf_add(n.omb, n.dp, prec, _RND) if mpf_cmp(n.dp, n.dm) < 0
+                                  else mpf_sub(fone, n.dm)),
+    "log_t": lambda n, prec: (mp.log1p(_wrap(mpf_neg(n.one_minus)))._mpf_
+                              if mpf_cmp(n.dp, n.dm) < 0 else mpf_log(n.dm, prec, _RND)),
+    "log1m": lambda n, prec: mpf_log(n.one_minus, prec, _RND),
+    "log1p": lambda n, prec: mpf_log(mpf_add(fone, n.dm), prec, _RND),
+    "log_dp": lambda n, prec: mpf_log(n.dp, prec, _RND),
+    "branch": lambda n, prec: numerics._log_branch_state(n.log_t, prec),
 }
 
 
 class Node:
-    """One point t of (a, b): t, dm = t - a, dp = b - t and omb = 1 - b, plus
-    the `_RULES` values and the `polylogs` run, computed on first use and
-    kept, at the working precision of the node's table."""
+    """One point t of (a, b): t, dm = t - a, dp = b - t and omb = 1 - b,
+    raw libmp values, plus the `_RULES` values and the `polylogs` run,
+    computed on first use and kept, at the precision of the node's table."""
 
     __slots__ = ("t", "dm", "dp", "omb", "run", *_RULES)
 
-    def __init__(self, t: mpf, dm: mpf, dp: mpf, omb: mpf) -> None:
+    def __init__(self, t: tuple, dm: tuple, dp: tuple, omb: tuple) -> None:
         self.t, self.dm, self.dp, self.omb = t, dm, dp, omb
-        self.run: tuple[mpf, ...] = ()
+        self.run: tuple[tuple, ...] = ()
 
-    def __getattr__(self, name: str) -> mpf:
+    def __getattr__(self, name: str) -> tuple:
         # reached only while the slot of a `_RULES` value is still empty
         rule = _RULES.get(name)
         if rule is None:
             raise AttributeError(name)
-        value = rule(self)
+        value = rule(self, mp.prec)
         setattr(self, name, value)
         return value
 
-    def polylogs(self, k: int) -> tuple[mpf, ...]:
-        """(Li_0(t), ..., Li_K(t)) with K >= k and t = dm, at the precision
-        of the node's table.  A higher order extends the run from its last
-        order with one pass of the kernel `_polylog_orders`, so each order
-        is computed once per node, to the bits a cold run gives."""
+    def polylogs(self, k: int) -> tuple[tuple, ...]:
+        """(Li_0(t), ..., Li_K(t)) with K >= k and t = dm, raw at the
+        precision of the node's table.  A higher order extends the run from
+        its last order with one pass of the kernel `_polylog_orders`, which
+        reads the node's logs and branch, so each order is computed once
+        per node, to the bits a cold run gives."""
         if len(self.run) <= k:
             # one_minus may be 1 - dm formed exactly, past the working precision
-            self.run += numerics._polylog_orders(k, self.dm, +self.one_minus, len(self.run))
+            self.run += numerics._polylog_orders(
+                k, self.dm, mpf_pos(self.one_minus, mp.prec, _RND), len(self.run), self)
         return self.run
 
 
@@ -155,8 +153,7 @@ class Level:
         if values is None:
             prec = self.prec
             values = self._powers[name, i] = [
-                _exact(mpf_pow_int(getattr(node, name)._mpf_, i, prec, _RND))
-                for node in self.nodes]
+                _exact(mpf_pow_int(getattr(node, name), i, prec, _RND)) for node in self.nodes]
         return values
 
     def polylog(self, p: int) -> list[tuple[int, int]]:
@@ -165,25 +162,25 @@ class Level:
         for the highest first."""
         values = self._polylogs.get(p)
         if values is None:
-            values = self._polylogs[p] = [_exact(node.polylogs(p)[p]._mpf_)
-                                          for node in self.nodes]
+            values = self._polylogs[p] = [_exact(node.polylogs(p)[p]) for node in self.nodes]
         return values
 
 
 def pointwise(fn: Callable[[Node], mpf]) -> Integrand:
-    """The integrand that calls fn(node) -> mpf at each node of a level and
-    takes each value as an exact pair (man, exp).  Raises NonIntegrable if
-    a value is inf or nan."""
+    """The integrand that calls fn(node) -> mpf at each node of a level, fn
+    reading the node's raw libmp values, and takes each value as an exact
+    pair (man, exp).  Raises NonIntegrable if a value is inf or nan."""
     return lambda level: [_exact(fn(node)._mpf_) for node in level.nodes]
 
 
-# (mp.prec, level) -> [(sigma, 1 - sigma, unit weight), ...] with sigma the
-# node position on [0, 1]; level 0 holds k = 0, 1, 2, ..., higher levels the
-# new (odd) nodes.  Both sigma and 1 - sigma come straight from exp(2s).
-_node_cache: dict[tuple[int, int], list[tuple[mpf, mpf, mpf]]] = {}
+# (mp.prec, level) -> [(sigma, 1 - sigma, unit weight), ...], sigma the node
+# position on [0, 1] (raw) and the weight an exact pair; level 0 holds k = 0,
+# 1, 2, ..., higher levels the new (odd) nodes.  Both sigma and 1 - sigma
+# come straight from exp(2s).
+_node_cache: dict[tuple[int, int], list[tuple[tuple, tuple, tuple[int, int]]]] = {}
 
 
-def _level_nodes(level: int) -> list[tuple[mpf, mpf, mpf]]:
+def _level_nodes(level: int) -> list[tuple[tuple, tuple, tuple[int, int]]]:
     key = (mp.prec, level)
     nodes = _node_cache.get(key)
     if nodes is not None:
@@ -202,7 +199,7 @@ def _level_nodes(level: int) -> list[tuple[mpf, mpf, mpf]]:
         d_hi = 1 / (1 + e2s)          # 1 - sigma
         d_lo = 1 / (1 + 1 / e2s)      # sigma
         weight = mp.pi * mp.cosh(u) * d_hi * d_lo
-        nodes.append((d_lo, d_hi, weight))
+        nodes.append((d_lo._mpf_, d_hi._mpf_, _exact(weight._mpf_)))
     _node_cache[key] = nodes
     return nodes
 
@@ -213,18 +210,18 @@ _table_cache: dict[tuple[int, Fraction, Fraction], list[Level]] = {}
 
 
 def _make_level(level: int, a: Fraction, b: Fraction) -> Level:
-    scale, a_val = frac_mpf(b - a), frac_mpf(a)
+    prec = mp.prec
+    scale, a_val = frac_mpf(b - a)._mpf_, frac_mpf(a)._mpf_
     # 1 - b at this precision, whatever the caller's ambient one: rounded to
     # fewer bits it stalls convergence at non-dyadic b
-    omb = frac_mpf(1 - b)
-    nodes, weights = [], []
-    for k, (sig, csig, w) in enumerate(_level_nodes(level)):
-        dm, dp = scale * sig, scale * csig
-        nodes.append(Node(a_val + dm, dm, dp, omb))
+    omb = frac_mpf(1 - b)._mpf_
+    table, nodes = _level_nodes(level), []
+    for k, (sig, csig, _) in enumerate(table):
+        dm, dp = mpf_mul(scale, sig, prec, _RND), mpf_mul(scale, csig, prec, _RND)
+        nodes.append(Node(mpf_add(a_val, dm, prec, _RND), dm, dp, omb))
         if level or k:  # all but the centre have a mirror
-            nodes.append(Node(a_val + dp, dp, dm, omb))
-        weights.append(_exact(w._mpf_))
-    return Level(nodes, weights, mp.prec)
+            nodes.append(Node(mpf_add(a_val, dp, prec, _RND), dp, dm, omb))
+    return Level(nodes, [w for _, _, w in table], prec)
 
 
 def _level_sum(weights: list[tuple[int, int]], values: list[tuple[int, int]],

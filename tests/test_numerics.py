@@ -136,7 +136,7 @@ class TestPolylog:
             t = 1 - d
             want = mp.polylog(2, t)
         with mp.workdps(40 + num.GUARD_DIGITS):
-            got = num._polylog_orders(2, +t, +d)[2]
+            got = mp.make_mpf(num._polylog_orders(2, (+t)._mpf_, (+d)._mpf_)[2])
         assert close(got, want, mpf(10) ** -38)
 
     def test_at_zero(self):
@@ -184,8 +184,8 @@ class TestPolylogOrders:
         with mp.workdps(digits + num.GUARD_DIGITS):
             comp = 3 * mpf(10) ** -e
             node = 1 - comp
-            run = num._polylog_orders(12, node, comp)
-        got = [run[k] for k in range(12, 0, -1)]
+            run = num._polylog_orders(12, node._mpf_, comp._mpf_)
+        got = [mp.make_mpf(run[k]) for k in range(12, 0, -1)]
         # 1 - comp needs e more digits to be exact
         with mp.workdps(digits + 30 + e):
             tv = 1 - comp

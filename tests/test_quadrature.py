@@ -7,11 +7,12 @@ for one stop-rule regression case, the closed form.
 
 import hashlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_pow_int, round_nearest
+from mpmath.libmp import fhalf, from_man_exp, fzero, mpf_cmp, mpf_pow_int, round_nearest
 
 from plint import families, verification
 from plint import numerics as num
@@ -57,7 +58,8 @@ class TestEngine:
         left = quad.oracle_value("B", (2, 1), Fraction(1, 2), 25)
 
         def right_f(node):
-            return mp.log(1 + node.t) ** 2 / node.t
+            t = mp.make_mpf(node.t)
+            return mp.log(1 + t) ** 2 / t
 
         right = quad.integrate(
             quad.IntegralSpec(Fraction(1, 2), Fraction(1), quad.pointwise(right_f)), 25)
@@ -75,7 +77,7 @@ class TestEngine:
     def test_no_convergence_reported(self):
         # 1/t is not integrable at 0; capped levels must refuse, not lie
         spec = quad.IntegralSpec(Fraction(0), Fraction(1),
-                                 quad.pointwise(lambda node: 1 / node.dm))
+                                 quad.pointwise(lambda node: 1 / mp.make_mpf(node.dm)))
         with pytest.raises(NoConvergence):
             quad.integrate(spec, 20, max_level=5)
 
@@ -103,7 +105,7 @@ class TestEngine:
 
     def test_inverted_interval_rejected(self):
         spec = quad.IntegralSpec(Fraction(1), Fraction(0),
-                                 quad.pointwise(lambda node: node.t))
+                                 quad.pointwise(lambda node: mp.make_mpf(node.t)))
         with pytest.raises(ParameterError):
             quad.integrate(spec, 20)
 
@@ -122,7 +124,7 @@ class TestEngine:
 
         def fn(node):
             seen.append(node)
-            return bad if len(seen) == index + 1 else node.t
+            return bad if len(seen) == index + 1 else mp.make_mpf(node.t)
 
         spec = quad.IntegralSpec(Fraction(0), Fraction(1), quad.pointwise(fn))
         with pytest.raises(NonIntegrable, match="not finite"):
@@ -258,29 +260,70 @@ class TestFamilies:
                             lambda *args: passes.append(args[0]) or kernel(*args))
         quad.oracle_value("J1", (2, 2), x, 20)
         assert passes == []
-        # J1 left log t at every node L visits (log1p goes through log, and
-        # the stop rule's log10 is log(x, 10), the one two-argument call)
+        # J1 left log t at every node L visits: the rules take their logs
+        # from quadrature.mpf_log, and near b from mp.log1p
         logs = []
-        log = type(mp).log
-        monkeypatch.setattr(type(mp), "log",
-                            lambda ctx, *args: logs.append(args) or log(ctx, *args))
-        quad.oracle_value("L", (1, 2), x, 20)
-        assert [args for args in logs if len(args) == 1] == []
+        mpf_log, log1p = quad.mpf_log, type(mp).log1p
+        monkeypatch.setattr(quad, "mpf_log", lambda *args: logs.append(args) or mpf_log(*args))
+        monkeypatch.setattr(type(mp), "log1p",
+                            lambda ctx, *args: logs.append(args) or log1p(ctx, *args))
+        quad.oracle_value("J1", (2, 2), Fraction(2, 7), 20)  # the counters see the rules
+        assert logs
+        logs.clear()
+        # log^3 t is a new power list, so L reads log t from every node
+        quad.oracle_value("L", (1, 3), x, 20)
+        assert logs == []
 
     @pytest.mark.parametrize("digits", [20, 30, 50])
     @pytest.mark.parametrize("t", [Fraction(1, 10), Fraction(1, 3),   # series branch
                                    Fraction(2, 3), Fraction(99, 100)])  # log branch
     def test_extended_node_run_equals_a_cold_run(self, t, digits):
         def node():
-            tv = num.frac_mpf(t)
-            return quad.Node(tv, tv, num.frac_mpf(1 - t), mpf(0))
+            tv = num.frac_mpf(t)._mpf_
+            return quad.Node(tv, tv, num.frac_mpf(1 - t)._mpf_, fzero)
 
         with mp.workdps(digits + 10):
             extended = node()
             assert len(extended.polylogs(2)) == 3
             cold = node().polylogs(6)
-            assert [v._mpf_ for v in extended.polylogs(6)] == [v._mpf_ for v in cold]
+            assert extended.polylogs(6) == cold
             assert len(cold) == 7
+
+    @pytest.mark.parametrize("digits", [20, 30, 50])
+    def test_extended_log_branch_runs_make_no_log_call(self, monkeypatch, digits):
+        # every node of a level with t > 1/2, its run extended in steps,
+        # against the same node of a fresh level run cold; the kernel's logs
+        # are libmp.mpf_log and mp.log1p
+        with mp.workdps(digits + num.GUARD_DIGITS):
+            steps, cold = quad._make_level(3, Fraction(0), Fraction(1)), []
+            for node in quad._make_level(3, Fraction(0), Fraction(1)).nodes:
+                if mpf_cmp(node.dm, fhalf) > 0:
+                    cold.append(node.polylogs(9))
+            nodes = [node for node in steps.nodes if mpf_cmp(node.dm, fhalf) > 0]
+            for node in nodes:
+                assert len(node.polylogs(2)) == 3
+            logs = []
+            mpf_log, log1p = num.libmp.mpf_log, type(mp).log1p
+            monkeypatch.setattr(num.libmp, "mpf_log",
+                                lambda *args: logs.append(args) or mpf_log(*args))
+            monkeypatch.setattr(type(mp), "log1p",
+                                lambda ctx, *args: logs.append(args) or log1p(ctx, *args))
+            for k in (3, 6, 9):
+                assert [len(node.polylogs(k)) for node in nodes] == [k + 1] * len(nodes)
+            assert logs == []
+            assert len(nodes) > 10 and [node.polylogs(9) for node in nodes] == cold
+
+    def test_polylog_values_keep_their_bits(self):
+        # Li_0..Li_9 at 20, 30 and 50 digits; the series steps by a shift at
+        # the dyadic 3/8 and by a division at 1/3
+        pins = {Fraction(3, 8): "3f020dbec4e418c0c4f65a7fe397175d3657f2a6c18b310c85f8d794dcebd34d",
+                Fraction(1, 3): "495020138298a341dea269193dc96dda1729f5786724baf298fa10c437e4415a"}
+        for t, pin in pins.items():
+            values = []
+            for digits in (20, 30, 50):
+                clear_caches()
+                values += [num.polylog_value(k, t, digits)._mpf_ for k in range(10)]
+            assert hashlib.sha256(repr(values).encode()).hexdigest() == pin, t
 
     def test_extended_runs_compute_each_order_once(self, monkeypatch):
         clear_caches()
@@ -368,7 +411,7 @@ def _product(*values):
 
 
 def _pow(node, name, i, prec):
-    return mpf_pow_int(getattr(node, name)._mpf_, i, prec, _RND)
+    return mpf_pow_int(getattr(node, name), i, prec, _RND)
 
 
 def _ref_power_product(first, i, second, j):
@@ -376,20 +419,20 @@ def _ref_power_product(first, i, second, j):
 
 
 def _ref_power_polylog(first, i, p):
-    return lambda node, prec: _product(_pow(node, first, i, prec), node.polylogs(p)[p]._mpf_)
+    return lambda node, prec: _product(_pow(node, first, i, prec), node.polylogs(p)[p])
 
 
 def _ref_j(m, p, q):
     def f(node, prec):
         li = node.polylogs(max(p, q))
-        return _product(_pow(node, "dm", m, prec), li[p]._mpf_, li[q]._mpf_)
+        return _product(_pow(node, "dm", m, prec), li[p], li[q])
     return f
 
 
 def _ref_k(r, p, q):
     def f(node, prec):
         li = node.polylogs(max(p, q))
-        return _product(_pow(node, "log_t", r, prec), li[p]._mpf_, li[q]._mpf_,
+        return _product(_pow(node, "log_t", r, prec), li[p], li[q],
                         _pow(node, "dm", -1, prec))
     return f
 
@@ -434,6 +477,40 @@ def test_level_integrands_match_the_per_node_spelling(x, members, digits):
                 ref = REFERENCE_INTEGRANDS[family](*params)
                 want = [ref(node, fresh.prec) for node in fresh.nodes]
                 assert spec.integrand(shared) == want, (family, params, level)
+
+
+# the mpmath spelling of each value rule, on mpf node values
+_MPMATH_RULES = {
+    "one_minus": lambda n: n.omb + n.dp if n.dp < n.dm else mp.fsub(1, n.dm, exact=True),
+    "log_t": lambda n: mp.log1p(-n.one_minus) if n.dp < n.dm else mp.log(n.dm),
+    "log1m": lambda n: mp.log(n.one_minus),
+    "log1p": lambda n: mp.log(mp.fadd(1, n.dm, exact=True)),
+    "log_dp": lambda n: mp.log(n.dp),
+}
+
+
+def test_node_values_match_the_mpmath_route():
+    """Every raw value rule gives the bits of its mpmath spelling at every
+    node of levels 0-5 on four intervals at 20, 30 and 50 digits, among
+    them nodes within 1e-60 of 1, and at each precision nodes where log1p
+    takes its x - x^2/2 branch."""
+    assert set(quad._RULES) == {*_MPMATH_RULES, "branch"}
+    within = 0
+    for digits in (20, 30, 50):
+        small = 0
+        with mp.workdps(digits + num.GUARD_DIGITS):
+            for a, b in ((0, 1), (0, Fraction(1, 10)), (0, Fraction(9, 10)), (Fraction(1, 10), 1)):
+                for level in range(6):
+                    for node in quad._make_level(level, Fraction(a), Fraction(b)).nodes:
+                        ref = SimpleNamespace(**{name: mp.make_mpf(getattr(node, name))
+                                                 for name in ("dm", "dp", "omb")})
+                        ref.one_minus = _MPMATH_RULES["one_minus"](ref)
+                        for name, rule in _MPMATH_RULES.items():
+                            assert getattr(node, name) == rule(ref)._mpf_, (a, b, level, name)
+                        within += ref.one_minus < mpf("1e-60")
+                        small += ref.dp < ref.dm and mp.mag(ref.one_minus) < -(mp.prec + 10)
+        assert small > 0, digits
+    assert within > 0
 
 
 def _fraction(pair):
