@@ -21,13 +21,13 @@ each entry an exact pair, so every case on that interval and precision
 reuses them; a family integrand multiplies its lists' pairs exactly, with
 no rounding per node.  The levels of one interval form a table cached per
 (mp.prec, a, b), all of it at the precision `integrate` sets from its
-`digits`.  Each family's parameter names and endpoint kind come from the
-family table (families.TABLE); this module adds one integrand builder per
-family.  `integrate` sums a level as numeric_eval sums a closed form, by
-numerics._floor_to_unit, rounding once (`_level_sum`), and runs its
-estimates and stop test in mpmath.libmp; only the accepted estimate
-becomes an mpf.  Nothing here calls the closed-form evaluators; it exists
-to check them.
+`digits`.  Each family's parameter names, endpoint kind and integrand
+factors come from its row of the family table (families.TABLE);
+`family_spec` makes the product of those factors.  `integrate` sums a
+level as numeric_eval sums a closed form, by numerics._floor_to_unit,
+rounding once (`_level_sum`), and runs its estimates and stop test in
+mpmath.libmp; only the accepted estimate becomes an mpf.  Nothing here
+calls the closed-form evaluators; it exists to check them.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from mpmath.libmp import (fone, from_man_exp, fzero, mpf_abs, mpf_add, mpf_cmp, 
                           round_nearest)
 
 from .errors import NoConvergence, NonIntegrable, ParameterError
-from .families import LOWER, _member
+from .families import LOWER, TABLE, Factor, _member
 from . import numerics
 from .numerics import frac_mpf
 
@@ -331,150 +331,43 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
 
 # -- family integrands -------------------------------------------------------
 
-def _power_product(first: str, i: int, second: str, j: int) -> Integrand:
-    """The integrand first^i * second^j, first and second being names of
-    `Node` values."""
+def _product(factors: Sequence[Factor]) -> Integrand:
+    """The integrand that multiplies the factors a families.TABLE integrand
+    gives, exactly, at each node: (name, i) reads `Level.power(name, i)`
+    and an int p `Level.polylog(p)`."""
+    orders = [factor for factor in factors if isinstance(factor, int)]
 
-    def f(level):
-        return [(um * vm, ue + ve)
-                for (um, ue), (vm, ve) in zip(level.power(first, i), level.power(second, j))]
+    def product(level):
+        if orders:
+            level.polylog(max(orders))  # one kernel pass per node serves every order
+        lists = [level.polylog(factor) if isinstance(factor, int) else level.power(*factor)
+                 for factor in factors]
+        values = lists[0]
+        for other in lists[1:]:
+            values = [(um * vm, ue + ve) for (um, ue), (vm, ve) in zip(values, other)]
+        return values
 
-    return f
-
-
-def _a(m, n, x):
-    if m < 1 or n < 1:
-        raise ParameterError(f"A needs m >= 1, n >= 1, got m={m}, n={n}")
-    if n > m:
-        raise NonIntegrable(f"A({m},{n},x): log^{m}(1-t)/t^{n} diverges at 0")
-    return _power_product("log1m", m, "dm", -n)
-
-
-def _b(m, n, x):
-    if m < 1 or n < 1:
-        raise ParameterError(f"B needs m >= 1, n >= 1, got m={m}, n={n}")
-    if n > m:
-        raise NonIntegrable(f"B({m},{n},x): log^{m}(1+t)/t^{n} diverges at 0")
-    return _power_product("log1p", m, "dm", -n)
-
-
-def _c(m, n, x):
-    if m < 1 or n < 1:
-        raise ParameterError(f"C needs m >= 1, n >= 1, got m={m}, n={n}")
-    if x == 1 and n > m:
-        raise NonIntegrable(f"C({m},{n},1): log^{m}(t)/(1-t)^{n} diverges at 1")
-    return _power_product("log_t", m, "one_minus", -n)
-
-
-def _l(n, m, x):
-    if n < 0 or m < 0:
-        raise ParameterError(f"L needs n >= 0, m >= 0, got n={n}, m={m}")
-    return _power_product("dm", n, "log_t", m)
-
-
-def _m(n, m, x):
-    if n < 0 or m < 0:
-        raise ParameterError(f"M needs n >= 0, m >= 0, got n={n}, m={m}")
-    # on [x, 1], dp = 1 - t exactly
-    return _power_product("t", n, "log_dp", m)
-
-
-def _head_log1m(n, m, x):
-    if n < 0 or m < 0:
-        raise ParameterError(f"HeadLog1m needs n >= 0, m >= 0, got n={n}, m={m}")
-    return _power_product("dm", n, "log1m", m)
-
-
-def _power_polylog(first: str, i: int, p: int) -> Integrand:
-    """The integrand first^i * Li_p(t), first being the name of a `Node`
-    value."""
-
-    def f(level):
-        return [(um * lm, ue + le)
-                for (um, ue), (lm, le) in zip(level.power(first, i), level.polylog(p))]
-
-    return f
-
-
-def _j0(m, p, x):
-    if m < 0 or p < 1:
-        raise ParameterError(f"J0 needs m >= 0, p >= 1, got m={m}, p={p}")
-    return _power_polylog("dm", m, p)
-
-
-def _j1(m, p, x):
-    if m < 0 or p < 0:
-        raise ParameterError(f"J1 needs m >= 0, p >= 0, got m={m}, p={p}")
-    if m == 0 and p == 0 and x == 1:
-        raise NonIntegrable("J1(0,0,1): t/(1-t) diverges at 1")
-    return _power_polylog("log_t", m, p)
-
-
-def _j(m, p, q, x):
-    if m < -2 or m == -1:
-        raise ParameterError(f"J needs m >= -2 and m != -1, got m={m}")
-    if p < 1 or q < 1:
-        raise ParameterError(f"J needs p >= 1, q >= 1, got p={p}, q={q}")
-
-    def f_j(level):  # t^m Li_p(t) Li_q(t)
-        level.polylog(max(p, q))  # one kernel pass per node serves both orders
-        return [(um * pm * qm, ue + pe + qe)
-                for (um, ue), (pm, pe), (qm, qe) in zip(
-                    level.power("dm", m), level.polylog(p), level.polylog(q))]
-
-    return f_j
-
-
-def _k(r, p, q, x):
-    if r < 1:
-        raise ParameterError(f"K needs r >= 1, got r={r}")
-    if p < 0 or q < 0 or p + q < 1:
-        raise ParameterError(f"K needs p, q >= 0 with p + q >= 1, got p={p}, q={q}")
-
-    def f_k(level):  # log^r(t) Li_p(t) Li_q(t) t^-1
-        level.polylog(max(p, q))  # one kernel pass per node serves both orders
-        return [(um * pm * qm * tm, ue + pe + qe + te)
-                for (um, ue), (pm, pe), (qm, qe), (tm, te) in zip(
-                    level.power("log_t", r), level.polylog(p), level.polylog(q),
-                    level.power("dm", -1))]
-
-    return f_k
-
-
-# family name -> builder(*params, x) -> integrand; each builder
-# checks its family's own domain
-_INTEGRANDS: dict[str, Callable[..., Integrand]] = {
-    "A": _a, "B": _b, "C": _c, "L": _l, "M": _m, "HeadLog1m": _head_log1m,
-    "J0": _j0, "J1": _j1, "J": _j, "K": _k,
-}
+    return product
 
 
 def family_spec(family: str, params: Sequence[int], x: Number = 1) -> IntegralSpec:
-    """IntegralSpec for one member of the named integral family.
+    """IntegralSpec for one member of an integral family: the product of the
+    factors its families.TABLE row gives, over [0, x] or, for a LOWER
+    endpoint, [x, 1].
 
-    Families over [0, x]: A (log^m(1-t)/t^n), B (log^m(1+t)/t^n),
-    C (log^m(t)/(1-t)^n), L (t^n log^m t), HeadLog1m (t^n log^m(1-t)),
-    J0 (t^m Li_p), J1 (log^m t Li_p);
-    over [x, 1]: M (t^n log^m(1-t)); over [0, 1] only: J (t^m Li_p Li_q),
-    K (log^r(t) Li_p Li_q / t, with Li_0(t) = t/(1-t)).
-
-    Parameter count and endpoint kind come from the family table.  Raises
-    ParameterError for out-of-contract parameters and NonIntegrable when
-    the requested member genuinely diverges.
+    Raises ParameterError for a family with no integrand, wrong parameters
+    or an x out of range, and NonIntegrable when the member diverges.
     """
-    build = _INTEGRANDS.get(family)
-    if build is None:
+    entry = TABLE.get(family)
+    if entry is None or entry.integrand is None:
         raise ParameterError(f"unknown integral family {family!r}")
-    entry, vals = _member(family, params)
     x = Fraction(x)
-    if entry.endpoint is None:
-        if x != 1:
-            raise ParameterError(f"family {family} is defined on [0, 1] only")
-    elif not ((x >= 0 if entry.zero_ok else x > 0) and x <= 1):
+    entry, vals = _member(family, params, x)
+    if entry.endpoint is not None and not ((x >= 0 if entry.zero_ok else x > 0) and x <= 1):
         raise ParameterError(
             f"family {family} needs x in {'[0, 1]' if entry.zero_ok else '(0, 1]'}, got {x}")
     a, b = (x, Fraction(1)) if entry.endpoint == LOWER else (Fraction(0), x)
-    return IntegralSpec(a, b, build(*vals, x))
+    return IntegralSpec(a, b, _product(entry.integrand(*vals, x)))
 
 
 def oracle_value(family: str, params: Sequence[int], x: Number = 1,

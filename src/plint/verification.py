@@ -3,8 +3,8 @@
 Five suites, each producing JSON-ready records with a uniform shape:
 
 * oracle      - closed forms vs tanh-sinh quadrature over the standard grid
-* dual-route  - recurrence evaluation vs direct theorem evaluation (J0 also
-                compared structurally, not just numerically)
+* dual-route  - recurrence evaluation vs direct theorem evaluation for J0, J
+                and K, compared structurally as well as numerically
 * two-formula - the two J(m,p,1) formulas against each other, and both
                 against the classical H^(2) form at p = 1 (exact rationals)
 * identities  - the squared-harmonic identity and the binomial H_{m+1}

@@ -78,3 +78,20 @@ def test_wrong_parameters_are_parameter_errors_on_both_routes(params):
         run_case(("oracle", "A", params, 1))
     with pytest.raises(ParameterError):
         quad.family_spec("A", params, 1)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("J", (1, 2, 3)), ("K", (1, 2, 3)), ("S", (1, 2)), ("Kbase", (1, 2))])
+def test_fixed_families_take_no_endpoint_on_both_routes(family, params):
+    # one check in the family table: a family with no endpoint is over
+    # [0, 1] (or a sum), so any x but 1 is an error, not that object
+    closed_form(family, params, 1)
+    for x in (Fraction(1, 2), 0, 2):
+        with pytest.raises(ParameterError, match="defined on"):
+            closed_form(family, params, x)
+        if TABLE[family].integrand is None:
+            with pytest.raises(ParameterError, match="unknown integral family"):
+                quad.family_spec(family, params, x)
+        else:
+            with pytest.raises(ParameterError, match="defined on"):
+                quad.family_spec(family, params, x)

@@ -6,6 +6,7 @@ for one stop-rule regression case, the closed form.
 """
 
 import hashlib
+import itertools
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -391,6 +392,74 @@ class TestFamilies:
             quad.oracle_value("A", (1, 1), Fraction(3, 2))
 
 
+# the oracle's domain, as family_spec gives it: for each integral family and
+# each x in (0, 1/2, 1), one outcome per member with every parameter in -2..3
+# (J's m in -3..2), in itertools.product order: "s" a spec, "P" ParameterError,
+# "N" NonIntegrable; a space closes each run of the last parameter
+_DOMAIN_X = (Fraction(0), Fraction(1, 2), Fraction(1))
+_NO_MEMBER = " ".join(["PPPPPP"] * 36)
+_DOMAIN_PIN = {
+    "A": ("PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP",
+          "PPPPPP PPPPPP PPPPPP PPPsNN PPPssN PPPsss",
+          "PPPPPP PPPPPP PPPPPP PPPsNN PPPssN PPPsss"),
+    "B": ("PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP",
+          "PPPPPP PPPPPP PPPPPP PPPsNN PPPssN PPPsss",
+          "PPPPPP PPPPPP PPPPPP PPPsNN PPPssN PPPsss"),
+    "C": ("PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP",
+          "PPPPPP PPPPPP PPPPPP PPPsss PPPsss PPPsss",
+          "PPPPPP PPPPPP PPPPPP PPPsNN PPPssN PPPsss"),
+    "L": ("PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP",
+          "PPPPPP PPPPPP PPssss PPssss PPssss PPssss",
+          "PPPPPP PPPPPP PPssss PPssss PPssss PPssss"),
+    "M": ("PPPPPP PPPPPP PPssss PPssss PPssss PPssss",
+          "PPPPPP PPPPPP PPssss PPssss PPssss PPssss",
+          "PPPPPP PPPPPP PPssss PPssss PPssss PPssss"),
+    "HeadLog1m": ("PPPPPP PPPPPP PPssss PPssss PPssss PPssss",
+                  "PPPPPP PPPPPP PPssss PPssss PPssss PPssss",
+                  "PPPPPP PPPPPP PPssss PPssss PPssss PPssss"),
+    "J0": ("PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP",
+           "PPPPPP PPPPPP PPPsss PPPsss PPPsss PPPsss",
+           "PPPPPP PPPPPP PPPsss PPPsss PPPsss PPPsss"),
+    "J1": ("PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP",
+           "PPPPPP PPPPPP PPssss PPssss PPssss PPssss",
+           "PPPPPP PPPPPP PPNsss PPssss PPssss PPssss"),
+    "J": (_NO_MEMBER,
+          _NO_MEMBER,
+          "PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP "
+          "PPPPPP PPPPPP PPPPPP PPPsss PPPsss PPPsss "
+          "PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP "
+          "PPPPPP PPPPPP PPPPPP PPPsss PPPsss PPPsss "
+          "PPPPPP PPPPPP PPPPPP PPPsss PPPsss PPPsss "
+          "PPPPPP PPPPPP PPPPPP PPPsss PPPsss PPPsss"),
+    "K": (_NO_MEMBER,
+          _NO_MEMBER,
+          "PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP "
+          "PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP "
+          "PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP "
+          "PPPPPP PPPPPP PPPsss PPssss PPssss PPssss "
+          "PPPPPP PPPPPP PPPsss PPssss PPssss PPssss "
+          "PPPPPP PPPPPP PPPsss PPssss PPssss PPssss"),
+}
+
+
+@pytest.mark.parametrize("family", _DOMAIN_PIN)
+def test_oracle_domain_is_pinned(family):
+    ranges = [range(-2, 4)] * len(families.TABLE[family].params)
+    if family == "J":
+        ranges[0] = range(-3, 3)
+    for x, pin in zip(_DOMAIN_X, _DOMAIN_PIN[family]):
+        got = []
+        for params in itertools.product(*ranges):
+            try:
+                quad.family_spec(family, params, x)
+                got.append("s")
+            except ParameterError:
+                got.append("P")
+            except NonIntegrable:
+                got.append("N")
+        assert "".join(got) == pin.replace(" ", ""), (family, x)
+
+
 # the per-node spelling of each family integrand: fn(node, prec) -> its
 # exact value (man, exp) at one node, the exact product of the same factors,
 # each rounded once to prec bits
@@ -546,7 +615,10 @@ def test_level_sums_are_within_their_bound(digits):
     rounding: the unit is 2^(top - (prec + 2 bit_length(N) + 8)), 2^(top-1)
     at most the largest |term| < 2^top."""
     clear_caches()
-    assert {family for family, _, _ in _LEVEL_SUM_CASES} == set(quad._INTEGRANDS)
+    integrals = {family for family, entry in families.TABLE.items() if entry.integrand}
+    assert {family for family, _, _ in _LEVEL_SUM_CASES} == integrals
+    # a new integral family needs a per-node spelling too
+    assert set(REFERENCE_INTEGRANDS) == integrals
     checked = []
 
     def check(level, values, case):
