@@ -32,9 +32,9 @@ A closed form that is a long sum, as ``limit`` and every builder in
 each summand, coeff times atom powers or coeff times a form, is added into
 one map {canonical factors: int numerator} over a running common
 denominator, and ``form`` makes each coefficient a Fraction once and the
-ClosedForm once, through ``ClosedForm.__init__``.  The ring operations
-(``+``, ``-``, ``*``, ``scale``) stay for short expressions and for tests,
-which check the accumulator against them.
+ClosedForm once, its terms put in canonical order with nothing left to
+merge.  The ring operations (``+``, ``-``, ``*``, ``scale``) stay for short
+expressions and for tests, which check the accumulator against them.
 
 The public ``Term(coeff, factors)`` validates its parts (nonzero
 coefficient, factors strictly sorted, exponents >= 1), because terms can
@@ -481,8 +481,8 @@ class Accumulator:
     def form(self) -> ClosedForm:
         """The sum as a canonical ClosedForm."""
         den = self._den
-        return ClosedForm(_trusted_term(Fraction(num, den), factors)
-                          for factors, num in self._nums.items() if num)
+        return _trusted_form(_canonical_terms(
+            {factors: Fraction(num, den) for factors, num in self._nums.items()}))
 
 
 ZERO = ClosedForm(())

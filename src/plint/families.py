@@ -131,7 +131,7 @@ TABLE: dict[str, Family] = {
     "J": Family(("m", "p", "q"), None, lambda m, p, q: ev.J_eval(m, p, q), integrand=_j),
     "K": Family(("m", "p", "q"), None, lambda m, p, q: ev.K_eval(m, p, q), integrand=_k),
     "L": Family(("n", "m"), UPPER, lambda n, m, x: ev.L_integral(n, m, at=x),
-                integrand=_power_log("L", "dm", "log_t")),
+                zero_ok=True, integrand=_power_log("L", "dm", "log_t")),
     # M reads log(1 - t) as log(dp): on [x, 1], dp = 1 - t exactly
     "M": Family(("n", "m"), LOWER, lambda n, m, x: ev.M_integral(n, m, frm=x),
                 zero_ok=True, integrand=_power_log("M", "t", "log_dp")),

@@ -3,26 +3,27 @@
 Everything here works at an explicit decimal precision and is independent
 of the closed-form evaluators.  Zeta values come from mpmath's zeta,
 computed once per (s, precision).  Polylogarithms come in runs: one pass
-of the kernel `_polylog_orders` yields every order Li_0(t)..Li_k(t) of one
-argument as raw libmp values, and a later pass extends a run from its last
-order to the same bits.  `polylog_value` caches the run of an exact
-argument per (argument, digits); a quadrature node keeps its own, with the
-logs and fixed-point state it started from, so extending it takes no
-logarithm.  For t <= 1/2 the pass sums the defining series for all orders
-at once in integers scaled by 2^shift (fixed point), relative to t so that
-arguments near 0 keep their accuracy; for t > 1/2 it sums the expansion
-around the logarithmic singularity at 1, also in fixed point, with the
-coefficients zeta(k-j)/j! cached per precision.  Both land within
-2^-(prec+1) relative before one rounding.  A linear Euler sum S_{p,q} is a
-direct sum to N = p + q + 2 prec, H_N^(p) (zeta(q) - H_N^(q)) and one
-series in 1/N from B_m/m! cached per precision, all in fixed point, within
-2^-(prec+6) relative.  `numeric_eval` values each atom and each atom power
-once per (x, digits) and keeps them.  It sums a closed form's terms in
-integers, each term the exact product of its coefficient and atom powers
-rounded once (`_sum_terms`), all floored to one unit by `_floor_to_unit`,
-which states the sum rule and its bound and also sums the quadrature
-oracle's levels.  The quadrature oracle and the CLI sit on top of this
-module.
+of the kernel `_polylog_orders` yields the orders Li_start(t)..Li_k(t) of
+one argument as raw libmp values, each order with the same bits in any
+run.  `polylog_value` makes one pass for the one order asked for and keeps
+nothing; a quadrature node keeps its run, with the logs and fixed-point
+state it started from, so extending it takes no logarithm.  For t <= 1/2
+the pass sums the defining series for all orders at once in integers
+scaled by 2^shift (fixed point), relative to t so that arguments near 0
+keep their accuracy; for t > 1/2 it sums the expansion around the
+logarithmic singularity at 1, also in fixed point, with the coefficients
+zeta(k-j)/j! cached per precision.  Both land within 2^-(prec+1) relative
+before one rounding.  A linear Euler sum S_{p,q} is a direct sum to
+N = p + q + 2 prec, H_N^(p) (zeta(q) - H_N^(q)) and one series in 1/N from
+B_m/m! cached per precision, all in fixed point, within 2^-(prec+6)
+relative.  `numeric_eval` values each atom and each atom power once per
+(x, digits), a constant one once per digits, and keeps them in
+`_atom_cache`, the one store of atom values.  It sums a closed form's
+terms in integers, each term the exact product of its coefficient and atom
+powers rounded once (`_sum_terms`), all floored to one unit by
+`_floor_to_unit`, which states the sum rule and its bound and also sums the
+quadrature oracle's levels.  The quadrature oracle and the CLI sit on top
+of this module.
 
 All public functions take a decimal `digits` target and compute with
 guard digits internally; returned mpf values carry the guard precision.
@@ -113,11 +114,6 @@ def harmonic_value(n: int, m: int = 1) -> Fraction:
 
 
 # -- polylogarithms --------------------------------------------------------------
-
-# (t, digits) -> (Li_0(t), ..., Li_K(t)) for an exact argument t, K the
-# highest order asked for at that argument so far
-_polylog_cache: dict[tuple[Fraction, int], tuple[mpf, ...]] = {}
-
 
 def _polylog_orders(kmax: int, t: Union[Fraction, tuple], comp: tuple, start: int = 0,
                     node=None) -> tuple:
@@ -259,25 +255,18 @@ def _log_branch_orders(kmax: int, branch: tuple[int, int, list[int]], start: int
 def polylog_value(k: int, t, digits: int = 30) -> mpf:
     """Li_k(t) for real 0 <= t <= 1 (t < 1 when k < 2).
 
-    All orders 0..k of one argument come from one pass of
-    `_polylog_orders`, each within 2^-(prec+1) relative before its one
-    rounding.  For an exact argument (int or Fraction) the run is cached
-    per (t, digits): its lower orders are cache hits, and a higher order
-    extends the run from its last order, to the same bits a cold run
-    gives; an mpf argument is rounded to the working precision and its run
-    is not cached.  The kernel's raw values become mpfs here.
+    One pass of `_polylog_orders` yields order k alone, within
+    2^-(prec+1) relative before its one rounding, and with the bits the
+    same order has in any run of t.  An mpf argument is rounded to the
+    working precision first.  Nothing is kept: `numeric_eval` keeps its
+    atom values in `_atom_cache`, and a quadrature node keeps its run.
     """
     if not isinstance(k, int) or k < 0:
         raise InvalidOrder(f"polylog_value requires integer k >= 0, got {k!r}")
     rational = isinstance(t, (int, Fraction))
-    run = ()
-    if rational:
-        t = Fraction(t)
-        run = _polylog_cache.get((t, digits), ())
-        if k < len(run):
-            return run[k]
     with mp.workdps(digits + GUARD_DIGITS):
         if rational:
+            t = Fraction(t)
             tv, comp = frac_mpf(t), frac_mpf(1 - t)
         else:
             t = tv = mpf(t)  # rounded to the working precision
@@ -288,11 +277,7 @@ def polylog_value(k: int, t, digits: int = 30) -> mpf:
             if k >= 2:
                 return zeta_value(k, digits)
             raise DivergentValue(f"Li_{k}(1) diverges")
-        run += tuple(map(mp.make_mpf, _polylog_orders(
-            k, t if rational else tv._mpf_, comp._mpf_, len(run))))
-    if rational:
-        _polylog_cache[(t, digits)] = run
-    return run[k]
+        return mp.make_mpf(_polylog_orders(k, t if rational else tv._mpf_, comp._mpf_, k)[0])
 
 
 # -- linear Euler sums --------------------------------------------------------------
@@ -363,9 +348,6 @@ def _euler_tail(p: int, q: int, n: int, shift: int) -> int:
                for g, d, c in zip(scales, drops, _tail_coefficients(p, q, shift, drops)))
 
 
-_euler_cache: dict[tuple[int, int, int], mpf] = {}
-
-
 def euler_sum_value(p: int, q: int, digits: int = 30) -> mpf:
     """S_{p,q} = sum_{n >= 1} H_n^(p) / n^q, numerically, as
 
@@ -385,9 +367,6 @@ def euler_sum_value(p: int, q: int, digits: int = 30) -> mpf:
         raise InvalidOrder(f"euler_sum_value requires integer p >= 1, got {p!r}")
     if not isinstance(q, int) or q < 2:
         raise InvalidOrder(f"euler_sum_value requires integer q >= 2, got {q!r}")
-    key = (p, q, digits)
-    if key in _euler_cache:
-        return _euler_cache[key]
     with mp.workdps(digits + GUARD_DIGITS + 5):
         n_cut = p + q + 2 * mp.prec
         shift = mp.prec + 2 * n_cut.bit_length() + 8
@@ -406,9 +385,7 @@ def euler_sum_value(p: int, q: int, digits: int = 30) -> mpf:
             with mp.workprec(shift + 8):
                 zq = int(mp.ldexp(_zeta_any(q), shift))
             acc += (h * (zq - hq) >> shift) + _euler_tail(p, q, n_cut, shift)
-        value = mp.ldexp(mpf(acc), -shift)
-    _euler_cache[key] = value
-    return value
+        return mp.ldexp(mpf(acc), -shift)
 
 
 # -- closed-form evaluation -----------------------------------------------------------
@@ -422,7 +399,8 @@ _LI_ARGUMENTS = {
 }
 
 # atom kind -> its value from (x, digits, *args), x None for a constant;
-# called at the working precision of digits + GUARD_DIGITS
+# called at the working precision of digits + GUARD_DIGITS; the polylog
+# kinds come from `_polylog_orders` at their `_LI_ARGUMENTS` instead
 _VALUE_RULES = {
     "Zeta": lambda x, digits, s: zeta_value(s, digits),
     "LogTwo": lambda x, digits: mp.log(2),
@@ -434,13 +412,13 @@ _VALUE_RULES = {
     "XPow": lambda x, digits, j: frac_mpf(x) ** j,
     "OneMinusXPow": lambda x, digits, j: frac_mpf(1 - x) ** j,
     "OnePlusXPow": lambda x, digits, j: frac_mpf(1 + x) ** j,
-    **{kind: lambda x, digits, k, argument=argument: polylog_value(k, argument(x), digits)
-       for kind, argument in _LI_ARGUMENTS.items()},
 }
 
 # (x, digits) -> {atom: its value at x, a raw libmp value at the working
 # precision of digits + GUARD_DIGITS, and (atom, e): that value^e rounded
-# likewise, an exact pair (man, exp); an atom never equals such a pair}
+# likewise, an exact pair (man, exp); an atom never equals such a pair}.
+# A constant atom and its powers are kept under (None, digits) only, for
+# every point.  The one store of atom values in this module.
 _atom_cache: dict[tuple[Optional[Fraction], int], dict[exact.Atom, tuple]] = {}
 
 
@@ -467,35 +445,49 @@ def _sum_terms(form: exact.ClosedForm, x: Optional[Fraction],
     """(total, magnitude, unit, prec): the form's value and the sum of its
     terms' magnitudes as total 2^unit and magnitude 2^unit, with the atoms
     valued at `digits` and prec the working precision of digits +
-    GUARD_DIGITS.  Each distinct atom is valued once per (atom, x, digits)
-    and kept (`_atom_cache`), however many terms and forms share it.
-    Polylog atoms are valued highest order first, so the one pass that
-    yields an argument's highest order also yields every lower order of it.
+    GUARD_DIGITS.  Each distinct atom is valued once per (atom, x, digits),
+    a constant atom once per (atom, digits), and kept (`_atom_cache`),
+    however many terms, forms and points share it.  The orders of one
+    polylog argument that a form lacks come from one `_polylog_orders`
+    pass, from the lowest of them to the highest, to the bits of any run.
 
-    Each distinct power atom^e is rounded to prec bits once per (x, digits)
-    and kept (libmp.mpf_pow_int, within 2^(1-prec) relative), so a term with f
-    factors is within 2 f 2^-prec of the exact product of its atom values.
-    A term, coeff p/q times the powers m_i 2^e_i, is then the exact
-    fraction p prod m_i 2^(sum e_i) / q, and the terms are summed by the
-    rule of `_floor_to_unit`.
+    Each distinct power atom^e is rounded to prec bits once and kept
+    likewise (libmp.mpf_pow_int, within 2^(1-prec) relative), so a term
+    with f factors is within 2 f 2^-prec of the exact product of its atom
+    values.  A term, coeff p/q times the powers m_i 2^e_i, is then the
+    exact fraction p prod m_i 2^(sum e_i) / q, and the terms are summed by
+    the rule of `_floor_to_unit`.
     """
     atoms = dict.fromkeys(atom for term in form.terms for atom, _ in term.factors)
-    values = _atom_cache.setdefault((x, digits), {})
-    missing = sorted((atom for atom in atoms if atom not in values),
-                     key=lambda a: -a.args[0] if a.kind in _LI_ARGUMENTS else 0)
+    consts = _atom_cache.setdefault((None, digits), {})
+    values = consts if x is None else _atom_cache.setdefault((x, digits), {})
+    missing = [atom for atom in atoms if atom not in consts and atom not in values]
     if missing:
+        # polylog kind -> (the store of its values, its missing atoms)
+        runs: dict[str, tuple[dict, list[exact.Atom]]] = {}
         with mp.workdps(digits + GUARD_DIGITS):
             for atom in missing:
-                values[atom] = _VALUE_RULES[atom.kind](x, digits, *atom.args)._mpf_
+                store = consts if atom.is_constant else values
+                if atom.kind in _LI_ARGUMENTS:
+                    runs.setdefault(atom.kind, (store, []))[1].append(atom)
+                else:
+                    store[atom] = _VALUE_RULES[atom.kind](x, digits, *atom.args)._mpf_
+            for kind, (store, group) in runs.items():
+                t = _LI_ARGUMENTS[kind](x)
+                orders = [atom.args[0] for atom in group]
+                low = min(orders)
+                run = _polylog_orders(max(orders), t, frac_mpf(1 - t)._mpf_, low)
+                store.update((atom, run[k - low]) for atom, k in zip(group, orders))
     prec = libmp.dps_to_prec(digits + GUARD_DIGITS)  # mp.workdps's precision
     products = []  # (p prod m_i, sum e_i, q) per term
     for term in form.terms:
         man, exp = term.coeff.numerator, 0
         for factor in term.factors:
-            power = values.get(factor)
+            power = values.get(factor) or consts.get(factor)
             if power is None:
-                sign, m, e, _ = libmp.mpf_pow_int(values[factor[0]], factor[1], prec, _RND)
-                power = values[factor] = (-m if sign else m, e)
+                store = consts if factor[0].is_constant else values
+                sign, m, e, _ = libmp.mpf_pow_int(store[factor[0]], factor[1], prec, _RND)
+                power = store[factor] = (-m if sign else m, e)
             man *= power[0]
             exp += power[1]
         products.append((man, exp, term.coeff.denominator))
@@ -512,16 +504,17 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
     exact.limit(form, 1), so removable factors and divergences that cancel
     drop out exactly and genuinely divergent forms raise DivergentAtOne.
 
-    Each distinct atom and atom power is computed once per (x, digits),
-    whatever the number of terms and forms it occurs in.  A pass values the
-    atoms at digits + extra digits, extra = 0 at first, into the ints total
-    and magnitude = sum |term| on one unit (`_sum_terms`, by the rule of
-    `_floor_to_unit`), and is accepted when magnitude <= |total| 10^(extra +
-    GUARD_DIGITS).  Otherwise it is repeated with extra the least e with
-    |total| 10^e >= magnitude, as often as needed: a noisy total reads too
-    small a ratio.  A total of exactly 0 counts as every working digit lost,
-    and extra becomes digits + extra + GUARD_DIGITS; so a form whose value
-    is exactly 0 but which is not structurally zero never settles.  Past
+    Each distinct atom and atom power is computed once per (x, digits), a
+    constant one once per digits, whatever the number of terms, forms and
+    points it occurs in.  A pass values the atoms at digits + extra digits,
+    extra = 0 at first, into the ints total and magnitude = sum |term| on
+    one unit (`_sum_terms`, by the rule of `_floor_to_unit`), and is
+    accepted when magnitude <= |total| 10^(extra + GUARD_DIGITS).
+    Otherwise it is repeated with extra the least e with |total| 10^e >=
+    magnitude, as often as needed: a noisy total reads too small a ratio.
+    A total of exactly 0 counts as every working digit lost, and extra
+    becomes digits + extra + GUARD_DIGITS; so a form whose value is exactly
+    0 but which is not structurally zero never settles.  Past
     MAX_EXTRA_DIGITS extra digits the loop raises NonConvergent instead of
     returning noise.  The accepted total is rounded to the pass's precision,
     then to that of digits + GUARD_DIGITS.

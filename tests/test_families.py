@@ -54,7 +54,7 @@ def test_family_spec_reads_arity_and_endpoint(family):
 
 
 @pytest.mark.parametrize("family, zero_ok", [
-    ("A", False), ("L", False), ("M", True), ("HeadLog1m", True)])
+    ("A", False), ("L", True), ("M", True), ("HeadLog1m", True)])
 def test_oracle_lower_limit_of_x(family, zero_ok):
     assert TABLE[family].zero_ok is zero_ok
     if zero_ok:

@@ -167,8 +167,7 @@ class TestPolylogOrders:
                                    Fraction(3, 5), Fraction(2, 3),
                                    Fraction(3, 4), Fraction(4, 5),
                                    Fraction(9, 10), Fraction(99, 100)])
-    def test_every_order_against_mpmath(self, monkeypatch, digits, t):
-        monkeypatch.setattr(num, "_polylog_cache", {})
+    def test_every_order_against_mpmath(self, digits, t):
         got = [num.polylog_value(k, t, digits) for k in range(12, 0, -1)]
         with mp.workdps(digits + 30):
             tv = num.frac_mpf(t)
@@ -194,10 +193,9 @@ class TestPolylogOrders:
                 assert abs(value - want) < self.bound(digits) * want, (k, e)
 
     @pytest.mark.parametrize("digits", [20, 50])
-    def test_relative_accuracy_at_tiny_nodes(self, monkeypatch, digits):
+    def test_relative_accuracy_at_tiny_nodes(self, digits):
         # quadrature nodes near 0: the K integrand divides Li_p Li_q by t,
         # so the values must keep their relative accuracy there
-        monkeypatch.setattr(num, "_polylog_cache", {})
         with mp.workdps(digits + num.GUARD_DIGITS):
             nodes = (mpf("1e-60"), mpf(2) ** -200)
         for node in nodes:
@@ -207,52 +205,61 @@ class TestPolylogOrders:
                     want = sum(node**n / mpf(n) ** k for n in range(1, 6))
                 assert abs(got - want) < self.bound(digits) * want, (node, k)
 
-    def test_one_pass_serves_every_lower_order(self, monkeypatch):
-        monkeypatch.setattr(num, "_polylog_cache", {})
+    @staticmethod
+    def count_passes(monkeypatch):
         calls = []
         kernel = num._polylog_orders
         monkeypatch.setattr(num, "_polylog_orders",
                             lambda *args: calls.append(args[0]) or kernel(*args))
-        top = num.polylog_value(7, Fraction(1, 3), 30)
-        lower = [num.polylog_value(k, Fraction(1, 3), 30) for k in range(7)]
+        return calls
+
+    def test_one_pass_serves_every_lower_order(self, monkeypatch):
+        monkeypatch.setattr(num, "_atom_cache", {})
+        calls = self.count_passes(monkeypatch)
+        x = Fraction(1, 3)
+        every = ex.ZERO
+        for k in range(8):
+            every = every + ex.ClosedForm.of(ex.li_x(k))
+        num.numeric_eval(every, x, 30)
         assert calls == [7]
-        assert len(num._polylog_cache) == 1
-        # a higher order extends the one entry
-        num.polylog_value(9, Fraction(1, 3), 30)
+        top = num.numeric_eval(ex.ClosedForm.of(ex.li_x(7)), x, 30)
+        num.numeric_eval(ex.ClosedForm.of(ex.li_x(2)) + ex.ClosedForm.of(ex.li_x(5)), x, 30)
+        assert calls == [7]
+        # higher orders take one more pass, for the orders missing only
+        num.numeric_eval(ex.ClosedForm.of(ex.li_x(9)) + ex.ClosedForm.of(ex.li_x(8)), x, 30)
         assert calls == [7, 9]
-        assert len(num._polylog_cache) == 1
-        assert num.polylog_value(7, Fraction(1, 3), 30) == top
-        assert [num.polylog_value(k, Fraction(1, 3), 30) for k in range(7)] == lower
+        assert num.polylog_value(7, x, 30) == top
 
     @pytest.mark.parametrize("digits", [20, 30, 50])
     @pytest.mark.parametrize("t", [Fraction(1, 10), Fraction(1, 3),   # series branch
                                    Fraction(2, 3), Fraction(99, 100)])  # log branch
     def test_extended_run_equals_a_cold_run(self, monkeypatch, t, digits):
-        monkeypatch.setattr(num, "_polylog_cache", {})
-        num.polylog_value(2, t, digits)
-        num.polylog_value(6, t, digits)
-        (extended,) = num._polylog_cache.values()
-        monkeypatch.setattr(num, "_polylog_cache", {})
-        num.polylog_value(6, t, digits)
-        (cold,) = num._polylog_cache.values()
-        assert len(cold) == 7
-        assert [v._mpf_ for v in extended] == [v._mpf_ for v in cold]
+        # at x = t: Li_3..Li_6 of t after Li_2, and of 1 - t after Li_4 and
+        # Li_5, each run starting at the lowest order missing
+        first = ex.ClosedForm.of(ex.li_x(2)) + ex.ClosedForm.of(ex.li_1mx(4))
+        first = first + ex.ClosedForm.of(ex.li_1mx(5))
+        second = ex.ZERO
+        for k in range(2, 7):
+            second = second + ex.ClosedForm.of(ex.li_x(k)) + ex.ClosedForm.of(ex.li_1mx(k))
+        monkeypatch.setattr(num, "_atom_cache", {})
+        num.numeric_eval(first, t, digits)
+        num.numeric_eval(second, t, digits)
+        extended = num._atom_cache[(t, digits)]
+        monkeypatch.setattr(num, "_atom_cache", {})
+        num.numeric_eval(second, t, digits)
+        cold = num._atom_cache[(t, digits)]
+        assert len(cold) == 20  # 10 atoms and their first powers
+        assert extended == cold
 
-    def test_orders_do_not_depend_on_the_highest_order(self, monkeypatch):
+    def test_orders_do_not_depend_on_the_highest_order(self):
         for t in (Fraction(1, 3), Fraction(4, 5)):
-            monkeypatch.setattr(num, "_polylog_cache", {})
-            low = [num.polylog_value(k, t, 30) for k in range(5)]
-            monkeypatch.setattr(num, "_polylog_cache", {})
-            num.polylog_value(12, t, 30)
-            assert [num.polylog_value(k, t, 30) for k in range(5)] == low
+            with mp.workdps(30 + num.GUARD_DIGITS):
+                run = num._polylog_orders(12, t, num.frac_mpf(1 - t)._mpf_)
+            assert [num.polylog_value(k, t, 30)._mpf_ for k in range(5)] == list(run[:5])
 
     def test_numeric_eval_runs_one_pass_per_argument(self, monkeypatch):
-        monkeypatch.setattr(num, "_polylog_cache", {})
         monkeypatch.setattr(num, "_atom_cache", {})
-        calls = []
-        kernel = num._polylog_orders
-        monkeypatch.setattr(num, "_polylog_orders",
-                            lambda *args: calls.append(args[0]) or kernel(*args))
+        calls = self.count_passes(monkeypatch)
         # at x = 1/3: Li1, Li2, Li3, Li5 of 1/3, Li2 and Li4 of 2/3, Li3(1/2)
         f = ex.ONE
         for atom in (ex.li_x(1), ex.li_x(3), ex.li_x(5), ex.li_x(2),
@@ -260,6 +267,29 @@ class TestPolylogOrders:
             f = f + ex.ClosedForm.of(atom)
         num.numeric_eval(f, Fraction(1, 3), 30)
         assert sorted(calls) == [3, 4, 5]
+
+    def test_constant_atoms_are_valued_once_for_every_point(self, monkeypatch):
+        monkeypatch.setattr(num, "_atom_cache", {})
+        calls = self.count_passes(monkeypatch)
+        euler = []
+        value = num.euler_sum_value
+        monkeypatch.setattr(num, "euler_sum_value",
+                            lambda *args: euler.append(args) or value(*args))
+        # Li2(x) Li3(1/2) + Li4(x) S(2,3) + Li2(1 - x): a constant polylog, a
+        # constant Euler sum and two polylog arguments at each point
+        f = (ex.ClosedForm.of(ex.li_x(2)) * ex.ClosedForm.of(ex.li_at_half(3))
+             + ex.ClosedForm.of(ex.li_x(4)) * ex.ClosedForm.of(ex.euler_sum(2, 3))
+             + ex.ClosedForm.of(ex.li_1mx(2)))
+        points = (Fraction(1, 3), Fraction(1, 5), Fraction(4, 5))
+        for x in points:
+            num.numeric_eval(f, x, 30)
+        # one pass per argument per point, and Li3(1/2) once
+        assert calls == [3] + [4, 2] * len(points)
+        assert euler == [(2, 3, 30)]
+        assert set(num._atom_cache) == {(None, 30)} | {(x, 30) for x in points}
+        # the constants and their powers are kept once, under no point
+        assert {(key, len(values)) for key, values in num._atom_cache.items()} == (
+            {((None, 30), 4)} | {((x, 30), 6) for x in points})
 
 
 class TestAtomPowers:
@@ -542,9 +572,10 @@ def reference_sum_terms(form, x, digits, extra_bits):
     values, every power, product and sum rounded at the working precision
     of digits + GUARD_DIGITS raised by extra_bits."""
     atoms = dict.fromkeys(atom for term in form.terms for atom, _ in term.factors)
-    ordered = sorted(atoms, key=lambda a: -a.args[0] if a.kind in num._LI_ARGUMENTS else 0)
     with mp.workdps(digits + num.GUARD_DIGITS):
-        values = {atom: num._VALUE_RULES[atom.kind](x, digits, *atom.args) for atom in ordered}
+        values = {atom: num.polylog_value(atom.args[0], num._LI_ARGUMENTS[atom.kind](x), digits)
+                  if atom.kind in num._LI_ARGUMENTS
+                  else num._VALUE_RULES[atom.kind](x, digits, *atom.args) for atom in atoms}
         with mp.workprec(mp.prec + extra_bits):
             total = mp.zero
             magnitude = mp.zero

@@ -207,7 +207,6 @@ class TestFamilies:
     def test_one_polylog_pass_per_node(self, monkeypatch, family, params):
         # Li_p and Li_q at a node come from one kernel pass (near t = 1
         # distinct nodes share t and differ in 1 - t)
-        monkeypatch.setattr(num, "_polylog_cache", {})
         monkeypatch.setattr(quad, "_table_cache", {})
         passes = []
         kernel = num._polylog_orders
@@ -358,12 +357,12 @@ class TestFamilies:
         assert quad.integrate(spec, digits)._mpf_ == cold
         assert quad.oracle_value("J0", (1, 3), x, digits)._mpf_ == cold
 
-    def test_oracle_cases_leave_no_polylog_cache_entries(self):
-        # node polylogs live on the nodes only
+    def test_oracle_cases_leave_atom_cache_empty(self):
+        # node values live on the nodes only
         clear_caches()
         quad.oracle_value("J", (1, 2, 5), 1, 20)
         quad.oracle_value("J1", (2, 2), Fraction(1, 3), 20)
-        assert num._polylog_cache == {}
+        assert num._atom_cache == {}
 
     def test_non_integrable_families(self):
         with pytest.raises(NonIntegrable):
@@ -408,7 +407,7 @@ _DOMAIN_PIN = {
     "C": ("PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP",
           "PPPPPP PPPPPP PPPPPP PPPsss PPPsss PPPsss",
           "PPPPPP PPPPPP PPPPPP PPPsNN PPPssN PPPsss"),
-    "L": ("PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP PPPPPP",
+    "L": ("PPPPPP PPPPPP PPssss PPssss PPssss PPssss",
           "PPPPPP PPPPPP PPssss PPssss PPssss PPssss",
           "PPPPPP PPPPPP PPssss PPssss PPssss PPssss"),
     "M": ("PPPPPP PPPPPP PPssss PPssss PPssss PPssss",

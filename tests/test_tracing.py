@@ -17,10 +17,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.dirname(os.path.dirname(plint.__file__))
 
 # installs the tracer in a fresh interpreter (it rebinds module attributes
-# for good), then runs one traced closed form and three traced oracle values,
-# each on an interval of its own: an integrand takes a whole level, so it is
-# called once per level the oracle visits, and those levels are the ones on
-# the node tables
+# for good), then runs one traced sum of closed forms and three traced
+# oracle values, each on an interval of its own: an integrand takes a whole
+# level, so it is called once per level the oracle visits, and those levels
+# are the ones on the node tables
 SCRIPT = """
 import sys
 from fractions import Fraction
@@ -31,7 +31,9 @@ tracer = tracing.Tracer()
 tracing.install(tracer)
 from plint import families, quadrature
 x = Fraction(1, 2)
-families.closed_form("A", (4, 3), x)
+# a sum of two forms goes through ClosedForm.__init__, which the
+# accumulated builders skip
+families.closed_form("A", (4, 3), x) + families.closed_form("A", (3, 3), x)
 for case in [("A", (4, 3), x), ("J0", (2, 3), Fraction(1, 3)), ("K", (1, 3, 2), 1)]:
     quadrature.oracle_value(*case, 15)
     levels = sum(len(table) for table in quadrature._table_cache.values())

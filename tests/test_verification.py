@@ -68,7 +68,8 @@ class TestRecords:
         assert record["pass"] is True
         assert record["value"] == record["oracle"]
 
-    @pytest.mark.parametrize("family, params", [("J", (1, 2, 3)), ("K", (1, 2, 2))])
+    @pytest.mark.parametrize("family, params", [
+        ("J", (1, 2, 3)), ("K", (1, 2, 2)), ("J0", (2, 3))])
     def test_dual_route_checks_structure(self, monkeypatch, family, params):
         # the recurrence route plus zeta(2)^2 - (5/2) zeta(4), which is 0 as a
         # number but not as a form: the values agree, the record fails
@@ -82,6 +83,14 @@ class TestRecords:
                             lambda *args, **kwargs: recurrence(*args, **kwargs) + zero)
         record = vf.run_case(case)
         assert record["rel_err"] == "<1e-20"
+        assert record["pass"] is False
+        # plus 3e-7 the values differ too, by an error printed in exponent form
+        # (each value lies in (-1, 1), so the error is absolute)
+        offset = exact.ClosedForm.number(Fraction(3, 10**7))
+        monkeypatch.setattr(ev, "freitas_recurrence_eval",
+                            lambda *args, **kwargs: recurrence(*args, **kwargs) + offset)
+        record = vf.run_case(case)
+        assert record["rel_err"] == "3e-07"
         assert record["pass"] is False
 
     def test_crashing_case_becomes_failing_record(self):
