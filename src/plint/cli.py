@@ -94,8 +94,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     digits = _resolve_digits(args.digits)
 
     form = closed_form(family, params, x)
-    feed = None if x == 1 or form.is_constant else x
-    value = numeric_eval(form, x=feed, digits=digits)
+    value = numeric_eval(form, x, digits)
     rendered = format_value(value)
     if args.format == "json":
         payload = {

@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Union
 from . import exact
 from .errors import InvalidOrder, ParameterError, _require_int
 from .eulersums import K_base, _add_k_base, reduce_S1
-from .exact import Accumulator, ClosedForm, monomial as _term
+from .exact import Accumulator, ClosedForm
 from .numerics import harmonic_value
 
 EvalPoint = Union[Fraction, int]
@@ -88,11 +88,6 @@ def _rising(t: int, n: int) -> int:
 def _falling(m: int, s: int) -> int:
     """m (m-1) ... (m-s+1)."""
     return math.prod(range(m - s + 1, m + 1))
-
-
-def _zz(a: int, b: int, coeff=1) -> ClosedForm:
-    """coeff * zeta(a) * zeta(b), one term (a squared atom when a == b)."""
-    return _term(coeff, (exact.zeta(a), 1), (exact.zeta(b), 1))
 
 
 @dataclass(frozen=True)
@@ -635,6 +630,17 @@ def K_eval(m: int, p: int, q: int) -> ClosedForm:
 # -- recurrence route (verification only) -------------------------------------------
 
 
+def _recurrence_step(den: int, zetas: tuple[int, ...], *forms: ClosedForm) -> ClosedForm:
+    """(prod zeta(s) over zetas, none if empty, minus the forms) / den, as one
+    step of the recurrences below, summed in one Accumulator."""
+    acc = Accumulator()
+    if zetas:
+        acc.add(1, *((exact.zeta(s), 1) for s in zetas), den=den)
+    for form in forms:
+        acc.add_form(form, -1, den)
+    return acc.form()
+
+
 def freitas_recurrence_eval(family: str, **params: int) -> ClosedForm:
     """Evaluate J0/J/K at x = 1 by running their recurrences up from the bases.
 
@@ -664,7 +670,7 @@ def freitas_recurrence_eval(family: str, **params: int) -> ClosedForm:
     if family == "J0":
         form = J0_eval(m, 1, 1)
         for k in range(2, q + 1):
-            form = (ClosedForm.of(exact.zeta(k)) - form).scale(Fraction(1, m + 1))
+            form = _recurrence_step(m + 1, (k,), form)
         return form
     if family == "J":
         # row a holds J(m, a, b) at index b >= 1; row 1 and column 1 are bases
@@ -672,7 +678,7 @@ def freitas_recurrence_eval(family: str, **params: int) -> ClosedForm:
         for a in range(2, p + 1):
             above, row = row, [None, _j_base(m, a)]
             for b in range(2, q + 1):
-                row.append((_zz(a, b) - above[b] - row[b - 1]).scale(Fraction(1, m + 1)))
+                row.append(_recurrence_step(m + 1, (a, b), above[b], row[b - 1]))
         return row[q]
     # row a holds K(total - a - b, a, b) at index b; row 0 and column 0 are bases
     total = r + p + q
@@ -680,5 +686,5 @@ def freitas_recurrence_eval(family: str, **params: int) -> ClosedForm:
     for a in range(1, p + 1):
         above, row = row, [K_base(total - a, a)]
         for b in range(1, q + 1):
-            row.append((above[b] + row[b - 1]).scale(Fraction(-1, total - a - b + 1)))
+            row.append(_recurrence_step(total - a - b + 1, (), above[b], row[b - 1]))
     return row[q]

@@ -43,7 +43,7 @@ class Family:
     # evaluators up on their modules at call time, so a rebinding there
     # (as bench/tracing.py does) reaches every caller of this table
     evaluator: Callable[..., ClosedForm]
-    # the oracle also takes x = 0 (the empty head of the integral)
+    # x = 0 is a member too (the empty head of the integral), on both routes
     zero_ok: bool = False
     # rows of `plint table`: "box" spans 1..max per parameter, "triangle"
     # keeps n <= m, "odd-weight" spans p + q = 3, 5, ... up to --max-weight
@@ -146,10 +146,11 @@ TABLE: dict[str, Family] = {
 
 
 def _member(family: str, params: Sequence[int],
-            x: Union[int, Fraction] = 1) -> tuple[Family, tuple[int, ...]]:
-    """A family's entry and its parameters as a tuple, checked: a family of
-    the table, one value per parameter name, each an int, and x = 1 for a
-    family with no endpoint."""
+            x: Union[int, Fraction] = 1) -> tuple[Family, tuple[int, ...], Fraction]:
+    """A family's entry, its parameters as a tuple and x as a Fraction,
+    checked: a family of the table, one value per parameter name, each an
+    int, x = 1 for a family with no endpoint, and otherwise a rational x in
+    (0, 1], or [0, 1] where the family takes x = 0."""
     entry = TABLE.get(family)
     if entry is None:
         raise ParameterError(f"unknown family {family!r}")
@@ -158,15 +159,24 @@ def _member(family: str, params: Sequence[int],
         raise ParameterError(f"family {family} takes ({' '.join(entry.params)}), got {vals!r}")
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in vals):
         raise ParameterError(f"family {family} parameters must be ints, got {vals!r}")
-    if entry.endpoint is None and x != 1:
-        raise ParameterError(f"family {family} is defined on [0, 1] only")
-    return entry, vals
+    if entry.endpoint is None:
+        if x != 1:
+            raise ParameterError(f"family {family} is defined on [0, 1] only")
+        return entry, vals, Fraction(1)
+    try:
+        x = Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ParameterError(f"family {family} needs a rational x, got {x!r}") from None
+    if not ((x >= 0 if entry.zero_ok else x > 0) and x <= 1):
+        raise ParameterError(
+            f"family {family} needs x in {'[0, 1]' if entry.zero_ok else '(0, 1]'}, got {x}")
+    return entry, vals, x
 
 
 def closed_form(family: str, params: Sequence[int],
                 x: Union[int, Fraction] = 1) -> ClosedForm:
     """The closed form of one family member; x is the endpoint, if any."""
-    entry, vals = _member(family, params, x)
+    entry, vals, x = _member(family, params, x)
     if entry.endpoint is None:
         return entry.evaluator(*vals)
     return entry.evaluator(*vals, x)

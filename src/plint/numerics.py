@@ -1,18 +1,19 @@
 """High-precision numeric values for the symbolic atoms.
 
 Everything here works at an explicit decimal precision and is independent
-of the closed-form evaluators.  Zeta values come from mpmath's zeta,
-computed once per (s, precision).  Polylogarithms come in runs: one pass
-of the kernel `_polylog_orders` yields the orders Li_start(t)..Li_k(t) of
-one argument as raw libmp values, each order with the same bits in any
-run.  `polylog_value` makes one pass for the one order asked for and keeps
+of the closed-form evaluators.  Zeta values come from mpmath's zeta, which
+keeps its own memo.  Polylogarithms come in runs: one pass of the kernel
+`_polylog_orders` yields the orders Li_start(t)..Li_k(t) of one argument as
+raw libmp values, each order with the same bits in any run.
+`polylog_value` makes one pass for the one order asked for and keeps
 nothing; a quadrature node keeps its run, with the logs and fixed-point
 state it started from, so extending it takes no logarithm.  For t <= 1/2
 the pass sums the defining series for all orders at once in integers
 scaled by 2^shift (fixed point), relative to t so that arguments near 0
 keep their accuracy; for t > 1/2 it sums the expansion around the
-logarithmic singularity at 1, also in fixed point, with the coefficients
-zeta(k-j)/j! cached per precision.  Both land within 2^-(prec+1) relative
+logarithmic singularity at 1, also in fixed point, from one row of
+2^shift zeta(s) ints per shift, cut once into each order's coefficients
+zeta(k-j)/j!.  Both land within 2^-(prec+1) relative
 before one rounding.  A linear Euler sum S_{p,q} is a direct sum to
 N = p + q + 2 prec, H_N^(p) (zeta(q) - H_N^(q)) and one series in 1/N from
 B_m/m! cached per precision, all in fixed point, within 2^-(prec+6)
@@ -32,7 +33,9 @@ guard digits internally; returned mpf values carry the guard precision.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -60,39 +63,12 @@ def frac_mpf(q: Number) -> mpf:
 
 # -- zeta ----------------------------------------------------------------------
 
-# (s, mp.prec) -> zeta(s); shared by zeta_value, the polylog expansion
-# around 1 and the Euler-sum tails
-_zeta_cache: dict[tuple[int, int], mpf] = {}
-
-
 def zeta_value(s: int, digits: int = 30) -> mpf:
-    """Riemann zeta at an integer s >= 2."""
+    """Riemann zeta at an integer s >= 2, from mpmath's zeta."""
     if not isinstance(s, int) or s < 2:
         raise InvalidOrder(f"zeta_value requires integer s >= 2, got {s!r}")
     with mp.workdps(digits + GUARD_DIGITS):
-        return _zeta_any(s)
-
-
-def _zeta_any(s: int) -> mpf:
-    """zeta at any integer except 1, at the current working precision,
-    computed once per (s, precision).
-
-    Negative and zero arguments come from Bernoulli numbers; they feed the
-    polylogarithm expansion around argument 1.
-    """
-    key = (s, mp.prec)
-    value = _zeta_cache.get(key)
-    if value is None:
-        if s == 1:
-            raise DivergentValue("zeta(1) diverges")
-        if s >= 2:
-            value = mp.zeta(s)
-        elif s == 0:
-            value = mpf(-1) / 2
-        else:
-            value = -mp.bernoulli(1 - s) / (1 - s)
-        _zeta_cache[key] = value
-    return value
+        return mp.zeta(s)
 
 
 # -- harmonic numbers -----------------------------------------------------------
@@ -176,23 +152,30 @@ def _polylog_orders(kmax: int, t: Union[Fraction, tuple], comp: tuple, start: in
     return tuple(orders)
 
 
-# (k, shift) -> [c_0, c_1, ...], c_j = 2^shift zeta(k-j)/j! floored, except
-# c_{k-1} = 2^shift H_{k-1}/(k-1)!; shift is set by the working precision
-# (_log_branch_orders), and the list is long enough for any mu in (-log 2, 0)
-_log_branch_coeffs: dict[tuple[int, int], list[int]] = {}
+# shift -> (zetas, orders), the log branch's fixed-point constants at 2^shift.
+# zetas[s + shift // 3 + 1] is 2^shift zeta(s) truncated (zeta(s) from
+# Bernoulli numbers for s < 0) for s from -(shift // 3) - 1 up to the highest
+# order asked for, and 0 at s = 1; orders[k] = [c_0, c_1, ...], c_j that int
+# at s = k-j floor-divided by j!, except c_{k-1} = 2^shift H_{k-1}/(k-1)!
+# floored.  shift is set by the working precision (_log_branch_orders), and
+# each list is long enough for any mu in (-log 2, 0)
+_log_branch_coeffs: dict[int, tuple[list[int], dict[int, list[int]]]] = {}
 
 
 def _log_branch_coefficients(k: int, shift: int) -> list[int]:
-    key = (k, shift)
-    coeffs = _log_branch_coeffs.get(key)
+    zetas, orders = _log_branch_coeffs.setdefault(shift, ([], {}))
+    coeffs = orders.get(k)
     if coeffs is None:
+        low = -(shift // 3) - 1
         # 8 bits past the fixed point leave each c_j within 3 units
         with mp.workprec(shift + 8):
-            coeffs = [
-                int(mp.ldexp(frac_mpf(harmonic_value(k - 1)) if j == k - 1
-                             else _zeta_any(k - j), shift)) // math.factorial(j)
-                for j in range(k + shift // 3 + 2)]
-        _log_branch_coeffs[key] = coeffs
+            for s in range(low + len(zetas), k + 1):
+                zetas.append(0 if s == 1 else int(mp.ldexp(
+                    mp.zeta(s) if s >= 0 else -mp.bernoulli(1 - s) / (1 - s), shift)))
+            harmonic = int(mp.ldexp(frac_mpf(harmonic_value(k - 1)), shift))
+        factorials = itertools.accumulate(range(1, k - low + 1), operator.mul, initial=1)
+        coeffs = orders[k] = [(harmonic if j == k - 1 else zetas[k - j - low]) // f
+                              for j, f in enumerate(factorials)]
     return coeffs
 
 
@@ -216,8 +199,9 @@ def _log_branch_orders(kmax: int, branch: tuple[int, int, list[int]], start: int
     summed in integers scaled by 2^shift (fixed point), shift = prec +
     guard, guard = bit_length(prec) + 5; a unit below is 2^-shift.  The
     coefficients c_j of mu^j (H_{k-1}/(k-1)! for j = k-1) depend only on k
-    and prec and are cached (`_log_branch_coeffs`); each lies below 2 and
-    within 3 units, and together they sum to less than 6.  The powers
+    and shift, and are cut once per (k, shift) from the one row of 2^shift
+    zeta(s) ints kept per shift (`_log_branch_coeffs`); each lies below 2
+    and within 3 units, and together they sum to less than 6.  The powers
     P_j = P_{j-1} M >> shift, from M = mu truncated, stay within 5 units
     because |mu| < log 2.  The log term, -P_{k-2} Q / (k-1)! with
     Q = mu log(-mu) within 1 unit (|Q| < 1/e), is within 4 units however
@@ -383,7 +367,7 @@ def euler_sum_value(p: int, q: int, digits: int = 30) -> mpf:
             acc += h // nq
         if stop > n_cut:
             with mp.workprec(shift + 8):
-                zq = int(mp.ldexp(_zeta_any(q), shift))
+                zq = int(mp.ldexp(mp.zeta(q), shift))
             acc += (h * (zq - hq) >> shift) + _euler_tail(p, q, n_cut, shift)
         return mp.ldexp(mpf(acc), -shift)
 
@@ -519,15 +503,15 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
     returning noise.  The accepted total is rounded to the pass's precision,
     then to that of digits + GUARD_DIGITS.
     """
-    if x is not None:
+    if x is None:
+        if not form.is_constant:
+            raise ParameterError("closed form depends on x but no point was given")
+    else:
         x = Fraction(x)
-        if not 0 < x <= 1:
-            raise ParameterError(f"evaluation point must be in (0, 1], got {x}")
         if x == 1:
-            form = exact.limit(form, 1)
-            x = None
-    if x is None and not form.is_constant:
-        raise ParameterError("closed form depends on x but no point was given")
+            form, x = exact.limit(form, 1), None  # constants only
+        elif not 0 < x < 1:
+            raise ParameterError(f"evaluation point must be in (0, 1], got {x}")
     extra = 0
     while True:
         total, magnitude, unit, prec = _sum_terms(form, x, digits + extra)

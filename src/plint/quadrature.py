@@ -361,11 +361,7 @@ def family_spec(family: str, params: Sequence[int], x: Number = 1) -> IntegralSp
     entry = TABLE.get(family)
     if entry is None or entry.integrand is None:
         raise ParameterError(f"unknown integral family {family!r}")
-    x = Fraction(x)
-    entry, vals = _member(family, params, x)
-    if entry.endpoint is not None and not ((x >= 0 if entry.zero_ok else x > 0) and x <= 1):
-        raise ParameterError(
-            f"family {family} needs x in {'[0, 1]' if entry.zero_ok else '(0, 1]'}, got {x}")
+    entry, vals, x = _member(family, params, x)
     a, b = (x, Fraction(1)) if entry.endpoint == LOWER else (Fraction(0), x)
     return IntegralSpec(a, b, _product(entry.integrand(*vals, x)))
 

@@ -247,17 +247,12 @@ def build_cases(suite: str, grid: str = "full") -> list[Case]:
 # -- per-case execution --------------------------------------------------------------
 
 
-def _numeric(form, x: Fraction, digits: int) -> mpf:
-    feed = None if x == 1 else x
-    return numeric_eval(form, x=feed, digits=digits)
-
-
 def run_case(case: Case, tol: Tol = None, digits: int = DEFAULT_DIGITS) -> dict:
     suite, family, params, x = case
     tol = _ten_to_minus(digits, mp.prec) if tol is None else mpf(str(tol))
     if suite == "oracle":
         form = closed_form(family, params, x)
-        value = _numeric(form, x, digits)
+        value = numeric_eval(form, x, digits)
         want = oracle_value(family, params, x, digits)
         return _record(family, params, x, exact.compact(form), value, want,
                        tol, digits)
@@ -272,8 +267,8 @@ def run_case(case: Case, tol: Tol = None, digits: int = DEFAULT_DIGITS) -> dict:
             other = ev.freitas_recurrence_eval(
                 "K", r=params[0], p=params[1], q=params[2])
         structural = direct == other
-        value = _numeric(direct, x, digits)
-        want = _numeric(other, x, digits)
+        value = numeric_eval(direct, x, digits)
+        want = numeric_eval(other, x, digits)
         return _record(family, params, x, exact.compact(direct), value, want,
                        tol, digits, structural_ok=structural)
     if suite == "two-formula":
@@ -284,8 +279,8 @@ def run_case(case: Case, tol: Tol = None, digits: int = DEFAULT_DIGITS) -> dict:
         if p == 1:
             devoto = ev.J_at_one_devoto(m)
             structural = v1 == devoto and v2 == devoto
-        value = _numeric(v1, x, digits)
-        want = _numeric(v2, x, digits)
+        value = numeric_eval(v1, x, digits)
+        want = numeric_eval(v2, x, digits)
         return _record(family, params, x, exact.compact(v1), value, want,
                        tol, digits, structural_ok=structural)
     if suite == "identities":
@@ -302,7 +297,7 @@ def run_case(case: Case, tol: Tol = None, digits: int = DEFAULT_DIGITS) -> dict:
     if suite == "euler":
         p, q = params
         form = reduce_S(p, q)
-        value = _numeric(form, x, digits)
+        value = numeric_eval(form, x, digits)
         want = euler_sum_value(p, q, digits)
         structural = True
         if (p, q) == (1, 2):

@@ -25,8 +25,8 @@ def clear_caches():
     so that a test starts cold: a value computed under one ambient
     precision cannot be served to a run under another, and a form is built
     afresh."""
-    for cache in (num._zeta_cache, num._log_branch_coeffs, num._bernoulli_coeffs,
-                  num._atom_cache, quad._node_cache, quad._table_cache):
+    for cache in (num._log_branch_coeffs, num._bernoulli_coeffs, num._atom_cache,
+                  quad._node_cache, quad._table_cache):
         cache.clear()
     for memoized in {builder for builder, _ in MEMOIZED} | {quad._stop_bounds,
                                                           ver._ten_to_minus}:

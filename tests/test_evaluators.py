@@ -138,9 +138,9 @@ def ref_a_symbolic(m, n):
         def body(chain, y=y, c_y=c_y, c_y1=c_y1):
             w = chain_weight(n, chain)
             tail = chain[-1] if chain else n
-            out = ev._term(w * c_y * (-1) ** (y + 1), (exact.log_1mx(), m - y),
-                           (exact.x_pow(-(tail - 1)), 1))
-            out = out + ev._term(w * c_y * (-1) ** y, (exact.log_1mx(), m - y))
+            out = exact.monomial(w * c_y * (-1) ** (y + 1), (exact.log_1mx(), m - y),
+                                 (exact.x_pow(-(tail - 1)), 1))
+            out = out + exact.monomial(w * c_y * (-1) ** y, (exact.log_1mx(), m - y))
             return out + ev._a_base_symbolic(m - y - 1).scale(w * c_y1 * (-1) ** (y + 1))
 
         total = total + NestedSumPlan(y, descending_bounds(n), body).evaluate()
@@ -157,8 +157,9 @@ def ref_b(m, n, at_one):
             w = chain_weight(n, chain)
             tail = chain[-1] if chain else n
             power = () if at_one else ((exact.x_pow(-(tail - 1)), 1),)
-            out = ev._term(w * c_y * (-1) ** (n + tail + y + 1), (log_atom, m - y), *power)
-            out = out + ev._term(w * c_y * (-1) ** (n + y + 1), (log_atom, m - y))
+            out = exact.monomial(w * c_y * (-1) ** (n + tail + y + 1), (log_atom, m - y),
+                                 *power)
+            out = out + exact.monomial(w * c_y * (-1) ** (n + y + 1), (log_atom, m - y))
             terminal = ev.B_base(m - y - 1, 1) if at_one else ev._b_base_symbolic(m - y - 1)
             return out + terminal.scale(w * c_y1 * (-1) ** (n + y))
 
@@ -172,10 +173,10 @@ def ref_b(m, n, at_one):
 def ref_c_base(m):
     """C(m,1,x) = -log(1-x) log^m(x)
     + m sum_{i=2}^{m+1} (-1)^(i-1) C(m-1,i-2) (i-2)! log^(m+1-i)(x) Li_i(x)."""
-    parts = [ev._term(-1, (exact.log_1mx(), 1), (exact.log_x(), m))]
+    parts = [exact.monomial(-1, (exact.log_1mx(), 1), (exact.log_x(), m))]
     for i in range(2, m + 2):
         coeff = m * (-1) ** (i - 1) * math.comb(m - 1, i - 2) * math.factorial(i - 2)
-        parts.append(ev._term(coeff, (exact.log_x(), m + 1 - i), (exact.li_x(i), 1)))
+        parts.append(exact.monomial(coeff, (exact.log_x(), m + 1 - i), (exact.li_x(i), 1)))
     return sum(parts, exact.ZERO)
 
 
@@ -186,8 +187,8 @@ def ref_m(n, m):
         outer = Fraction((-1) ** j * math.comb(n, j), j + 1)
         for i in range(m + 1):
             coeff = outer * Fraction((-1) ** i * ev._rising(m + 1 - i, i), (j + 1) ** i)
-            parts.append(ev._term(coeff, (exact.one_minus_x_pow(j + 1), 1),
-                                  (exact.log_1mx(), m - i)))
+            parts.append(exact.monomial(coeff, (exact.one_minus_x_pow(j + 1), 1),
+                                        (exact.log_1mx(), m - i)))
     return sum(parts, exact.ZERO)
 
 
@@ -205,8 +206,9 @@ def ref_j1(m, p, x):
         if x != 1:
             def body(chain, y=y):
                 s = sum(chain)
-                return ev._term(ev._falling(m, s) * (-1) ** (s + y - 1), (exact.x_pow(1), 1),
-                                (exact.li_x(p - y + 1), 1), (exact.log_x(), m - s))
+                return exact.monomial(ev._falling(m, s) * (-1) ** (s + y - 1),
+                                      (exact.x_pow(1), 1), (exact.li_x(p - y + 1), 1),
+                                      (exact.log_x(), m - s))
 
             total = total + NestedSumPlan(y, bounds, body).evaluate()
         coeff = chain_count(y - 1, bounds) * math.factorial(m) * (-1) ** (m + y - 1)
@@ -226,7 +228,8 @@ def ref_j(m, p, q):
         def zeta_body(chain, stage=stage):
             s = sum(chain)
             coeff = Fraction((-1) ** (s + stage - 1), (m + 1) ** (s + stage))
-            return ev._zz(p - s, q - stage + 1).scale(coeff)
+            return exact.monomial(coeff, (exact.zeta(p - s), 1),
+                                  (exact.zeta(q - stage + 1), 1))
 
         total = total + NestedSumPlan(stage, bounds, zeta_body).evaluate()
         coeff = Fraction((-1) ** (p - 2 + stage), (m + 1) ** (p - 2 + stage))

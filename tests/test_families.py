@@ -64,6 +64,23 @@ def test_oracle_lower_limit_of_x(family, zero_ok):
             quad.family_spec(family, (1, 1), 0)
 
 
+@pytest.mark.parametrize("family", [family for family in sorted(ORACLE_MEMBERS)
+                                    if TABLE[family].endpoint is not None])
+def test_both_routes_refuse_the_same_points(family):
+    # one x check in the family table: a point out of range, or not a
+    # rational, is the same ParameterError on both routes
+    params = ORACLE_MEMBERS[family]
+    for x in (Fraction(-1, 2), 0, Fraction(3, 2), "abc", None):
+        if x == 0 and TABLE[family].zero_ok:
+            closed_form(family, params, x)
+            quad.family_spec(family, params, x)
+            continue
+        with pytest.raises(ParameterError, match="needs"):
+            closed_form(family, params, x)
+        with pytest.raises(ParameterError, match="needs"):
+            quad.family_spec(family, params, x)
+
+
 def test_closed_form_rejects_unknown_family():
     with pytest.raises(ParameterError):
         closed_form("Q", (1, 1))

@@ -57,19 +57,53 @@ class TestZeta:
             with pytest.raises(InvalidOrder):
                 num.zeta_value(s)
 
-    def test_one_value_per_precision(self):
-        # zeta_value and the polylog expansion share one computed zeta(s)
-        z = num.zeta_value(13, 40)
-        with mp.workdps(40 + num.GUARD_DIGITS):
-            assert num._zeta_any(13) is z
-
     def test_negative_zeta_helper(self):
-        # zeta(0) = -1/2, zeta(-1) = -1/12, zeta(-2) = 0, zeta(-3) = 1/120
-        with mp.workdps(30):
-            assert num._zeta_any(0) == mpf(-1) / 2
-            assert close(num._zeta_any(-1), Fraction(-1, 12), mpf(10) ** -28)
-            assert num._zeta_any(-2) == 0
-            assert close(num._zeta_any(-3), Fraction(1, 120), mpf(10) ** -28)
+        # zeta(0) = -1/2, zeta(-1) = -1/12, zeta(-2) = 0, zeta(-3) = 1/120 are
+        # the coefficients of mu^2 .. mu^5 in Li_2(e^mu), scaled by 2^shift
+        shift = 120
+        coeffs = num._log_branch_coefficients(2, shift)
+        for j, zeta in zip(range(2, 6), (Fraction(-1, 2), Fraction(-1, 12), 0,
+                                         Fraction(1, 120))):
+            assert abs(coeffs[j] - zeta * 2**shift / math.factorial(j)) < 2, j
+        assert coeffs[4] == 0
+
+
+def reference_coefficients(k, shift):
+    """The log branch's c_j for order k, each entry on its own: 2^shift
+    zeta(k-j) (H_{k-1} at j = k-1) at shift + 8 bits, truncated, // j!."""
+    def zeta(s):
+        if s >= 2:
+            return mp.zeta(s)
+        return mpf(-1) / 2 if s == 0 else -mp.bernoulli(1 - s) / (1 - s)
+
+    with mp.workprec(shift + 8):
+        return [int(mp.ldexp(num.frac_mpf(num.harmonic_value(k - 1)) if j == k - 1
+                             else zeta(k - j), shift)) // math.factorial(j)
+                for j in range(k + shift // 3 + 2)]
+
+
+class TestLogBranchCoefficients:
+    GRID = [(k, shift) for k in (2, 3, 7, 30, 201) for shift in (120, 160, 161, 400, 1400)]
+
+    def test_equal_to_the_per_entry_formula_in_any_order(self, monkeypatch):
+        want = {key: reference_coefficients(*key) for key in self.GRID}
+        for order in (self.GRID, self.GRID[::-1]):
+            monkeypatch.setattr(num, "_log_branch_coeffs", {})
+            for k, shift in order:
+                assert num._log_branch_coefficients(k, shift) == want[k, shift], (k, shift)
+
+    def test_each_zeta_is_scaled_once_per_shift(self, monkeypatch):
+        # orders 2..12 at one shift share one row of 2^shift zeta(s): one
+        # ldexp per distinct s (s = 1 has none) and one per order, for H_{k-1}
+        monkeypatch.setattr(num, "_log_branch_coeffs", {})
+        calls = []
+        ldexp = mp.ldexp
+        monkeypatch.setattr(mp, "ldexp", lambda *args: calls.append(args) or ldexp(*args))
+        shift = 160
+        for k in range(2, 13):
+            num._log_branch_coefficients(k, shift)
+        distinct = len(range(-(shift // 3) - 1, 13)) - 1
+        assert len(calls) <= distinct + 11
 
 
 class TestHarmonic:
