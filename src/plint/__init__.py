@@ -21,9 +21,8 @@ from .numerics import (euler_sum_value, frac_mpf, harmonic_value, numeric_eval,
 from .quadrature import integrate, oracle_value
 from .eulersums import (K_base, check_prop2, freitas_K0_recurrence,
                         harmonic_binomial_identity, reduce_S, reduce_S1)
-from .evaluators import (A_base, A_general, B_base, B_general, C_base,
-                         C_general, J0_eval, J1_eval, J1_zero, J_at_one_devoto,
-                         J_at_one_v1, J_at_one_v2, J_eval, J_neg2_at_one,
+from .evaluators import (A_general, B_general, C_general, J0_eval, J1_eval,
+                         J_at_one_devoto, J_at_one_v1, J_at_one_v2, J_eval,
                          K_eval, L_integral, M_integral, NestedSumPlan,
                          freitas_recurrence_eval, head_log1m_integral)
 from .verification import all_passed, build_cases, run_case, run_suite
@@ -41,9 +40,9 @@ __all__ = [
     "reduce_S1", "reduce_S", "K_base", "freitas_K0_recurrence",
     "check_prop2", "harmonic_binomial_identity",
     "NestedSumPlan", "L_integral", "M_integral", "head_log1m_integral",
-    "A_base", "B_base", "C_base", "A_general", "B_general", "C_general",
-    "J0_eval", "J1_zero", "J1_eval", "J_at_one_v1", "J_at_one_v2",
-    "J_at_one_devoto", "J_neg2_at_one", "J_eval", "K_eval",
+    "A_general", "B_general", "C_general",
+    "J0_eval", "J1_eval", "J_at_one_v1", "J_at_one_v2",
+    "J_at_one_devoto", "J_eval", "K_eval",
     "freitas_recurrence_eval",
     "build_cases", "run_case", "run_suite", "all_passed",
 ]

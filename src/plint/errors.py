@@ -1,11 +1,13 @@
-"""Exception types shared across the package, and the integer check that
-raises them.
+"""Exception types shared across the package, and the integer and point
+checks that raise them.
 
 Kept in one module so callers can catch them without importing the
 implementation modules that raise them.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 class PlintError(Exception):
@@ -50,3 +52,15 @@ def _require_int(name: str, value: int, minimum: int, exc=ParameterError) -> int
     if value < minimum:
         raise exc(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def _require_point(name: str, value, zero_ok: bool = False) -> Fraction:
+    """value as a rational x in (0, 1], or in [0, 1] where zero_ok."""
+    try:
+        x = Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ParameterError(f"{name} needs a rational value, got {value!r}") from None
+    if not ((x >= 0 if zero_ok else x > 0) and x <= 1):
+        bound = "[0, 1]" if zero_ok else "(0, 1]"
+        raise ParameterError(f"{name} needs a value in {bound}, got {x}")
+    return x

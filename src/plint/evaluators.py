@@ -10,10 +10,13 @@ fixed atom vocabulary.  Two conventions hold throughout:
   same value always has the same spelling and structural comparison between
   independent routes is meaningful.
 
-Of the logarithm families only L, A_base, B_base and A's chains are written
-out; the rest are their images by substitution.  t -> 1-t gives
+Of the logarithm families only L, the n = 1 bases of A and B and A's chains
+are written out; the rest are their images by substitution.  t -> 1-t gives
 C(m,n,x) = A(m,n,1) - A(m,n,1-x) and M(n,m,x) = sum_j (-1)^j C(n,j) L(j,m,1-x);
-t -> -t gives B's chains, B(m,n,x) = (-1)^(n+1) A(m,n,-x), over B_base.
+t -> -t gives B's chains, B(m,n,x) = (-1)^(n+1) A(m,n,-x), over B's base.
+
+Each family has one public entry, which checks its parameters and point;
+entries reach one another's members through the private builders.
 
 The deeper families (A/B/C with n >= 2, J1, and the polylog products J and
 K) are nested sums over index chains.  Every body depends on a chain only
@@ -43,8 +46,8 @@ from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 from . import exact
-from .errors import InvalidOrder, ParameterError, _require_int
-from .eulersums import K_base, _add_k_base, reduce_S1
+from .errors import NonIntegrable, ParameterError, _require_int, _require_point
+from .eulersums import _add_k_base, _k_base, reduce_S1
 from .exact import Accumulator, ClosedForm
 from .numerics import harmonic_value
 
@@ -66,18 +69,6 @@ def _at_point(builder: Callable[..., ClosedForm], args: tuple[int, ...],
     """The symbolic form builder(*args) at x: its x -> 1- limit at x = 1,
     itself elsewhere."""
     return _limit(builder, args) if x == 1 else builder(*args)
-
-
-def _check_point(name: str, value: EvalPoint, *, allow_zero: bool = False) -> Fraction:
-    try:
-        x = Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{name} must be a rational number, got {value!r}") from exc
-    low_ok = x >= 0 if allow_zero else x > 0
-    if not (low_ok and x <= 1):
-        bound = "[0, 1]" if allow_zero else "(0, 1]"
-        raise ParameterError(f"{name} must lie in {bound}, got {x}")
-    return x
 
 
 def _rising(t: int, n: int) -> int:
@@ -152,7 +143,7 @@ def L_integral(n: int, m: int, at: EvalPoint = 1) -> ClosedForm:
     """
     _require_int("n", n, 0)
     _require_int("m", m, 0)
-    at = _check_point("at", at, allow_zero=True)
+    at = _require_point("at", at, zero_ok=True)
     if at == 0:
         return exact.ZERO
     return _at_point(_l_symbolic, (n, m), at)
@@ -177,7 +168,7 @@ def M_integral(n: int, m: int, frm: EvalPoint = 0) -> ClosedForm:
     """
     _require_int("n", n, 0)
     _require_int("m", m, 0)
-    frm = _check_point("frm", frm, allow_zero=True)
+    frm = _require_point("frm", frm, zero_ok=True)
     if frm == 1:
         return exact.ZERO
     if frm == 0:
@@ -189,22 +180,35 @@ def head_log1m_integral(n: int, m: int, x: EvalPoint) -> ClosedForm:
     """integral_0^x of y^n log^m(1-y) dy, as M(n,m,0) - M(n,m,x)."""
     _require_int("n", n, 0)
     _require_int("m", m, 0)
-    x = _check_point("x", x, allow_zero=True)
+    x = _require_point("x", x, zero_ok=True)
     return M_integral(n, m, frm=0) - M_integral(n, m, frm=x)
 
 
 # -- the log families A, B and C from the A chains ---------------------------------
 
 
-def _check_orders(family: str, m: int, n: int) -> None:
+def _check_orders(family: str, m: int, n: int, x: EvalPoint) -> Fraction:
+    """x as a Fraction, once A, B or C(m,n,x) is known to have a closed form:
+    for n > m, A and B diverge at 0 and C at 1, and C below 1 converges but
+    has no closed form."""
     _require_int("m", m, 1)
     _require_int("n", n, 1)
-    if m < n:
-        raise ParameterError(f"{family}(m,n,x) requires m >= n, got m={m}, n={n}")
+    x = _require_point("x", x)
+    if n > m and family == "C" and x < 1:
+        raise ParameterError(f"C(m,n,x) at x < 1 needs m >= n, got m={m}, n={n}")
+    if n > m:
+        raise NonIntegrable(f"{family}({m},{n},{x}) diverges: n > m")
+    return x
 
 
 @lru_cache(maxsize=None)
 def _a_base_symbolic(m: int) -> ClosedForm:
+    """integral_0^x of log^m(1-t)/t dt, A(m,1,x):
+
+    log(x)log^m(1-x) + sum_{k=0}^{m-2} (-1)^k (m-k)_(k+1) log^(m-k-1)(1-x) Li_(k+2)(1-x)
+    + (-1)^(m-1) m! Li_(m+1)(1-x) + (-1)^m m! zeta(m+1); only the zeta term
+    survives at x = 1.
+    """
     acc = Accumulator()
     acc.add(1, (exact.log_x(), 1), (exact.log_1mx(), m))
     for k in range(m - 1):
@@ -217,6 +221,12 @@ def _a_base_symbolic(m: int) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _b_base_symbolic(m: int) -> ClosedForm:
+    """integral_0^x of log^m(1+t)/t dt, B(m,1,x).
+
+    At x = 1 the log(1+x) powers become log(2) powers and the half-argument
+    polylogarithms appear:
+    -(m/(m+1)) log^(m+1)(2) + m! zeta(m+1) - sum_i C(m,i) i! log^(m-i)(2) Li_(i+1)(1/2).
+    """
     acc = Accumulator()
     acc.add(1, (exact.log_x(), 1), (exact.log_1px(), m))
     acc.add(-m, (exact.log_1px(), m + 1), den=m + 1)
@@ -256,9 +266,9 @@ def _descending_chains(m: int, n: int, log_atom: exact.Atom,
     sign = -1 (log(1+x), _b_base_symbolic).  n = 1 is base(m).
 
     Per chain weight W (y, i_y) and F_y = m!/(m-y)!, A's layer y is
-    -(-1)^y W F_y log^(m-y)(1-x) (x^-(i_y-1) - 1) - (-1)^y W F_(y+1) A_base(m-y-1).
+    -(-1)^y W F_y log^(m-y)(1-x) (x^-(i_y-1) - 1) - (-1)^y W F_(y+1) A(m-y-1,1,x).
     B(m,n,x) = (-1)^(n+1) A(m,n,-x): -x turns log(1-x) into log(1+x),
-    x^-(i_y-1) into (-1)^(i_y-1) x^-(i_y-1) and A_base(k,-x) into B_base(k,x).
+    x^-(i_y-1) into (-1)^(i_y-1) x^-(i_y-1) and A(k,1,-x) into B(k,1,x).
     """
     if n == 1:
         return base(m)
@@ -288,85 +298,56 @@ def _b_symbolic(m: int, n: int) -> ClosedForm:
 
 @lru_cache(maxsize=None)
 def _c_symbolic(m: int, n: int) -> ClosedForm:
-    # t -> 1-t: C(m,n,x) = A(m,n,1) - A(m,n,1-x)
+    """integral_0^x of log^m(t)/(1-t)^n dt, by t -> 1-t as
+    C(m,n,x) = A(m,n,1) - A(m,n,1-x).
+
+    Its base n = 1 is the x -> 1-x image of A's base:
+    -log(1-x) log^m(x) + m sum_{i=2}^{m+1} (-1)^(i-1) C(m-1,i-2) (i-2)! log^(m+1-i)(x) Li_i(x),
+    with value (-1)^m m! zeta(m+1) at x = 1.
+    """
     acc = Accumulator()
     acc.add_form(_limit(_a_symbolic, (m, n)))
     acc.add_form(exact.subst_one_minus_x(_a_symbolic(m, n)), -1)
     return acc.form()
 
 
-def A_base(m: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(1-t)/t dt, A_general(m, 1, x).
-
-    log(x)log^m(1-x) + sum_{k=0}^{m-2} (-1)^k (m-k)_(k+1) log^(m-k-1)(1-x) Li_(k+2)(1-x)
-    + (-1)^(m-1) m! Li_(m+1)(1-x) + (-1)^m m! zeta(m+1); only the zeta term
-    survives at x = 1.
-    """
-    _require_int("m", m, 1, exc=InvalidOrder)
-    return A_general(m, 1, x)
-
-
-def B_base(m: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(1+t)/t dt, B_general(m, 1, x).
-
-    At x = 1 the log(1+x) powers become log(2) powers and the half-argument
-    polylogarithms appear:
-    -(m/(m+1)) log^(m+1)(2) + m! zeta(m+1) - sum_i C(m,i) i! log^(m-i)(2) Li_(i+1)(1/2).
-    """
-    _require_int("m", m, 1, exc=InvalidOrder)
-    return B_general(m, 1, x)
-
-
-def C_base(m: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(t)/(1-t) dt, C_general(m, 1, x).
-
-    Derived from A_base by t -> 1-t, so its form is the x -> 1-x image:
-    -log(1-x) log^m(x) + m sum_{i=2}^{m+1} (-1)^(i-1) C(m-1,i-2) (i-2)! log^(m+1-i)(x) Li_i(x),
-    with value (-1)^m m! zeta(m+1) at x = 1.
-    """
-    _require_int("m", m, 1, exc=InvalidOrder)
-    return C_general(m, 1, x)
-
-
 def A_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(1-t)/t^n dt for m >= n.
+    """integral_0^x of log^m(1-t)/t^n dt for m >= n; it diverges for n > m.
 
-    n = 1 is the base form (A_base).  For n >= 2 the expansion runs over
-    strictly descending index chains n > i_1 > ... > i_y >= 2 weighted by
-    prod 1/(i_j - 1), terminating in A_base(m-y-1, 1, x) pieces.  A chain
+    n = 1 is the base form (_a_base_symbolic).  For n >= 2 the expansion runs
+    over strictly descending index chains n > i_1 > ... > i_y >= 2 weighted by
+    prod 1/(i_j - 1), terminating in A(m-y-1, 1, x) pieces.  A chain
     enters only through its weight and its last index i_y, so the weights
     are summed per (y, i_y) once (_descending_weights) instead of per chain
     (_descending_chains).  At x = 1 the terms x^-(i_y-1) log^(m-y)(1-x) and
     log^(m-y)(1-x) cancel in the limit and only the zeta layer survives:
     A(m,n,1) = ((-1)^m m!/(n-1)) sum_y zeta(m-y) * (chain weights).
     """
-    _check_orders("A", m, n)
-    x = _check_point("x", x)
+    x = _check_orders("A", m, n, x)
     return _at_point(_a_symbolic, (m, n), x)
 
 
 def B_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(1+t)/t^n dt for m >= n.
+    """integral_0^x of log^m(1+t)/t^n dt for m >= n; it diverges for n > m.
 
     Derived from A's chains by t -> -t: B(m,n,x) = (-1)^(n+1) A(m,n,-x) on
-    the chain part, with B_base in place of A_base, so the x-power terms
+    the chain part, with B's base in place of A's, so the x-power terms
     carry the signs (-1)^(n+i_y+y+1) (see _descending_chains).  n = 1 is
-    the base form (B_base).
+    the base form (_b_base_symbolic).
     """
-    _check_orders("B", m, n)
-    x = _check_point("x", x)
+    x = _check_orders("B", m, n, x)
     return _at_point(_b_symbolic, (m, n), x)
 
 
 def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(t)/(1-t)^n dt for m >= n.
+    """integral_0^x of log^m(t)/(1-t)^n dt for m >= n; it diverges at
+    x = 1 for n > m.
 
     Derived from A by t -> 1-t for every n >= 1:
     C(m,n,x) = A(m,n,1) - A(m,n,1-x), the x -> 1- limit of A's symbolic
-    form minus its x -> 1-x image.
+    form minus its x -> 1-x image (_c_symbolic).
     """
-    _check_orders("C", m, n)
-    x = _check_point("x", x)
+    x = _check_orders("C", m, n, x)
     return _at_point(_c_symbolic, (m, n), x)
 
 
@@ -394,11 +375,16 @@ def J0_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
     """
     _require_int("m", m, 0)
     _require_int("p", p, 1)
-    x = _check_point("x", x)
+    x = _require_point("x", x)
     return _at_point(_j0_symbolic, (m, p), x)
 
 
 def _j1_zero_symbolic(m: int) -> ClosedForm:
+    """integral_0^x of log^m(t) Li_0(t) dt, with Li_0(t) = t/(1-t).
+
+    Assembled as -L(0,m,x) + C(m,1,x).  Its x -> 1- limit is finite for
+    m >= 1; for m = 0 the -log(1-x) piece is uncancelled (DivergentAtOne).
+    """
     acc = Accumulator()
     if m == 0:  # -L(0,0,x) + C(0,1,x), C(0,1,x) = -log(1-x)
         acc.add(-1, (exact.log_1mx(), 1))
@@ -407,17 +393,6 @@ def _j1_zero_symbolic(m: int) -> ClosedForm:
         acc.add_form(_c_symbolic(m, 1))
         acc.add_form(_l_symbolic(0, m), -1)
     return acc.form()
-
-
-def J1_zero(m: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(t) Li_0(t) dt, with Li_0(t) = t/(1-t).
-
-    Assembled as -L(0,m,x) + C(m,1,x).  Its x -> 1- limit is finite for
-    m >= 1; for m = 0 the -log(1-x) piece is uncancelled (DivergentAtOne).
-    """
-    _require_int("m", m, 0)
-    x = _check_point("x", x)
-    return _at_point(_j1_zero_symbolic, (m,), x)
 
 
 @lru_cache(maxsize=None)
@@ -439,7 +414,8 @@ def _j1_symbolic(m: int, p: int) -> ClosedForm:
 def J1_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
     """integral_0^x of log^m(t) Li_p(t) dt.
 
-    p = 0 dispatches to J1_zero and m = 0 to the plain polylog integral.
+    p = 0 is the Li_0 integral (_j1_zero_symbolic) and m = 0 the plain
+    polylog integral J0(0,p,x).
     Otherwise three chain families over indices i_j >= 0 with partial sums
     capped at m-1, each body depending on a chain only through its sum s:
     boundary terms x Li_(p-y+1)(x) log^(m-s)(x) (all vanishing at x = 1),
@@ -449,11 +425,11 @@ def J1_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
     """
     _require_int("m", m, 0)
     _require_int("p", p, 0)
-    x = _check_point("x", x)
+    x = _require_point("x", x)
     if p == 0:
-        return J1_zero(m, x)
+        return _at_point(_j1_zero_symbolic, (m,), x)
     if m == 0:
-        return J0_eval(0, p, x)
+        return _at_point(_j0_symbolic, (0, p), x)
     return _at_point(_j1_symbolic, (m, p), x)
 
 
@@ -533,13 +509,12 @@ def J_at_one_devoto(m: int) -> ClosedForm:
     return ClosedForm.number(Fraction(2, m + 1) * total)
 
 
-def J_neg2_at_one(p: int) -> ClosedForm:
-    """integral_0^1 of Li_p(x) Li_1(x) / x^2 dx:
+def _j_neg2_at_one(p: int) -> ClosedForm:
+    """integral_0^1 of Li_p(x) Li_1(x) / x^2 dx, J(-2,p,1):
 
     2 zeta(2) - sum_{i=2}^p (i/2) zeta(i+1)
     + (1/2) sum_{i=3}^p sum_{k=1}^{i-2} zeta(k+1) zeta(i-k).
     """
-    _require_int("p", p, 1)
     acc = Accumulator()
     acc.add(2, (exact.zeta(2), 1))
     for i in range(2, p + 1):
@@ -553,7 +528,7 @@ def J_neg2_at_one(p: int) -> ClosedForm:
 @lru_cache(maxsize=None)
 def _j_base(m: int, p: int) -> ClosedForm:
     if m == -2:
-        return J_neg2_at_one(p)
+        return _j_neg2_at_one(p)
     return J_at_one_v1(m, p)
 
 
@@ -612,7 +587,7 @@ def K_eval(m: int, p: int, q: int) -> ClosedForm:
     if p < q:
         p, q = q, p
     if q == 0:
-        return K_base(m, p)
+        return _k_base(m, p)
     # K_base(m+s, .) carries (m+s)! and (m+1)_s = (m+s)!/m!, so a chain
     # factor (-1)^s / (m+1)_s times K_base(m+s, .) is the int (-1)^s m!
     # times K_base(m+s, .)/(m+s)!, which _add_k_base adds
@@ -649,7 +624,7 @@ def freitas_recurrence_eval(family: str, **params: int) -> ClosedForm:
                - (J(m,p-1,q) + J(m,p,q-1))/(m+1)         (p,q >= 2)
     K(r,p,q) = -(K(r+1,p-1,q) + K(r+1,p,q-1))/(r+1)      (r,p,q >= 1)
 
-    Fills each table bottom-up, without recursion, from J0_eval(m,1,1), the
+    Fills each table bottom-up, without recursion, from J0(m,1,1), the
     J(m,*,1) bases and K_base.  Exists solely as an independent second route.
     """
     if family == "J0":
@@ -668,7 +643,7 @@ def freitas_recurrence_eval(family: str, **params: int) -> ClosedForm:
     if params:
         raise ParameterError(f"unexpected parameters {sorted(params)} for family {family}")
     if family == "J0":
-        form = J0_eval(m, 1, 1)
+        form = _limit(_j0_symbolic, (m, 1))
         for k in range(2, q + 1):
             form = _recurrence_step(m + 1, (k,), form)
         return form
@@ -682,9 +657,9 @@ def freitas_recurrence_eval(family: str, **params: int) -> ClosedForm:
         return row[q]
     # row a holds K(total - a - b, a, b) at index b; row 0 and column 0 are bases
     total = r + p + q
-    row = [None] + [K_base(total - b, b) for b in range(1, q + 1)]
+    row = [None] + [_k_base(total - b, b) for b in range(1, q + 1)]
     for a in range(1, p + 1):
-        above, row = row, [K_base(total - a, a)]
+        above, row = row, [_k_base(total - a, a)]
         for b in range(1, q + 1):
             row.append(_recurrence_step(total - a - b + 1, (), above[b], row[b - 1]))
     return row[q]

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import eulersums as es
 from . import evaluators as ev
-from .errors import NonIntegrable, ParameterError
+from .errors import NonIntegrable, ParameterError, _require_point
 from .exact import ClosedForm
 
 UPPER = "upper"
@@ -163,14 +163,7 @@ def _member(family: str, params: Sequence[int],
         if x != 1:
             raise ParameterError(f"family {family} is defined on [0, 1] only")
         return entry, vals, Fraction(1)
-    try:
-        x = Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-        raise ParameterError(f"family {family} needs a rational x, got {x!r}") from None
-    if not ((x >= 0 if entry.zero_ok else x > 0) and x <= 1):
-        raise ParameterError(
-            f"family {family} needs x in {'[0, 1]' if entry.zero_ok else '(0, 1]'}, got {x}")
-    return entry, vals, x
+    return entry, vals, _require_point(f"x of family {family}", x, entry.zero_ok)
 
 
 def closed_form(family: str, params: Sequence[int],

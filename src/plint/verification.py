@@ -57,12 +57,6 @@ _X_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 Case = tuple[str, str, tuple[int, ...], Fraction]
 
 
-def _x_str(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return str(float(x))
-
-
 # format_value's decimal context, whatever the caller's: room for every digit
 # at any exponent, and only an invalid operation (an infinite value) raises
 _DECIMAL = Context(prec=MAX_PREC, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX,
@@ -98,6 +92,12 @@ def _fmt_err(e: mpf, digits: Optional[int]) -> str:
     return f"{float(e):.0e}"
 
 
+def _spec(family: str, params: tuple[int, ...], x: Fraction) -> dict:
+    """The spec of a record, normal or error: x as an int or a float."""
+    x_str = str(x.numerator) if x.denominator == 1 else str(float(x))
+    return {"family": family, "params": list(params), "x": x_str}
+
+
 def _record(family: str, params: tuple[int, ...], x: Fraction, symbolic: str,
             value: mpf, other: mpf, tol: mpf, digits: Optional[int],
             structural_ok: bool = True) -> dict:
@@ -106,7 +106,7 @@ def _record(family: str, params: tuple[int, ...], x: Fraction, symbolic: str,
     exact rationals."""
     err = abs(value - other) / max(1, abs(other))
     return {
-        "spec": {"family": family, "params": list(params), "x": _x_str(x)},
+        "spec": _spec(family, params, x),
         "symbolic": symbolic,
         "value": format_value(value),
         "oracle": format_value(other),
@@ -313,7 +313,7 @@ def _run_case_guarded(case: Case, tol: Tol, digits: int) -> dict:
     except Exception as exc:  # a crashed case must fail the report, not kill it
         suite, family, params, x = case
         return {
-            "spec": {"family": family, "params": list(params), "x": _x_str(x)},
+            "spec": _spec(family, params, x),
             "symbolic": f"error: {exc}",
             "value": "nan",
             "oracle": "nan",

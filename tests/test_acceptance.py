@@ -159,7 +159,7 @@ def test_criterion_8_spot_values():
         value = numeric_eval(form, digits=20)
         want = oracle_value(family, params, Fraction(1), digits=20)
         assert rel_err(value, want) <= tol, (family, params)
-    half_z2 = numeric_eval(ev.B_base(1), digits=20)
+    half_z2 = numeric_eval(ev.B_general(1, 1), digits=20)
     want = oracle_value("B", (1, 1), Fraction(1), digits=20)
     assert rel_err(half_z2, want) <= tol
     assert rel_err(half_z2, mp.zeta(2) / 2) <= tol

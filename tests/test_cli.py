@@ -62,10 +62,18 @@ class TestEval:
         assert out.stdout.endswith(" = -0.2500000002\n")
 
     def test_order_violation_exits_two(self):
-        out = run_cli("eval", "--family", "A", "--m", "1", "--n", "2")
+        # C(1,2,1/2) converges, but C's closed form needs m >= n
+        out = run_cli("eval", "--family", "C", "--m", "1", "--n", "2", "--x", "0.5")
         assert out.returncode == 2
         assert out.stdout == ""
         assert out.stderr.startswith("error:")
+
+    def test_divergent_order_exits_three(self):
+        # log(1-t)/t^2 diverges at 0, as the oracle finds too
+        out = run_cli("eval", "--family", "A", "--m", "1", "--n", "2")
+        assert out.returncode == 3
+        assert out.stdout == ""
+        assert "diverges" in out.stderr
 
     def test_divergent_request_exits_three(self):
         out = run_cli("eval", "--family", "J1", "--m", "0", "--p", "0", "--x", "1")

@@ -10,7 +10,8 @@ from mpmath import mp, mpf
 
 from plint import evaluators as ev
 from plint import exact
-from plint.errors import DivergentAtOne, InvalidOrder, ParameterError
+from plint.errors import DivergentAtOne, NonIntegrable, ParameterError
+from plint.eulersums import K_base
 from plint.evaluators import NestedSumPlan, freitas_recurrence_eval
 from plint.exact import ClosedForm
 from plint.numerics import numeric_eval
@@ -160,7 +161,7 @@ def ref_b(m, n, at_one):
             out = exact.monomial(w * c_y * (-1) ** (n + tail + y + 1), (log_atom, m - y),
                                  *power)
             out = out + exact.monomial(w * c_y * (-1) ** (n + y + 1), (log_atom, m - y))
-            terminal = ev.B_base(m - y - 1, 1) if at_one else ev._b_base_symbolic(m - y - 1)
+            terminal = ev.B_general(m - y - 1, 1, 1) if at_one else ev._b_base_symbolic(m - y - 1)
             return out + terminal.scale(w * c_y1 * (-1) ** (n + y))
 
         total = total + NestedSumPlan(y, descending_bounds(n), body).evaluate()
@@ -216,7 +217,7 @@ def ref_j1(m, p, x):
 
     def tail_body(chain):
         s = sum(chain)
-        return ev.J1_zero(m - s, x).scale(ev._falling(m, s) * (-1) ** (s + p))
+        return ev.J1_eval(m - s, 0, x).scale(ev._falling(m, s) * (-1) ** (s + p))
 
     return total + NestedSumPlan(p, bounds, tail_body).evaluate()
 
@@ -247,12 +248,12 @@ def ref_k(m, p, q):
     total = exact.ZERO
     for stage in range(1, q + 1):
         coeff = Fraction((-1) ** (p + stage - 1), ev._rising(m + 1, p + stage - 1))
-        total = total + ev.K_base(m + p + stage - 1, q - stage + 1).scale(
+        total = total + K_base(m + p + stage - 1, q - stage + 1).scale(
             coeff * chain_count(stage - 1, bounds))
 
     def base_body(chain):
         s = sum(chain)
-        return ev.K_base(m + s, p + q - s).scale(Fraction((-1) ** s, ev._rising(m + 1, s)))
+        return K_base(m + s, p + q - s).scale(Fraction((-1) ** s, ev._rising(m + 1, s)))
 
     return total + NestedSumPlan(q, bounds, base_body).evaluate()
 
@@ -312,8 +313,8 @@ class TestDerivedFormsMatchTheirOwnSums:
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_c_base(self, m):
-        assert ev.C_base(m, THIRD) == ref_c_base(m)
-        assert ev.C_base(m) == exact.limit(ref_c_base(m), 1)
+        assert ev.C_general(m, 1, THIRD) == ref_c_base(m)
+        assert ev.C_general(m, 1) == exact.limit(ref_c_base(m), 1)
 
     @pytest.mark.parametrize("n", range(9))
     def test_m(self, n):
@@ -372,14 +373,18 @@ class TestLogPowerIntegrals:
             ev.M_integral(0, -1, 0)
 
 
+# the n = 1 member of each log family, its base, as the test ids name it
+_BASE_IDS = {ev.A_general: "A_base", ev.B_general: "B_base", ev.C_general: "C_base"}
+
+
 class TestBaseFamilies:
     @pytest.mark.parametrize("m", range(1, 6))
     def test_a_base_particular_single_zeta(self, m):
-        assert ev.A_base(m) == zf(m + 1, (-1) ** m * math.factorial(m))
+        assert ev.A_general(m, 1) == zf(m + 1, (-1) ** m * math.factorial(m))
 
     @pytest.mark.parametrize("m", range(1, 6))
     def test_c_base_particular_single_zeta(self, m):
-        assert ev.C_base(m) == zf(m + 1, (-1) ** m * math.factorial(m))
+        assert ev.C_general(m, 1) == zf(m + 1, (-1) ** m * math.factorial(m))
 
     def test_b_base_at_one_structure(self):
         want = (
@@ -387,15 +392,15 @@ class TestBaseFamilies:
             + zf(2)
             - ClosedForm.of(exact.li_at_half(2))
         )
-        assert ev.B_base(1) == want
+        assert ev.B_general(1, 1) == want
 
     def test_b_base_one_is_half_zeta2(self):
-        got = numeric_eval(ev.B_base(1), digits=25)
+        got = numeric_eval(ev.B_general(1, 1), digits=25)
         with mp.workdps(30):
             assert close(got, mp.zeta(2) / 2)
 
     def test_b_base_two_is_quarter_zeta3(self):
-        got = numeric_eval(ev.B_base(2), digits=25)
+        got = numeric_eval(ev.B_general(2, 1), digits=25)
         with mp.workdps(30):
             assert close(got, mp.zeta(3) / 4)
         assert close(got, FROZEN[("B", 2, 1, 1)])
@@ -403,26 +408,27 @@ class TestBaseFamilies:
     @pytest.mark.parametrize(
         "fn,m,key",
         [
-            (ev.A_base, 2, ("A", 2, 1, HALF)),
-            (ev.B_base, 1, ("B", 1, 1, HALF)),
-            (ev.C_base, 1, ("C", 1, 1, HALF)),
+            (ev.A_general, 2, ("A", 2, 1, HALF)),
+            (ev.B_general, 1, ("B", 1, 1, HALF)),
+            (ev.C_general, 1, ("C", 1, 1, HALF)),
         ],
+        ids=_BASE_IDS.get,
     )
     def test_frozen_interior_values(self, fn, m, key):
-        got = numeric_eval(fn(m, HALF), x=HALF, digits=25)
+        got = numeric_eval(fn(m, 1, HALF), x=HALF, digits=25)
         assert close(got, FROZEN[key])
 
-    @pytest.mark.parametrize("fn", [ev.A_base, ev.B_base, ev.C_base])
+    @pytest.mark.parametrize("fn", _BASE_IDS, ids=_BASE_IDS.get)
     def test_order_zero_rejected(self, fn):
-        with pytest.raises(InvalidOrder):
-            fn(0)
+        with pytest.raises(ParameterError):
+            fn(0, 1)
 
-    @pytest.mark.parametrize("fn", [ev.A_base, ev.B_base, ev.C_base])
+    @pytest.mark.parametrize("fn", _BASE_IDS, ids=_BASE_IDS.get)
     def test_point_outside_domain_rejected(self, fn):
         with pytest.raises(ParameterError):
-            fn(2, 0)
+            fn(2, 1, 0)
         with pytest.raises(ParameterError):
-            fn(2, Fraction(5, 4))
+            fn(2, 1, Fraction(5, 4))
 
 
 class TestGeneralFamilies:
@@ -446,9 +452,9 @@ class TestGeneralFamilies:
         assert close(got, FROZEN[("C", 3, 2, HALF)])
 
     def test_general_dispatches_to_base_at_n1(self):
-        assert ev.A_general(3, 1, HALF) == ev.A_base(3, HALF)
-        assert ev.B_general(3, 1) == ev.B_base(3)
-        assert ev.C_general(3, 1, HALF) == ev.C_base(3, HALF)
+        assert ev.A_general(3, 1, HALF) == ev._a_base_symbolic(3)
+        assert ev.B_general(3, 1) == exact.limit(ev._b_base_symbolic(3), 1)
+        assert ev.C_general(3, 1, HALF) == ref_c_base(3)
 
     def test_a_and_c_share_particular_value(self):
         for m, n in [(2, 2), (3, 2), (4, 3), (5, 5)]:
@@ -483,9 +489,16 @@ class TestGeneralFamilies:
         assert abs(got) < mpf("1e-3")
 
     def test_m_below_n_rejected(self):
+        # for n > m, A and B diverge at 0 and C at 1; below 1, C converges
+        # but has no closed form
         for fn in (ev.A_general, ev.B_general, ev.C_general):
-            with pytest.raises(ParameterError):
+            with pytest.raises(NonIntegrable):
                 fn(2, 3)
+        for fn in (ev.A_general, ev.B_general):
+            with pytest.raises(NonIntegrable):
+                fn(2, 3, HALF)
+        with pytest.raises(ParameterError):
+            ev.C_general(2, 3, HALF)
 
 
 class TestJ0:
@@ -518,9 +531,9 @@ class TestJ0:
 class TestJ1:
     def test_zero_order_elementary_value(self):
         # int_0^(1/2) t/(1-t) dt = log 2 - 1/2
-        assert ev.J1_zero(0, HALF) == -(ClosedForm.of(exact.log_1mx())
-                                        + ClosedForm.of(exact.x_pow(1)))
-        got = numeric_eval(ev.J1_zero(0, HALF), x=HALF, digits=25)
+        assert ev.J1_eval(0, 0, HALF) == -(ClosedForm.of(exact.log_1mx())
+                                           + ClosedForm.of(exact.x_pow(1)))
+        got = numeric_eval(ev.J1_eval(0, 0, HALF), x=HALF, digits=25)
         with mp.workdps(30):
             assert close(got, mp.log(2) - mpf(1) / 2)
 
@@ -529,17 +542,15 @@ class TestJ1:
         want = zf(m + 1, (-1) ** m * math.factorial(m)) + num(
             (-1) ** (m + 1) * math.factorial(m)
         )
-        assert ev.J1_zero(m) == want
+        assert ev.J1_eval(m, 0) == want
 
     def test_zero_order_divergence_at_one(self):
-        with pytest.raises(DivergentAtOne):
-            ev.J1_zero(0, 1)
         with pytest.raises(DivergentAtOne):
             ev.J1_eval(0, 0, 1)
 
     @pytest.mark.parametrize("m,key", [(1, ("J1", 1, 0, HALF)), (2, ("J1", 2, 0, HALF))])
     def test_zero_order_frozen(self, m, key):
-        got = numeric_eval(ev.J1_zero(m, HALF), x=HALF, digits=25)
+        got = numeric_eval(ev.J1_eval(m, 0, HALF), x=HALF, digits=25)
         assert close(got, FROZEN[key])
 
     def test_dispatch_to_j0_at_m0(self):
@@ -641,9 +652,9 @@ class TestJAtOne:
         assert ev.J_at_one_v2(m, 1) == devoto
 
     def test_neg2_values(self):
-        assert ev.J_neg2_at_one(1) == zf(2, 2)
-        assert ev.J_neg2_at_one(2) == zf(2, 2) - zf(3)
-        got = numeric_eval(ev.J_neg2_at_one(2), digits=25)
+        assert ev.J_eval(-2, 1, 1) == zf(2, 2)
+        assert ev.J_eval(-2, 2, 1) == zf(2, 2) - zf(3)
+        got = numeric_eval(ev.J_eval(-2, 2, 1), digits=25)
         assert close(got, FROZEN[("J", -2, 2, 1)])
 
 
@@ -820,20 +831,20 @@ class TestContinuityAtOne:
         return abs(a - b)
 
     def test_a_family(self):
-        assert self.gap(ev.A_base(3, HALF), ev.A_base(3)) < mpf("0.05")
+        assert self.gap(ev.A_general(3, 1, HALF), ev.A_general(3, 1)) < mpf("0.05")
         assert self.gap(ev.A_general(4, 2, HALF), ev.A_general(4, 2)) < mpf("0.5")
 
     def test_b_family(self):
-        assert self.gap(ev.B_base(2, HALF), ev.B_base(2)) < mpf("1e-4")
+        assert self.gap(ev.B_general(2, 1, HALF), ev.B_general(2, 1)) < mpf("1e-4")
         assert self.gap(ev.B_general(4, 2, HALF), ev.B_general(4, 2)) < mpf("1e-4")
 
     def test_c_family(self):
-        assert self.gap(ev.C_base(2, HALF), ev.C_base(2)) < mpf("1e-9")
+        assert self.gap(ev.C_general(2, 1, HALF), ev.C_general(2, 1)) < mpf("1e-9")
         assert self.gap(ev.C_general(4, 2, HALF), ev.C_general(4, 2)) < mpf("1e-9")
 
     def test_j_family(self):
         assert self.gap(ev.J0_eval(1, 2, HALF), ev.J0_eval(1, 2)) < mpf("1e-4")
-        assert self.gap(ev.J1_zero(2, HALF), ev.J1_zero(2)) < mpf("1e-9")
+        assert self.gap(ev.J1_eval(2, 0, HALF), ev.J1_eval(2, 0)) < mpf("1e-9")
         assert self.gap(ev.J1_eval(2, 2, HALF), ev.J1_eval(2, 2)) < mpf("1e-9")
 
 
@@ -869,9 +880,9 @@ def _at_one_battery():
     """(label, form) for x = 1 forms past the four-point battery: A, B, C
     bases with m <= 30; B and C with 2 <= n <= m <= 20; J0 with m, p <= 16;
     J1 with m, p <= 10; L with n, m <= 16."""
-    for name, build in (("A", ev.A_base), ("B", ev.B_base), ("C", ev.C_base)):
+    for name, build in (("A", ev.A_general), ("B", ev.B_general), ("C", ev.C_general)):
         for m in range(1, 31):
-            yield f"{name}({m},1,1)", build(m, 1)
+            yield f"{name}({m},1,1)", build(m, 1, 1)
     for name, build in (("B", ev.B_general), ("C", ev.C_general)):
         for m in range(2, 21):
             for n in range(2, m + 1):
@@ -985,7 +996,7 @@ def test_memoized_builder_matches_a_fresh_build(builder, args):
 @pytest.mark.parametrize("build, args", [
     (ev.A_general, (5, 3)), (ev.B_general, (5, 3)), (ev.C_general, (5, 3)),
     (ev.L_integral, (2, 3)), (ev.J0_eval, (3, 4)), (ev.J1_eval, (3, 2)),
-    (ev.J1_zero, (3,)),
+    (ev.J1_eval, (3, 0)),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_repeat_at_one_reuses_its_limit(build, args):
     # the x -> 1- limit is kept per builder and arguments: a repeat returns

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from plint import cli
+from plint import evaluators as ev
 from plint import quadrature as quad
 from plint.errors import ParameterError
 from plint.families import LOWER, TABLE, closed_form
@@ -79,6 +80,30 @@ def test_both_routes_refuse_the_same_points(family):
             closed_form(family, params, x)
         with pytest.raises(ParameterError, match="needs"):
             quad.family_spec(family, params, x)
+
+
+# every pointed public evaluator, called as fn(1, 1, x)
+POINTED = {"A": ev.A_general, "B": ev.B_general, "C": ev.C_general,
+           "J0": ev.J0_eval, "J1": ev.J1_eval, "L": ev.L_integral,
+           "M": ev.M_integral, "HeadLog1m": ev.head_log1m_integral}
+
+
+def test_every_pointed_family_has_its_evaluator_listed():
+    assert set(POINTED) == {f for f, entry in TABLE.items() if entry.endpoint is not None}
+
+
+@pytest.mark.parametrize("x", ["1/0", float("inf"), float("nan"), None, "abc",
+                               Fraction(-1, 2), Fraction(3, 2)], ids=str)
+@pytest.mark.parametrize("family", sorted(POINTED))
+def test_bad_points_are_parameter_errors_everywhere(family, x):
+    # one point check: the evaluator and both routes refuse a point that is
+    # no rational in range with a ParameterError, never a bare built-in one
+    with pytest.raises(ParameterError):
+        POINTED[family](1, 1, x)
+    with pytest.raises(ParameterError):
+        closed_form(family, (1, 1), x)
+    with pytest.raises(ParameterError):
+        quad.family_spec(family, (1, 1), x)
 
 
 def test_closed_form_rejects_unknown_family():

@@ -18,7 +18,8 @@ from mpmath.libmp import fhalf, from_man_exp, fzero, mpf_cmp, mpf_pow_int, round
 from plint import families, verification
 from plint import numerics as num
 from plint import quadrature as quad
-from plint.errors import NoConvergence, NonIntegrable, ParameterError, PlintError
+from plint.errors import (DivergentAtOne, DivergentValue, NoConvergence, NonIntegrable,
+                          ParameterError, PlintError)
 
 from conftest import clear_caches
 
@@ -457,6 +458,39 @@ def test_oracle_domain_is_pinned(family):
             except NonIntegrable:
                 got.append("N")
         assert "".join(got) == pin.replace(" ", ""), (family, x)
+
+
+def _exit_class(call):
+    """The exit code plint eval gives when call() is its step: 0 for a
+    result, 3 for a divergent request, 2 for any other refusal."""
+    try:
+        call()
+    except (DivergentAtOne, DivergentValue, NonIntegrable):
+        return 3
+    except PlintError:
+        return 2
+    return 0
+
+
+# C(m,n,x) with n > m converges for x < 1, but has no closed form
+_NO_CLOSED_FORM = {("C", (1, 2)), ("C", (1, 3)), ("C", (2, 3))}
+
+
+@pytest.mark.parametrize("family", _DOMAIN_PIN)
+def test_routes_agree_on_the_domain(family):
+    # over the pinned domain, the closed form and the oracle accept, refuse
+    # or call divergent the same members
+    ranges = [range(-2, 4)] * len(families.TABLE[family].params)
+    if family == "J":
+        ranges[0] = range(-3, 3)
+    for x in _DOMAIN_X:
+        for params in itertools.product(*ranges):
+            closed = _exit_class(lambda: families.closed_form(family, params, x))
+            oracle = _exit_class(lambda: quad.family_spec(family, params, x))
+            if (family, params) in _NO_CLOSED_FORM and x == Fraction(1, 2):
+                assert (closed, oracle) == (2, 0), (family, params, x)
+            else:
+                assert closed == oracle, (family, params, x)
 
 
 # the per-node spelling of each family integrand: fn(node, prec) -> its
