@@ -31,7 +31,7 @@ from .errors import (DivergentAtOne, DivergentValue, NonIntegrable,
                      ParameterError, PlintError)
 from .families import LOWER, TABLE, closed_form
 from .numerics import numeric_eval
-from .verification import SUITES, all_passed, format_value, run_suite
+from .verification import SUITES, all_passed, format_point, format_value, run_suite
 
 FAMILIES = tuple(name for name, entry in TABLE.items() if entry.cli)
 
@@ -100,7 +100,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         payload = {
             "family": family,
             "params": params,
-            "x": "1" if x == 1 else str(float(x)),
+            "x": format_point(x),
             "form": exact.to_dict(form),
             "compact": exact.compact(form),
             "value": rendered,

@@ -15,7 +15,8 @@ are written out; the rest are their images by substitution.  t -> 1-t gives
 C(m,n,x) = A(m,n,1) - A(m,n,1-x) and M(n,m,x) = sum_j (-1)^j C(n,j) L(j,m,1-x);
 t -> -t gives B's chains, B(m,n,x) = (-1)^(n+1) A(m,n,-x), over B's base.
 
-Each family has one public entry, which checks its parameters and point;
+Each family has one public entry, which checks its point and then its
+parameters by the family's domain rule (errors.py), as the oracle does;
 entries reach one another's members through the private builders.
 
 The deeper families (A/B/C with n >= 2, J1, and the polylog products J and
@@ -46,7 +47,9 @@ from functools import lru_cache
 from typing import Callable, Iterator, Union
 
 from . import exact
-from .errors import NonIntegrable, ParameterError, _require_int, _require_point
+from .errors import (A_domain, B_domain, C_domain, J0_domain, J1_domain, J_domain,
+                     K_domain, ParameterError, _require_int, _require_point,
+                     power_log_domain)
 from .eulersums import _add_k_base, _k_base, reduce_S1
 from .exact import Accumulator, ClosedForm
 from .numerics import harmonic_value
@@ -141,9 +144,8 @@ def L_integral(n: int, m: int, at: EvalPoint = 1) -> ClosedForm:
     L(n,m,x) = (x^(n+1)/(n+1)) sum_{j=0}^m ((m+1-j)_j / (n+1)^j) (-1)^j log^(m-j)(x),
     collapsing to m! (-1)^m / (n+1)^(m+1) at 1 and to 0 at 0.
     """
-    _require_int("n", n, 0)
-    _require_int("m", m, 0)
     at = _require_point("at", at, zero_ok=True)
+    power_log_domain(n, m, at)
     if at == 0:
         return exact.ZERO
     return _at_point(_l_symbolic, (n, m), at)
@@ -166,9 +168,8 @@ def M_integral(n: int, m: int, frm: EvalPoint = 0) -> ClosedForm:
     form, (-1)^m m! sum_j C(n,j) (-1)^j / (j+1)^(m+1); frm = 1 is the empty
     interval.
     """
-    _require_int("n", n, 0)
-    _require_int("m", m, 0)
     frm = _require_point("frm", frm, zero_ok=True)
+    power_log_domain(n, m, frm)
     if frm == 1:
         return exact.ZERO
     if frm == 0:
@@ -178,27 +179,12 @@ def M_integral(n: int, m: int, frm: EvalPoint = 0) -> ClosedForm:
 
 def head_log1m_integral(n: int, m: int, x: EvalPoint) -> ClosedForm:
     """integral_0^x of y^n log^m(1-y) dy, as M(n,m,0) - M(n,m,x)."""
-    _require_int("n", n, 0)
-    _require_int("m", m, 0)
     x = _require_point("x", x, zero_ok=True)
+    power_log_domain(n, m, x)
     return M_integral(n, m, frm=0) - M_integral(n, m, frm=x)
 
 
 # -- the log families A, B and C from the A chains ---------------------------------
-
-
-def _check_orders(family: str, m: int, n: int, x: EvalPoint) -> Fraction:
-    """x as a Fraction, once A, B or C(m,n,x) is known to have a closed form:
-    for n > m, A and B diverge at 0 and C at 1, and C below 1 converges but
-    has no closed form."""
-    _require_int("m", m, 1)
-    _require_int("n", n, 1)
-    x = _require_point("x", x)
-    if n > m and family == "C" and x < 1:
-        raise ParameterError(f"C(m,n,x) at x < 1 needs m >= n, got m={m}, n={n}")
-    if n > m:
-        raise NonIntegrable(f"{family}({m},{n},{x}) diverges: n > m")
-    return x
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +309,8 @@ def A_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     log^(m-y)(1-x) cancel in the limit and only the zeta layer survives:
     A(m,n,1) = ((-1)^m m!/(n-1)) sum_y zeta(m-y) * (chain weights).
     """
-    x = _check_orders("A", m, n, x)
+    x = _require_point("x", x)
+    A_domain(m, n, x)
     return _at_point(_a_symbolic, (m, n), x)
 
 
@@ -335,7 +322,8 @@ def B_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     carry the signs (-1)^(n+i_y+y+1) (see _descending_chains).  n = 1 is
     the base form (_b_base_symbolic).
     """
-    x = _check_orders("B", m, n, x)
+    x = _require_point("x", x)
+    B_domain(m, n, x)
     return _at_point(_b_symbolic, (m, n), x)
 
 
@@ -347,7 +335,10 @@ def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
     C(m,n,x) = A(m,n,1) - A(m,n,1-x), the x -> 1- limit of A's symbolic
     form minus its x -> 1-x image (_c_symbolic).
     """
-    x = _check_orders("C", m, n, x)
+    x = _require_point("x", x)
+    C_domain(m, n, x)
+    if n > m:  # C converges below 1, but has no closed form
+        raise ParameterError(f"C(m,n,x) at x < 1 needs m >= n, got m={m}, n={n}")
     return _at_point(_c_symbolic, (m, n), x)
 
 
@@ -373,9 +364,8 @@ def J0_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
     ((-1)^(p-1)/(m+1)^(p-1))-weighted log(1-t) tail; at x = 1 this is
     sum_j ((-1)^(p-j)/(m+1)^(p+1-j)) zeta(j) + ((-1)^(p-1)/(m+1)^p) H_(m+1).
     """
-    _require_int("m", m, 0)
-    _require_int("p", p, 1)
     x = _require_point("x", x)
+    J0_domain(m, p, x)
     return _at_point(_j0_symbolic, (m, p), x)
 
 
@@ -383,7 +373,7 @@ def _j1_zero_symbolic(m: int) -> ClosedForm:
     """integral_0^x of log^m(t) Li_0(t) dt, with Li_0(t) = t/(1-t).
 
     Assembled as -L(0,m,x) + C(m,1,x).  Its x -> 1- limit is finite for
-    m >= 1; for m = 0 the -log(1-x) piece is uncancelled (DivergentAtOne).
+    m >= 1; for m = 0 the -log(1-x) piece is uncancelled (J1_domain refuses it).
     """
     acc = Accumulator()
     if m == 0:  # -L(0,0,x) + C(0,1,x), C(0,1,x) = -log(1-x)
@@ -423,9 +413,8 @@ def J1_eval(m: int, p: int, x: EvalPoint = 1) -> ClosedForm:
     J1(0, p-y+1, x) weighted by the number of chains of depth y-1.  A sum s
     is shared by C(s+y-1, y-1) chains of depth y.
     """
-    _require_int("m", m, 0)
-    _require_int("p", p, 0)
     x = _require_point("x", x)
+    J1_domain(m, p, x)
     if p == 0:
         return _at_point(_j1_zero_symbolic, (m,), x)
     if m == 0:
@@ -532,12 +521,6 @@ def _j_base(m: int, p: int) -> ClosedForm:
     return J_at_one_v1(m, p)
 
 
-def _require_j_order(m) -> int:
-    if not isinstance(m, int) or isinstance(m, bool) or m < -2 or m == -1:
-        raise ParameterError(f"m must be -2 or a nonnegative int, got {m!r}")
-    return m
-
-
 def J_eval(m: int, p: int, q: int) -> ClosedForm:
     """integral_0^1 of x^m Li_p(x) Li_q(x) dx for m >= -2, m != -1.
 
@@ -548,9 +531,7 @@ def J_eval(m: int, p: int, q: int) -> ClosedForm:
     its sum s, shared by C(s+d-1, d-1) chains of depth d.  The output is
     always zeta values and rationals.
     """
-    _require_j_order(m)
-    _require_int("p", p, 1)
-    _require_int("q", q, 1)
+    J_domain(m, p, q)
     if p < q:
         p, q = q, p
     if q == 1:
@@ -579,11 +560,7 @@ def K_eval(m: int, p: int, q: int) -> ClosedForm:
     terminal is a K_base value, so the result is EulerSum-free whenever
     m+p+q is even.
     """
-    _require_int("m", m, 1)
-    _require_int("p", p, 0)
-    _require_int("q", q, 0)
-    if p + q < 1:
-        raise ParameterError("K(m,p,q) requires p + q >= 1")
+    K_domain(m, p, q)
     if p < q:
         p, q = q, p
     if q == 0:
@@ -631,9 +608,8 @@ def freitas_recurrence_eval(family: str, **params: int) -> ClosedForm:
         m = _require_int("m", params.pop("m", None), 0)
         q = _require_int("q", params.pop("q", None), 2)
     elif family == "J":
-        m = _require_j_order(params.pop("m", None))
-        p = _require_int("p", params.pop("p", None), 2)
-        q = _require_int("q", params.pop("q", None), 2)
+        m, p, q = (params.pop(name, None) for name in ("m", "p", "q"))
+        J_domain(m, _require_int("p", p, 2), _require_int("q", q, 2))
     elif family == "K":
         r = _require_int("r", params.pop("r", None), 1)
         p = _require_int("p", params.pop("p", None), 1)

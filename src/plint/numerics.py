@@ -169,9 +169,13 @@ def _log_branch_coefficients(k: int, shift: int) -> list[int]:
         low = -(shift // 3) - 1
         # 8 bits past the fixed point leave each c_j within 3 units
         with mp.workprec(shift + 8):
+            if not zetas:
+                # zeta(s) = -B_n/n, n = 1-s, for s < 0, from n = 2 up: mpmath's
+                # B_n recurrence serves that order, not the top-down one
+                zetas += reversed([int(mp.ldexp(-mp.bernoulli(n) / n, shift))
+                                   for n in range(2, 1 - low + 1)])
             for s in range(low + len(zetas), k + 1):
-                zetas.append(0 if s == 1 else int(mp.ldexp(
-                    mp.zeta(s) if s >= 0 else -mp.bernoulli(1 - s) / (1 - s), shift)))
+                zetas.append(0 if s == 1 else int(mp.ldexp(mp.zeta(s), shift)))
             harmonic = int(mp.ldexp(frac_mpf(harmonic_value(k - 1)), shift))
         factorials = itertools.accumulate(range(1, k - low + 1), operator.mul, initial=1)
         coeffs = orders[k] = [(harmonic if j == k - 1 else zetas[k - j - low]) // f

@@ -21,9 +21,10 @@ each entry an exact pair, so every case on that interval and precision
 reuses them; a family integrand multiplies its lists' pairs exactly, with
 no rounding per node.  The levels of one interval form a table cached per
 (mp.prec, a, b), all of it at the precision `integrate` sets from its
-`digits`.  Each family's parameter names, endpoint kind and integrand
-factors come from its row of the family table (families.TABLE);
-`family_spec` makes the product of those factors.  `integrate` sums a
+`digits`.  Each family's parameter names, endpoint kind, domain rule and
+integrand factors come from its row of the family table (families.TABLE);
+`family_spec` checks the member by that rule and makes the product of those
+factors.  `integrate` sums a
 level as numeric_eval sums a closed form, by numerics._floor_to_unit,
 rounding once (`_level_sum`), and runs its estimates and stop test in
 mpmath.libmp; only the accepted estimate becomes an mpf.  Nothing here
@@ -362,8 +363,9 @@ def family_spec(family: str, params: Sequence[int], x: Number = 1) -> IntegralSp
     if entry is None or entry.integrand is None:
         raise ParameterError(f"unknown integral family {family!r}")
     entry, vals, x = _member(family, params, x)
+    entry.domain(*vals, x)
     a, b = (x, Fraction(1)) if entry.endpoint == LOWER else (Fraction(0), x)
-    return IntegralSpec(a, b, _product(entry.integrand(*vals, x)))
+    return IntegralSpec(a, b, _product(entry.integrand(*vals)))
 
 
 def oracle_value(family: str, params: Sequence[int], x: Number = 1,

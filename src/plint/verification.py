@@ -92,10 +92,15 @@ def _fmt_err(e: mpf, digits: Optional[int]) -> str:
     return f"{float(e):.0e}"
 
 
+def format_point(x: Fraction) -> str:
+    """x as records and `plint eval --format json` spell it: an int as an
+    int, any other rational as a float."""
+    return str(x.numerator) if x.denominator == 1 else str(float(x))
+
+
 def _spec(family: str, params: tuple[int, ...], x: Fraction) -> dict:
-    """The spec of a record, normal or error: x as an int or a float."""
-    x_str = str(x.numerator) if x.denominator == 1 else str(float(x))
-    return {"family": family, "params": list(params), "x": x_str}
+    """The spec of a record, normal or error."""
+    return {"family": family, "params": list(params), "x": format_point(x)}
 
 
 def _record(family: str, params: tuple[int, ...], x: Fraction, symbolic: str,

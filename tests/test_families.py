@@ -113,7 +113,7 @@ def test_closed_form_rejects_unknown_family():
 
 @pytest.mark.parametrize("params", [(1,), (1, 2, 3), (2, True), (2.0, 1)])
 def test_wrong_parameters_are_parameter_errors_on_both_routes(params):
-    # one check in the family table serves the evaluators and the oracle
+    # one domain rule per family serves the evaluators and the oracle
     with pytest.raises(ParameterError):
         closed_form("A", params, 1)
     with pytest.raises(ParameterError):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import libmp, mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, gammazeta, round_nearest
 
 from plint import exact as ex
 from plint import families
@@ -104,6 +104,20 @@ class TestLogBranchCoefficients:
             num._log_branch_coefficients(k, shift)
         distinct = len(range(-(shift // 3) - 1, 13)) - 1
         assert len(calls) <= distinct + 11
+
+    def test_bernoulli_numbers_come_from_the_recurrence(self, monkeypatch):
+        # a cold row asks mpmath for B_n in ascending n, which its cached
+        # recurrence serves; from the top down each B_n past 10 would be a
+        # zeta series of its own (mpf_bernoulli_huge)
+        monkeypatch.setattr(num, "_log_branch_coeffs", {})
+        monkeypatch.setattr(gammazeta, "bernoulli_cache", {})
+        calls = []
+        huge = gammazeta.mpf_bernoulli_huge
+        monkeypatch.setattr(gammazeta, "mpf_bernoulli_huge",
+                            lambda *args: calls.append(args) or huge(*args))
+        got = num._log_branch_coefficients(30, 400)
+        assert calls == []
+        assert got == reference_coefficients(30, 400)
 
 
 class TestHarmonic:

@@ -18,8 +18,7 @@ from mpmath.libmp import fhalf, from_man_exp, fzero, mpf_cmp, mpf_pow_int, round
 from plint import families, verification
 from plint import numerics as num
 from plint import quadrature as quad
-from plint.errors import (DivergentAtOne, DivergentValue, NoConvergence, NonIntegrable,
-                          ParameterError, PlintError)
+from plint.errors import NoConvergence, NonIntegrable, ParameterError, PlintError
 
 from conftest import clear_caches
 
@@ -460,37 +459,48 @@ def test_oracle_domain_is_pinned(family):
         assert "".join(got) == pin.replace(" ", ""), (family, x)
 
 
-def _exit_class(call):
-    """The exit code plint eval gives when call() is its step: 0 for a
-    result, 3 for a divergent request, 2 for any other refusal."""
+def _refusal(call):
+    """The exception class and message call() raises, or None for a result."""
     try:
         call()
-    except (DivergentAtOne, DivergentValue, NonIntegrable):
-        return 3
-    except PlintError:
-        return 2
-    return 0
+    except PlintError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 # C(m,n,x) with n > m converges for x < 1, but has no closed form
 _NO_CLOSED_FORM = {("C", (1, 2)), ("C", (1, 3)), ("C", (2, 3))}
 
 
-@pytest.mark.parametrize("family", _DOMAIN_PIN)
-def test_routes_agree_on_the_domain(family):
-    # over the pinned domain, the closed form and the oracle accept, refuse
-    # or call divergent the same members
+def _domain_members(family):
     ranges = [range(-2, 4)] * len(families.TABLE[family].params)
     if family == "J":
         ranges[0] = range(-3, 3)
     for x in _DOMAIN_X:
         for params in itertools.product(*ranges):
-            closed = _exit_class(lambda: families.closed_form(family, params, x))
-            oracle = _exit_class(lambda: quad.family_spec(family, params, x))
-            if (family, params) in _NO_CLOSED_FORM and x == Fraction(1, 2):
-                assert (closed, oracle) == (2, 0), (family, params, x)
-            else:
-                assert closed == oracle, (family, params, x)
+            closed = _refusal(lambda: families.closed_form(family, params, x))
+            oracle = _refusal(lambda: quad.family_spec(family, params, x))
+            yield params, x, closed, oracle
+
+
+@pytest.mark.parametrize("family", _DOMAIN_PIN)
+def test_routes_agree_on_the_domain(family):
+    # over the pinned domain, the closed form and the oracle accept, refuse
+    # or call divergent the same members, with the same exception class
+    for params, x, closed, oracle in _domain_members(family):
+        if (family, params) in _NO_CLOSED_FORM and x == Fraction(1, 2):
+            assert closed[0] is ParameterError and oracle is None, (family, params, x)
+        else:
+            assert (closed and closed[0]) == (oracle and oracle[0]), (family, params, x)
+
+
+@pytest.mark.parametrize("family", _DOMAIN_PIN)
+def test_routes_refuse_with_one_message(family):
+    # both routes check a member by the family's one domain rule, so every
+    # member both refuse is refused in the same words
+    for params, x, closed, oracle in _domain_members(family):
+        if closed and oracle:
+            assert closed == oracle, (family, params, x)
 
 
 # the per-node spelling of each family integrand: fn(node, prec) -> its

@@ -122,6 +122,11 @@ class TestFormatting:
         assert vf.format_value(mpf("1.8904136494e-11")) == "1.890413649e-11"
         assert vf.format_value(mpf("4.99999999999e-11")) == "5.000000000e-11"
 
+    def test_points_are_spelled_as_an_int_or_a_float(self):
+        # records and `plint eval --format json` spell x by this one rule
+        got = [vf.format_point(Fraction(x)) for x in ("1", "1/2", "3/4", "1/10", "1/3")]
+        assert got == ["1", "0.5", "0.75", "0.1", "0.3333333333333333"]
+
     def test_small_values_keep_fixed_point(self):
         # str() of a quantized Decimal switches to exponent form below 1e-6
         assert vf.format_value(mpf("2.4e-9")) == "0.0000000024"
