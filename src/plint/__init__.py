@@ -10,9 +10,7 @@ numeric route for cross-checking every closed form.
 
 from __future__ import annotations
 
-from .errors import (DivergentAtOne, DivergentValue, InvalidOrder,
-                     NoConvergence, NonConvergent, NonIntegrable,
-                     ParameterError, PlintError, UnsupportedAtom)
+from .errors import NoConvergence, NonIntegrable, ParameterError, PlintError
 from .exact import (CONSTANT_KINDS, Atom, ClosedForm, compact, dumps,
                     euler_sum, from_dict, harmonic, li_at_half, limit,
                     loads, log_two, subst_one_minus_x, to_dict, zeta)
@@ -28,9 +26,7 @@ from .evaluators import (A_general, B_general, C_general, J0_eval, J1_eval,
 from .verification import all_passed, build_cases, run_case, run_suite
 
 __all__ = [
-    "PlintError", "ParameterError", "UnsupportedAtom", "DivergentAtOne",
-    "InvalidOrder", "DivergentValue", "NonConvergent",
-    "NoConvergence", "NonIntegrable",
+    "PlintError", "ParameterError", "NonIntegrable", "NoConvergence",
     "Atom", "ClosedForm", "CONSTANT_KINDS", "zeta", "log_two", "li_at_half",
     "harmonic", "euler_sum", "limit", "subst_one_minus_x", "compact",
     "to_dict", "from_dict", "dumps", "loads",

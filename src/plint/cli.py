@@ -27,8 +27,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from . import exact
-from .errors import (DivergentAtOne, DivergentValue, NonIntegrable,
-                     ParameterError, PlintError)
+from .errors import NonIntegrable, ParameterError, PlintError
 from .families import LOWER, TABLE, closed_form
 from .numerics import numeric_eval
 from .verification import SUITES, all_passed, format_point, format_value, run_suite
@@ -241,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader is gone; what is still buffered goes nowhere at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (DivergentAtOne, DivergentValue, NonIntegrable) as exc:
+    except NonIntegrable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except PlintError as exc:

@@ -3,7 +3,9 @@ that raise them, and the domain rule of each integral family.
 
 Kept in one module so callers can catch them without importing the
 implementation modules that raise them, and so the evaluators and the
-quadrature oracle check each family's domain with the same rule.
+quadrature oracle check each family's domain with the same rule.  There is
+one class per outcome, as the CLI maps them to exit codes: NonIntegrable
+exits 3, ParameterError and NoConvergence exit 2.
 """
 
 from __future__ import annotations
@@ -16,42 +18,26 @@ class PlintError(Exception):
 
 
 class ParameterError(PlintError, ValueError):
-    """Integral or sum parameters outside the supported range."""
+    """Parameters, special-function orders or atom arguments outside the
+    supported range (e.g. zeta(1))."""
 
 
-class UnsupportedAtom(PlintError, ValueError):
-    """An algebraic operation was applied to an atom outside its domain."""
-
-
-class DivergentAtOne(PlintError, ArithmeticError):
-    """The x -> 1- (or x -> 0+) limit of a closed form does not exist finitely."""
-
-
-class InvalidOrder(PlintError, ValueError):
-    """A special-function order outside the supported range (e.g. zeta(1))."""
-
-
-class DivergentValue(PlintError, ArithmeticError):
-    """A pointwise special-function value diverges (e.g. Li_1(1))."""
-
-
-class NonConvergent(PlintError, ArithmeticError):
-    """An iterative numeric scheme failed to meet its tolerance."""
+class NonIntegrable(PlintError, ValueError, ArithmeticError):
+    """The requested integral or value diverges: the integrand is not
+    integrable on the interval, a closed form has no finite limit at its
+    end, or a special-function value diverges (e.g. Li_1(1))."""
 
 
 class NoConvergence(PlintError, ArithmeticError):
-    """Adaptive quadrature hit its refinement cap before converging."""
+    """A numeric scheme ran out of its budget (levels or extra digits)
+    before meeting its tolerance."""
 
 
-class NonIntegrable(PlintError, ValueError):
-    """The requested integrand is not integrable on the requested interval."""
-
-
-def _require_int(name: str, value: int, minimum: int, exc=ParameterError) -> int:
+def _require_int(name: str, value: int, minimum: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        raise exc(f"{name} must be an int, got {value!r}")
+        raise ParameterError(f"{name} must be an int, got {value!r}")
     if value < minimum:
-        raise exc(f"{name} must be >= {minimum}, got {value}")
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 

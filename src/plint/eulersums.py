@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import exact
-from .errors import DivergentValue, InvalidOrder, ParameterError, _require_int
+from .errors import NonIntegrable, ParameterError, _require_int
 from .exact import ClosedForm
 from .numerics import harmonic_value
 
@@ -33,7 +33,7 @@ def reduce_S1(i: int) -> ClosedForm:
     S(1,i) = (1 + i/2) zeta(i+1) - (1/2) sum_{k=1}^{i-2} zeta(k+1) zeta(i-k).
     Built once per i and shared, as a ClosedForm is immutable.
     """
-    _require_int("i", i, 2, exc=InvalidOrder)
+    _require_int("i", i, 2)
     return _reduce_s1(i)
 
 
@@ -101,13 +101,13 @@ def reduce_S(p: int, q: int) -> ClosedForm:
 
     p = 1 delegates to reduce_S1; odd p+q uses the symmetry reduction; the
     remaining even-weight sums are returned as a bare EulerSum atom.
-    Raises DivergentValue for q < 2, where the sum diverges.
+    Raises NonIntegrable for q < 2, where the sum diverges.
     """
     _require_int("p", p, 1)
     if not isinstance(q, int) or isinstance(q, bool):
         raise ParameterError(f"q must be an int, got {q!r}")
     if q < 2:
-        raise DivergentValue(f"S({p},{q}) diverges: it needs q >= 2")
+        raise NonIntegrable(f"S({p},{q}) diverges: it needs q >= 2")
     acc = exact.Accumulator()
     _add_s(acc, p, q, 1)
     return acc.form()

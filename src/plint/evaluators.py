@@ -193,8 +193,12 @@ def _a_base_symbolic(m: int) -> ClosedForm:
 
     log(x)log^m(1-x) + sum_{k=0}^{m-2} (-1)^k (m-k)_(k+1) log^(m-k-1)(1-x) Li_(k+2)(1-x)
     + (-1)^(m-1) m! Li_(m+1)(1-x) + (-1)^m m! zeta(m+1); only the zeta term
-    survives at x = 1.
+    survives at x = 1.  m = 0 gives log(x), an antiderivative of 1/t that
+    diverges at 0, which only C's chains with n > m reach, through the
+    difference F(1) - F(1-x).
     """
+    if m == 0:
+        return ClosedForm.of(exact.log_x())
     acc = Accumulator()
     acc.add(1, (exact.log_x(), 1), (exact.log_1mx(), m))
     for k in range(m - 1):
@@ -255,6 +259,8 @@ def _descending_chains(m: int, n: int, log_atom: exact.Atom,
     -(-1)^y W F_y log^(m-y)(1-x) (x^-(i_y-1) - 1) - (-1)^y W F_(y+1) A(m-y-1,1,x).
     B(m,n,x) = (-1)^(n+1) A(m,n,-x): -x turns log(1-x) into log(1+x),
     x^-(i_y-1) into (-1)^(i_y-1) x^-(i_y-1) and A(k,1,-x) into B(k,1,x).
+    For n > m (C's chains only) the layers past y = m and the base past
+    y = m-1 have F = 0 and are left out.
     """
     if n == 1:
         return base(m)
@@ -263,12 +269,15 @@ def _descending_chains(m: int, n: int, log_atom: exact.Atom,
     acc = Accumulator()
     for y, layer in enumerate(_descending_weights(n)):
         f_y, f_y1 = _falling(m, y), _falling(m, y + 1)
+        if not f_y:
+            break
         for tail, w in layer.items():
             acc.add(w * f_y * (-1) ** (y + 1) * sign ** (n + tail),
                     (log_atom, m - y), (exact.x_pow(1 - tail), 1), den=den)
         w = sum(layer.values())
         acc.add(flip * w * f_y * (-1) ** y, (log_atom, m - y), den=den)
-        acc.add_form(base(m - y - 1), flip * w * f_y1 * (-1) ** (y + 1), den)
+        if f_y1:
+            acc.add_form(base(m - y - 1), flip * w * f_y1 * (-1) ** (y + 1), den)
     return acc.form()
 
 
@@ -328,17 +337,17 @@ def B_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
 
 
 def C_general(m: int, n: int, x: EvalPoint = 1) -> ClosedForm:
-    """integral_0^x of log^m(t)/(1-t)^n dt for m >= n; it diverges at
+    """integral_0^x of log^m(t)/(1-t)^n dt for m, n >= 1; it diverges at
     x = 1 for n > m.
 
     Derived from A by t -> 1-t for every n >= 1:
     C(m,n,x) = A(m,n,1) - A(m,n,1-x), the x -> 1- limit of A's symbolic
-    form minus its x -> 1-x image (_c_symbolic).
+    form minus its x -> 1-x image (_c_symbolic).  For n > m, A(m,n,.)
+    diverges at 0, but its symbolic form is still an antiderivative with a
+    finite limit at 1, and only that difference is taken.
     """
     x = _require_point("x", x)
     C_domain(m, n, x)
-    if n > m:  # C converges below 1, but has no closed form
-        raise ParameterError(f"C(m,n,x) at x < 1 needs m >= n, got m={m}, n={n}")
     return _at_point(_c_symbolic, (m, n), x)
 
 

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .errors import DivergentAtOne, UnsupportedAtom
+from .errors import NonIntegrable, ParameterError
 
 RationalLike = Union[int, Fraction]
 
@@ -106,10 +106,10 @@ VOCABULARY = {kind: AtomKind(i, *row) for i, (kind, *row) in enumerate((
 CONSTANT_KINDS = frozenset(kind for kind, row in VOCABULARY.items() if row.constant)
 
 
-def _args_error(kind: str, args: tuple) -> UnsupportedAtom:
+def _args_error(kind: str, args: tuple) -> ParameterError:
     wants = ", ".join("nonzero" if low is NONZERO else f">= {low}"
                       for low in VOCABULARY[kind].minimums)
-    return UnsupportedAtom(f"{kind} takes int arguments ({wants}), got {args!r}")
+    return ParameterError(f"{kind} takes int arguments ({wants}), got {args!r}")
 
 
 _KINDS = tuple(VOCABULARY)  # VOCABULARY index -> kind
@@ -126,7 +126,7 @@ class Atom(tuple):
     def __new__(cls, kind: str, args: tuple[int, ...] = ()) -> "Atom":
         row = VOCABULARY.get(kind)
         if row is None:
-            raise UnsupportedAtom(f"unknown atom kind {kind!r}")
+            raise ParameterError(f"unknown atom kind {kind!r}")
         args = tuple(args)
         if len(args) != len(row.minimums):
             raise _args_error(kind, args)
@@ -497,8 +497,8 @@ def _subst_atom(atom: Atom) -> Atom:
         return atom
     try:
         return _atom(image, atom.args)
-    except UnsupportedAtom:  # no image kind, or one that refuses the arguments
-        raise UnsupportedAtom(f"{atom!r} has no x -> 1-x image in the vocabulary") from None
+    except ParameterError:  # no image kind, or one that refuses the arguments
+        raise ParameterError(f"{atom!r} has no x -> 1-x image in the vocabulary") from None
 
 
 def subst_one_minus_x(form: ClosedForm) -> ClosedForm:
@@ -544,7 +544,7 @@ def limit(form: ClosedForm, at: int) -> ClosedForm:
     and q > 0 are summed per (those factors, q): a sum whose coefficients
     cancel is O(u^e log(u)^q) and vanishes, as Li_1(x) + log(1-x) and
     (x^-k - 1) log^j(1-x) do at 1.  A term with p < 0, or such a sum that
-    does not cancel, raises DivergentAtOne naming a term and the end.  A
+    does not cancel, raises NonIntegrable naming a term and the end.  A
     form with no x-dependent atom is its own limit, and is returned as is.
     """
     if type(at) is not int or at not in (0, 1):
@@ -585,7 +585,7 @@ def limit(form: ClosedForm, at: int) -> ClosedForm:
     for coeff, term in divergent.values():
         if coeff:
             end = ("x -> 0+", "x -> 1-")[at]
-            raise DivergentAtOne(f"term {compact(ClosedForm((term,)))!r} diverges as {end}")
+            raise NonIntegrable(f"term {compact(ClosedForm((term,)))!r} diverges as {end}")
     return out.form()
 
 

@@ -42,7 +42,7 @@ from typing import Optional, Union
 from mpmath import libmp, mp, mpf
 
 from . import exact
-from .errors import DivergentValue, InvalidOrder, NonConvergent, ParameterError
+from .errors import NoConvergence, NonIntegrable, ParameterError
 
 GUARD_DIGITS = 10
 
@@ -66,7 +66,7 @@ def frac_mpf(q: Number) -> mpf:
 def zeta_value(s: int, digits: int = 30) -> mpf:
     """Riemann zeta at an integer s >= 2, from mpmath's zeta."""
     if not isinstance(s, int) or s < 2:
-        raise InvalidOrder(f"zeta_value requires integer s >= 2, got {s!r}")
+        raise ParameterError(f"zeta_value requires integer s >= 2, got {s!r}")
     with mp.workdps(digits + GUARD_DIGITS):
         return mp.zeta(s)
 
@@ -80,9 +80,9 @@ _harmonic_tables: dict[int, list[Fraction]] = {}
 def harmonic_value(n: int, m: int = 1) -> Fraction:
     """Generalized harmonic number H_n^(m) as an exact rational."""
     if not isinstance(n, int) or n < 0:
-        raise InvalidOrder(f"harmonic_value requires integer n >= 0, got {n!r}")
+        raise ParameterError(f"harmonic_value requires integer n >= 0, got {n!r}")
     if not isinstance(m, int) or m < 1:
-        raise InvalidOrder(f"harmonic_value requires integer m >= 1, got {m!r}")
+        raise ParameterError(f"harmonic_value requires integer m >= 1, got {m!r}")
     table = _harmonic_tables.setdefault(m, [Fraction(0)])
     for k in range(len(table), n + 1):
         table.append(table[-1] + Fraction(1, k**m))
@@ -250,7 +250,7 @@ def polylog_value(k: int, t, digits: int = 30) -> mpf:
     atom values in `_atom_cache`, and a quadrature node keeps its run.
     """
     if not isinstance(k, int) or k < 0:
-        raise InvalidOrder(f"polylog_value requires integer k >= 0, got {k!r}")
+        raise ParameterError(f"polylog_value requires integer k >= 0, got {k!r}")
     rational = isinstance(t, (int, Fraction))
     with mp.workdps(digits + GUARD_DIGITS):
         if rational:
@@ -264,7 +264,7 @@ def polylog_value(k: int, t, digits: int = 30) -> mpf:
         if comp == 0:
             if k >= 2:
                 return zeta_value(k, digits)
-            raise DivergentValue(f"Li_{k}(1) diverges")
+            raise NonIntegrable(f"Li_{k}(1) diverges")
         return mp.make_mpf(_polylog_orders(k, t if rational else tv._mpf_, comp._mpf_, k)[0])
 
 
@@ -352,9 +352,9 @@ def euler_sum_value(p: int, q: int, digits: int = 30) -> mpf:
     units, 2^-(prec+6), in all, and relative as S_{p,q} >= 1.
     """
     if not isinstance(p, int) or p < 1:
-        raise InvalidOrder(f"euler_sum_value requires integer p >= 1, got {p!r}")
+        raise ParameterError(f"euler_sum_value requires integer p >= 1, got {p!r}")
     if not isinstance(q, int) or q < 2:
-        raise InvalidOrder(f"euler_sum_value requires integer q >= 2, got {q!r}")
+        raise ParameterError(f"euler_sum_value requires integer q >= 2, got {q!r}")
     with mp.workdps(digits + GUARD_DIGITS + 5):
         n_cut = p + q + 2 * mp.prec
         shift = mp.prec + 2 * n_cut.bit_length() + 8
@@ -490,7 +490,7 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
     `x` is the evaluation point as an exact rational in (0, 1]; it may be
     omitted for constant forms.  At x = 1 the form is first replaced by
     exact.limit(form, 1), so removable factors and divergences that cancel
-    drop out exactly and genuinely divergent forms raise DivergentAtOne.
+    drop out exactly and genuinely divergent forms raise NonIntegrable.
 
     Each distinct atom and atom power is computed once per (x, digits), a
     constant one once per digits, whatever the number of terms, forms and
@@ -503,7 +503,7 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
     A total of exactly 0 counts as every working digit lost, and extra
     becomes digits + extra + GUARD_DIGITS; so a form whose value is exactly
     0 but which is not structurally zero never settles.  Past
-    MAX_EXTRA_DIGITS extra digits the loop raises NonConvergent instead of
+    MAX_EXTRA_DIGITS extra digits the loop raises NoConvergence instead of
     returning noise.  The accepted total is rounded to the pass's precision,
     then to that of digits + GUARD_DIGITS.
     """
@@ -528,7 +528,7 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
             while abs(total) * 10**extra < magnitude:
                 extra += 1
         if extra > MAX_EXTRA_DIGITS:
-            raise NonConvergent(
+            raise NoConvergence(
                 f"the terms of the form cancel past {MAX_EXTRA_DIGITS} extra digits")
     value = libmp.from_man_exp(total, unit, prec, _RND)
     return mp.make_mpf(libmp.mpf_pos(value, libmp.dps_to_prec(digits + GUARD_DIGITS), _RND))

@@ -13,8 +13,7 @@ order, as an exact pair (man, exp) of ints, man signed, for man * 2^exp.
 A `Node` is one point t with its distances dm = t - a and dp = b - t, and
 the values the families need at t (1 - t, log t, log(1 - t), log(1 + t),
 log(dp) and a run of polylog orders), each a raw libmp value computed by
-libmp calls on first use and kept; `pointwise` makes an integrand of a
-function that reads them and returns an mpf.  A `Level` holds its nodes
+libmp calls on first use and kept.  A `Level` holds its nodes
 and their weights, and builds on first use one list per (node value,
 exponent) -- log(1 - t)^m, t^-n and so on -- and one per polylog order,
 each entry an exact pair, so every case on that interval and precision
@@ -167,13 +166,6 @@ class Level:
         return values
 
 
-def pointwise(fn: Callable[[Node], mpf]) -> Integrand:
-    """The integrand that calls fn(node) -> mpf at each node of a level, fn
-    reading the node's raw libmp values, and takes each value as an exact
-    pair (man, exp).  Raises NonIntegrable if a value is inf or nan."""
-    return lambda level: [_exact(fn(node)._mpf_) for node in level.nodes]
-
-
 # (mp.prec, level) -> [(sigma, 1 - sigma, unit weight), ...], sigma the node
 # position on [0, 1] (raw) and the weight an exact pair; level 0 holds k = 0,
 # 1, 2, ..., higher levels the new (odd) nodes.  Both sigma and 1 - sigma
@@ -269,8 +261,7 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     `prec` (bits).  Any callable that takes a Level and returns the
     integrand's value at each of its nodes, in node order, as an exact pair
     (man, exp) of ints for man * 2^exp is an integrand (a list of another
-    length raises ValueError); `pointwise` makes one of a function of one
-    node.  Each level is summed by numerics._floor_to_unit and rounded
+    length raises ValueError).  Each level is summed by numerics._floor_to_unit and rounded
     once (`_level_sum`).  The estimates and stop test run in mpmath.libmp
     at the working precision, halving and 2^-level as exact shifts, with
     float log10s (`_log10`); only the accepted estimate becomes an mpf.
@@ -284,8 +275,8 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     - the level is at least 3 and the estimate two levels back differs,
     - the last relative difference is at most 10^-(digits // 2), and
     - the predicted error is below 10^-(digits + 3).
-    Raises NonIntegrable if an integrand value is inf or nan (see
-    `pointwise`), and NoConvergence if max_level is hit.
+    Raises NonIntegrable if an integrand value is inf or nan, and
+    NoConvergence if max_level is hit.
     """
     a, b = Fraction(spec.a), Fraction(spec.b)
     if b < a:

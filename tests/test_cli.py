@@ -10,7 +10,7 @@ import pytest
 
 import plint
 from plint import cli, exact
-from plint.errors import ParameterError
+from plint.errors import NoConvergence, ParameterError
 
 # the directory this test run imports plint from, so the subprocesses run the
 # same code whether or not the package is installed
@@ -62,11 +62,11 @@ class TestEval:
         assert out.stdout.endswith(" = -0.2500000002\n")
 
     def test_order_violation_exits_two(self):
-        # C(1,2,1/2) converges, but C's closed form needs m >= n
-        out = run_cli("eval", "--family", "C", "--m", "1", "--n", "2", "--x", "0.5")
+        # C needs m >= 1
+        out = run_cli("eval", "--family", "C", "--m", "0", "--n", "1")
         assert out.returncode == 2
         assert out.stdout == ""
-        assert out.stderr.startswith("error:")
+        assert out.stderr == "error: m must be >= 1, got 0\n"
 
     def test_divergent_order_exits_three(self):
         # log(1-t)/t^2 diverges at 0, as the oracle finds too
@@ -84,6 +84,20 @@ class TestEval:
         out = run_cli("eval", "--family", "S", "--p", "2", "--q", "1")
         assert out.returncode == 3
         assert "diverges" in out.stderr
+
+    def test_exhausted_budget_exits_two(self, monkeypatch, capsys):
+        # a numeric scheme that runs out of its budget is not a divergence
+        message = "the terms of the form cancel past 500 extra digits"
+
+        def exhausted(*args):
+            raise NoConvergence(message)
+
+        monkeypatch.setattr(cli, "numeric_eval", exhausted)
+        monkeypatch.delenv("PLINT_DIGITS", raising=False)
+        assert cli.main(["eval", "--family", "A", "--m", "2", "--n", "1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
 
     def test_deep_cancellation_is_pinned(self):
         # the terms cancel 93 digits; the value is 1.89e-11, which a single

@@ -489,16 +489,23 @@ class TestGeneralFamilies:
         assert abs(got) < mpf("1e-3")
 
     def test_m_below_n_rejected(self):
-        # for n > m, A and B diverge at 0 and C at 1; below 1, C converges
-        # but has no closed form
+        # for n > m, A and B diverge at 0 and C at 1
         for fn in (ev.A_general, ev.B_general, ev.C_general):
             with pytest.raises(NonIntegrable):
                 fn(2, 3)
         for fn in (ev.A_general, ev.B_general):
             with pytest.raises(NonIntegrable):
                 fn(2, 3, HALF)
-        with pytest.raises(ParameterError):
-            ev.C_general(2, 3, HALF)
+
+    def test_c_with_n_above_m_matches_the_oracle_below_one(self):
+        # below 1, C converges for every n; for n > m its form is the
+        # difference of an antiderivative that diverges at 0
+        for m in range(1, 7):
+            for n in range(m + 1, m + 7):
+                for x in (QUARTER, Fraction(1, 3), HALF, Fraction(9, 10)):
+                    got = numeric_eval(ev.C_general(m, n, x), x=x, digits=30)
+                    want = oracle_value("C", (m, n), x, digits=30)
+                    assert close(got, want, "1e-29"), (m, n, x)
 
 
 class TestJ0:
