@@ -9,10 +9,9 @@ On top of the reductions sit the base values
 
     K(m, 0, q) = m! (-1)^m (S(q, m+1) - zeta(m+q+1))
 
-for the log-weighted polylogarithm integrals, a cross-recurrence tying
-K(r,0,q) to K(q-1,0,r+1) that serves purely as a second route for
-verification, and two exact harmonic-number identities checked by the
-test suites in rational arithmetic.
+for the log-weighted polylogarithm integrals, and two exact
+harmonic-number identities checked by the test suites in rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -140,27 +139,6 @@ def _add_k_base(acc: exact.Accumulator, m: int, q: int, coeff: int) -> None:
     coeff *= (-1) ** m
     _add_s(acc, q, m + 1, coeff)
     acc.add(-coeff, (exact.zeta(m + q + 1), 1))
-
-
-def freitas_K0_recurrence(r: int, q: int) -> ClosedForm:
-    """K(r,0,q) through the cross-recurrence, as an independent route:
-
-    K(r,0,q) = (-1)^(r+q) r!/(q-1)! K(q-1,0,r+1)
-               + (-1)^r r! (zeta(r+1) zeta(q) - zeta(r+q+1)).
-
-    The residual on the second line is forced by the symmetry relation
-    S(a,b) + S(b,a) = zeta(a)zeta(b) + zeta(a+b); anything else breaks
-    weight homogeneity.  Exists solely for cross-checking K_base, so the
-    right-hand K value is taken from K_base directly.
-    """
-    _require_int("r", r, 1)
-    _require_int("q", q, 2)
-    swapped = K_base(q - 1, r + 1).scale(
-        Fraction((-1) ** (r + q) * math.factorial(r), math.factorial(q - 1))
-    )
-    residual = (exact.monomial(1, (exact.zeta(r + 1), 1), (exact.zeta(q), 1))
-                - ClosedForm.of(exact.zeta(r + q + 1)))
-    return swapped + residual.scale((-1) ** r * math.factorial(r))
 
 
 def _alt_binomial_harmonic(n: int) -> Fraction:

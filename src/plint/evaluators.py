@@ -8,7 +8,7 @@ fixed atom vocabulary.  Two conventions hold throughout:
   x = 0 its x -> 0+ limit (exact.limit).
 * Harmonic numbers are expanded to exact rationals on the way out, so the
   same value always has the same spelling and structural comparison between
-  independent routes is meaningful.
+  independent routes is meaningful; the vocabulary has no harmonic atom.
 
 Of the logarithm families only L, the n = 1 bases of A and B and A's chains
 are written out; the rest are their images by substitution.  t -> 1-t gives
@@ -227,10 +227,12 @@ def _b_base_symbolic(m: int) -> ClosedForm:
     return acc.form()
 
 
-def _descending_weights(n: int) -> list[dict[int, int]]:
-    """For each length y = 0 .. n-2, the summed weight 1/(n-1) prod_j 1/(i_j - 1)
-    of the descending chains n > i_1 > ... > i_y >= 2, keyed by the last index
-    (n for the empty chain), times (n-1)!.
+def _descending_weights(n: int) -> Iterator[dict[int, int]]:
+    """For each length y = 0 .. n-2 in turn, the summed weight
+    1/(n-1) prod_j 1/(i_j - 1) of the descending chains n > i_1 > ... > i_y >= 2,
+    keyed by the last index (n for the empty chain), times (n-1)!.  Each
+    layer is built when it is asked for, so a reader that stops early
+    builds no more.
 
     A chain ending at t extends any chain ending above t, so
     W_y[t] = sum_{u > t} W_(y-1)[u] / (t-1), one suffix sum per length.  The
@@ -238,16 +240,16 @@ def _descending_weights(n: int) -> list[dict[int, int]]:
     i_j in 2..n-1 have a product dividing (n-2)!, so each suffix sum divides
     exactly by t-1.
     """
-    layers = [{n: math.factorial(n - 2)}]
+    layer = {n: math.factorial(n - 2)}
+    yield layer
     for _ in range(n - 2):
         above = 0
-        layer = {}
+        prev, layer = layer, {}
         for t in range(n - 1, 1, -1):
-            above += layers[-1].get(t + 1, 0)
+            above += prev.get(t + 1, 0)
             if above:
                 layer[t] = above // (t - 1)
-        layers.append(layer)
-    return layers
+        yield layer
 
 
 def _descending_chains(m: int, n: int, log_atom: exact.Atom,
@@ -260,7 +262,7 @@ def _descending_chains(m: int, n: int, log_atom: exact.Atom,
     B(m,n,x) = (-1)^(n+1) A(m,n,-x): -x turns log(1-x) into log(1+x),
     x^-(i_y-1) into (-1)^(i_y-1) x^-(i_y-1) and A(k,1,-x) into B(k,1,x).
     For n > m (C's chains only) the layers past y = m and the base past
-    y = m-1 have F = 0 and are left out.
+    y = m-1 have F = 0 and are left out, and those layers are never built.
     """
     if n == 1:
         return base(m)
@@ -382,15 +384,12 @@ def _j1_zero_symbolic(m: int) -> ClosedForm:
     """integral_0^x of log^m(t) Li_0(t) dt, with Li_0(t) = t/(1-t).
 
     Assembled as -L(0,m,x) + C(m,1,x).  Its x -> 1- limit is finite for
-    m >= 1; for m = 0 the -log(1-x) piece is uncancelled (J1_domain refuses it).
+    m >= 1; for m = 0, C(0,1,x) = -log(1-x) is uncancelled (J1_domain
+    refuses it).
     """
     acc = Accumulator()
-    if m == 0:  # -L(0,0,x) + C(0,1,x), C(0,1,x) = -log(1-x)
-        acc.add(-1, (exact.log_1mx(), 1))
-        acc.add(-1, (exact.x_pow(1), 1))
-    else:
-        acc.add_form(_c_symbolic(m, 1))
-        acc.add_form(_l_symbolic(0, m), -1)
+    acc.add_form(_c_symbolic(m, 1))
+    acc.add_form(_l_symbolic(0, m), -1)
     return acc.form()
 
 

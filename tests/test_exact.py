@@ -35,12 +35,14 @@ class TestAtomValidation:
             ex.euler_sum(2, 1)
 
     def test_power_zero_rejected(self):
-        for factory in (ex.x_pow, ex.one_minus_x_pow, ex.one_plus_x_pow):
+        for factory in (ex.x_pow, ex.one_minus_x_pow):
             with pytest.raises(ParameterError, match=r"takes int arguments \(nonzero\), got \(0,\)"):
                 factory(0)
 
-    def test_li_x_zero_and_one_allowed(self):
-        assert ex.li_x(0).args == (0,)
+    def test_li_x_below_one_rejected(self):
+        # Li_0(x) is spelled x (1-x)^-1
+        with pytest.raises(ParameterError, match=r"LiX takes int arguments \(>= 1\), got \(0,\)"):
+            ex.li_x(0)
         assert ex.li_x(1).args == (1,)
 
     def test_li_1mx_below_two_rejected(self):
@@ -56,20 +58,20 @@ class TestAtomValidation:
         # would hand back the cached atom instead of refusing them
         assert ex.zeta(2) is ex.zeta(2) and ex.x_pow(1) is ex.x_pow(1)
         for factory, bad in ((ex.zeta, 2.0), (ex.x_pow, True), (ex.x_pow, 1.0),
-                             (ex.li_x, False), (ex.zeta, [2])):
+                             (ex.li_x, True), (ex.zeta, [2])):
             with pytest.raises(ParameterError, match=r"takes int arguments .*, got \("):
                 factory(bad)
-        with pytest.raises(ParameterError, match=r"Harmonic takes int arguments .*, got \(True, 1\)"):
-            ex.harmonic(True, 1)
-        ex.harmonic(1, 1)
-        with pytest.raises(ParameterError, match=r"Harmonic takes int arguments .*, got \(1, True\)"):
-            ex.harmonic(1, True)
+        with pytest.raises(ParameterError, match=r"EulerSum takes int arguments .*, got \(True, 2\)"):
+            ex.euler_sum(True, 2)
+        ex.euler_sum(1, 2)
+        with pytest.raises(ParameterError, match=r"EulerSum takes int arguments .*, got \(1, 2.0\)"):
+            ex.euler_sum(1, 2.0)
 
 
 class TestAtomTuple:
     """An atom is the plain tuple (VOCABULARY index, args)."""
 
-    ATOMS = [ex.zeta(3), ex.log_two(), ex.harmonic(4, 2), ex.euler_sum(2, 4),
+    ATOMS = [ex.zeta(3), ex.log_two(), ex.euler_sum(2, 4),
              ex.x_pow(-2), ex.li_inv_1px(5)]
 
     def test_fields(self):
@@ -105,7 +107,7 @@ class TestCanonicalization:
 
     def test_cancellation_gives_zero(self):
         a = cf_atom(ex.zeta(2))
-        assert (a - a).is_zero
+        assert not (a - a)
         assert (a - a) == ex.ZERO
 
     def test_factor_order_is_immaterial(self):
@@ -115,7 +117,7 @@ class TestCanonicalization:
         assert ex.ClosedForm((t1,)) == p
 
     def test_zero_coeff_dropped(self):
-        assert ex.ClosedForm.number(0).is_zero
+        assert not ex.ClosedForm.number(0)
 
     def test_terms_sorted_deterministically(self):
         f = cf_atom(ex.li_x(2)) + ex.ONE + cf_atom(ex.zeta(2))
@@ -137,22 +139,10 @@ class TestRingOps:
         want = cf_atom(ex.zeta(2), 2) - cf_atom(ex.log_x(), 2)
         assert a * b == want
 
-    def test_pow(self):
-        f = cf_atom(ex.log_1mx()) + ex.ONE
-        assert f ** 0 == ex.ONE
-        assert f ** 2 == f * f
-        assert f ** 3 == f * f * f
-
     def test_scale(self):
         f = cf_atom(ex.zeta(3), coeff=3)
         assert f.scale(Fraction(1, 3)) == cf_atom(ex.zeta(3))
-        assert f.scale(0).is_zero
-
-    def test_rational_value(self):
-        assert ex.ClosedForm.number(Fraction(-3, 7)).rational_value() == Fraction(-3, 7)
-        assert ex.ZERO.rational_value() == 0
-        with pytest.raises(ValueError):
-            cf_atom(ex.zeta(2)).rational_value()
+        assert not f.scale(0)
 
 
 # Small strategy over closed forms: a handful of atoms, tiny exponents and
@@ -190,8 +180,8 @@ class TestRingAxioms:
 
     @given(_FORMS)
     def test_additive_inverse(self, a):
-        assert (a - a).is_zero
-        assert (a + (-a)).is_zero
+        assert not (a - a)
+        assert not (a + (-a))
 
     @given(_FORMS)
     def test_one_is_identity(self, a):
@@ -207,14 +197,13 @@ class TestSubstOneMinusX:
                      + cf_atom(ex.li_1mx(4)) + cf_atom(ex.zeta(5)))
 
     def test_rejects_one_plus_x_atoms(self):
-        for atom in (ex.log_1px(), ex.one_plus_x_pow(2), ex.li_inv_1px(3)):
+        for atom in (ex.log_1px(), ex.li_inv_1px(3)):
             with pytest.raises(ParameterError, match="has no x -> 1-x image in the vocabulary"):
                 ex.subst_one_minus_x(cf_atom(atom))
 
     def test_rejects_low_order_li(self):
-        for k in (0, 1):
-            with pytest.raises(ParameterError, match="has no x -> 1-x image in the vocabulary"):
-                ex.subst_one_minus_x(cf_atom(ex.li_x(k)))
+        with pytest.raises(ParameterError, match="has no x -> 1-x image in the vocabulary"):
+            ex.subst_one_minus_x(cf_atom(ex.li_x(1)))
 
     @given(_FORMS)
     def test_involution(self, f):
@@ -239,8 +228,8 @@ class TestEvalAtOne:
         assert ex.limit(cf_atom(ex.li_x(4)), 1) == cf_atom(ex.zeta(4))
 
     def test_one_plus_x_atoms(self):
-        f = cf_atom(ex.log_1px()) * cf_atom(ex.one_plus_x_pow(-2)) * cf_atom(ex.li_inv_1px(3))
-        want = cf_atom(ex.log_two(), coeff=Fraction(1, 4)) * cf_atom(ex.li_at_half(3))
+        f = cf_atom(ex.log_1px()) * cf_atom(ex.li_inv_1px(3))
+        want = cf_atom(ex.log_two()) * cf_atom(ex.li_at_half(3))
         assert ex.limit(f, 1) == want
 
     def test_lead_merges_into_a_constant_factor(self):
@@ -254,10 +243,10 @@ class TestEvalAtOne:
     def test_vanishing_term_dropped(self):
         # z2 - x * Li_2(x) -> z2 - z2 = 0?  No: x*Li2 -> Li2 -> z2, kept.
         f = cf_atom(ex.zeta(2)) - cf_atom(ex.x_pow(1)) * cf_atom(ex.li_x(2))
-        assert ex.limit(f, 1).is_zero
+        assert not ex.limit(f, 1)
         # (1-x) * log x -> order 2, drops
         g = cf_atom(ex.one_minus_x_pow(1)) * cf_atom(ex.log_x())
-        assert ex.limit(g, 1).is_zero
+        assert not ex.limit(g, 1)
 
     def test_log_x_against_pole_leaves_sign(self):
         # log(x)/(1-x) -> -1 as x -> 1
@@ -269,14 +258,15 @@ class TestEvalAtOne:
 
     def test_li_1mx_vanishes(self):
         f = cf_atom(ex.li_1mx(3)) * cf_atom(ex.zeta(2))
-        assert ex.limit(f, 1).is_zero
+        assert not ex.limit(f, 1)
 
     def test_li_zero_is_pole(self):
-        with pytest.raises(NonIntegrable, match=r"term 'Li0\(x\)' diverges as x -> 1-"):
-            ex.limit(cf_atom(ex.li_x(0)), 1)
-        # but x * Li_0(x) * (1-x) is finite: (1-x) cancels the pole
-        f = cf_atom(ex.x_pow(1)) * cf_atom(ex.li_x(0)) * cf_atom(ex.one_minus_x_pow(1))
-        assert ex.limit(f, 1) == ex.ONE
+        # Li_0(x), spelled x (1-x)^-1
+        li_0 = cf_atom(ex.x_pow(1)) * cf_atom(ex.one_minus_x_pow(-1))
+        with pytest.raises(NonIntegrable, match=r"term 'x\*\(1-x\)\^-1' diverges as x -> 1-"):
+            ex.limit(li_0, 1)
+        # but Li_0(x) * (1-x) is finite: (1-x) cancels the pole
+        assert ex.limit(li_0 * cf_atom(ex.one_minus_x_pow(1)), 1) == ex.ONE
 
     def test_bare_log_1mx_diverges(self):
         with pytest.raises(NonIntegrable, match="term 'l1mx' diverges as x -> 1-"):
@@ -286,13 +276,13 @@ class TestEvalAtOne:
 
     def test_log_1mx_killed_by_zero(self):
         f = cf_atom(ex.log_1mx(), 3) * cf_atom(ex.one_minus_x_pow(1))
-        assert ex.limit(f, 1).is_zero
+        assert not ex.limit(f, 1)
 
     def test_divergences_cancel_across_spellings(self):
         # Li_1(x) = -log(1-x) exactly, and x^-2 = 1 + O(1-x)
-        assert ex.limit(cf_atom(ex.li_x(1)) + cf_atom(ex.log_1mx()), 1).is_zero
+        assert not ex.limit(cf_atom(ex.li_x(1)) + cf_atom(ex.log_1mx()), 1)
         f = cf_atom(ex.x_pow(-2)) * cf_atom(ex.log_1mx()) - cf_atom(ex.log_1mx())
-        assert ex.limit(f, 1).is_zero
+        assert not ex.limit(f, 1)
         # the finite terms beside them are kept
         g = f * cf_atom(ex.log_1mx()) + cf_atom(ex.li_x(3), coeff=2)
         assert ex.limit(g, 1) == cf_atom(ex.zeta(3), coeff=2)
@@ -303,7 +293,7 @@ class TestEvalAtOne:
         log_u, unit = ((ex.log_1mx(), ex.x_pow(-1)) if at == 1
                        else (ex.log_x(), ex.one_minus_x_pow(-1)))
         cancels = cf_atom(log_u) - cf_atom(unit) * cf_atom(log_u)
-        assert ex.limit(cancels, at).is_zero
+        assert not ex.limit(cancels, at)
         # log^2 u spelled two ways, added: the sum 2 log^2 u does not cancel
         square = cf_atom(log_u, 2)
         f = cancels + square + square * cf_atom(unit)
@@ -336,7 +326,7 @@ class TestEvalAtOne:
 
 class TestLimitAtZero:
     def test_log_x_times_x_vanishes(self):
-        assert ex.limit(cf_atom(ex.log_x()) * cf_atom(ex.x_pow(1)), 0).is_zero
+        assert not ex.limit(cf_atom(ex.log_x()) * cf_atom(ex.x_pow(1)), 0)
 
     def test_li_1mx_becomes_zeta(self):
         for k in (2, 5):
@@ -358,7 +348,7 @@ class TestLimitAtZero:
         for family, grid in grids.items():
             for params in grid:
                 form = closed_form(family, params, third)
-                assert ex.limit(form, 0).is_zero, (family, params)
+                assert not ex.limit(form, 0), (family, params)
                 count += 1
         assert count == 897
 
@@ -431,32 +421,30 @@ class TestCompact:
         assert ex.compact(g) == "x"
 
     def test_named_atoms(self):
-        f = (cf_atom(ex.harmonic(5, 2)) * cf_atom(ex.euler_sum(2, 2))
+        f = (cf_atom(ex.euler_sum(2, 2))
              * cf_atom(ex.li_at_half(4)) * cf_atom(ex.log_two())
              * cf_atom(ex.li_inv_1px(2)) * cf_atom(ex.log_1px()))
-        assert ex.compact(f) == "l2*Li4(h)*H(5,2)*S(2,2)*l1px*Li2(1/(1+x))"
+        assert ex.compact(f) == "l2*Li4(h)*S(2,2)*l1px*Li2(1/(1+x))"
 
 
 # kind -> its compact spelling from the atom's arguments, written out kind
-# by kind; the three power kinds give their base, the argument joins the
+# by kind; the two power kinds give their base, the argument joins the
 # exponent
 _REFERENCE_SPELLINGS = {
     "Zeta": lambda s: f"z{s}",
     "LogTwo": lambda: "l2",
     "LiAtHalf": lambda k: f"Li{k}(h)",
-    "Harmonic": lambda n, m: f"H({n},{m})",
     "EulerSum": lambda p, q: f"S({p},{q})",
     "LogX": lambda: "lx",
     "Log1mX": lambda: "l1mx",
     "Log1pX": lambda: "l1px",
     "XPow": lambda j: "x",
     "OneMinusXPow": lambda j: "(1-x)",
-    "OnePlusXPow": lambda j: "(1+x)",
     "LiX": lambda k: f"Li{k}(x)",
     "Li1mX": lambda k: f"Li{k}(1-x)",
     "LiInv1pX": lambda k: f"Li{k}(1/(1+x))",
 }
-_POWER_KINDS = {"XPow", "OneMinusXPow", "OnePlusXPow"}
+_POWER_KINDS = {"XPow", "OneMinusXPow"}
 
 
 def reference_factor(atom, exp):

@@ -269,7 +269,7 @@ class TestPolylogOrders:
         calls = self.count_passes(monkeypatch)
         x = Fraction(1, 3)
         every = ex.ZERO
-        for k in range(8):
+        for k in range(1, 8):
             every = every + ex.ClosedForm.of(ex.li_x(k))
         num.numeric_eval(every, x, 30)
         assert calls == [7]
@@ -564,9 +564,8 @@ class TestNumericEval:
         x = Fraction(2, 5)
         f = ex.ONE
         for atom in (ex.log_x(), ex.log_1mx(), ex.log_1px(), ex.x_pow(2),
-                     ex.one_minus_x_pow(-1), ex.one_plus_x_pow(3),
-                     ex.li_x(0), ex.li_x(1), ex.li_x(2), ex.li_1mx(3),
-                     ex.li_inv_1px(2), ex.harmonic(4, 2), ex.euler_sum(1, 2),
+                     ex.one_minus_x_pow(-1), ex.li_x(1), ex.li_x(2), ex.li_1mx(3),
+                     ex.li_inv_1px(2), ex.euler_sum(1, 2),
                      ex.li_at_half(3), ex.log_two()):
             f = f * ex.ClosedForm.of(atom)
         v = num.numeric_eval(f, x, 25)
@@ -589,6 +588,12 @@ class TestNumericEval:
             num.numeric_eval(ex.ONE, Fraction(3, 2))
         with pytest.raises(ParameterError):
             num.numeric_eval(ex.ONE, 0)
+
+    @pytest.mark.parametrize("x", ["abc", float("nan"), float("inf"), [1]],
+                             ids=["text", "nan", "inf", "list"])
+    def test_non_rational_point_rejected(self, x):
+        with pytest.raises(ParameterError, match="x needs a rational value, got "):
+            num.numeric_eval(ex.ONE, x)
 
     def test_cancelling_terms_keep_the_asked_digits(self):
         # 10^25 zeta(2) - r with r = floor(10^25 zeta(2)) - 1: the two terms

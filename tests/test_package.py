@@ -19,8 +19,8 @@ PUBLIC = [
     "NestedSumPlan", "NoConvergence", "NonIntegrable", "ParameterError",
     "PlintError", "all_passed", "build_cases",
     "check_prop2", "compact", "dumps", "euler_sum", "euler_sum_value",
-    "frac_mpf", "freitas_K0_recurrence", "freitas_recurrence_eval",
-    "from_dict", "harmonic", "harmonic_binomial_identity", "harmonic_value",
+    "frac_mpf", "freitas_recurrence_eval", "from_dict",
+    "harmonic_binomial_identity", "harmonic_value",
     "head_log1m_integral", "integrate", "li_at_half", "limit", "loads",
     "log_two", "numeric_eval", "oracle_value", "polylog_value", "reduce_S",
     "reduce_S1", "run_case", "run_suite", "subst_one_minus_x", "to_dict",

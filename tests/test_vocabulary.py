@@ -1,7 +1,8 @@
-"""The atom vocabulary table: every kind it declares can be built, stored,
-rendered, valued and substituted, every x-dependent kind has a leading
-behavior at x -> 0+ and at x -> 1- that mpmath confirms, and the README
-lists exactly the spellings `compact` gives its kinds."""
+"""The atom vocabulary table: every kind it declares is built by some
+family and can be stored, rendered, valued and substituted, every
+x-dependent kind has a leading behavior at x -> 0+ and at x -> 1- that
+mpmath confirms, and the README lists exactly the spellings `compact`
+gives its kinds."""
 
 import re
 from fractions import Fraction
@@ -12,7 +13,9 @@ from mpmath import mp, mpf
 
 from plint import exact as ex
 from plint.errors import ParameterError
+from plint.families import TABLE, closed_form
 from plint.numerics import numeric_eval
+from plint.verification import build_cases
 
 KINDS = list(ex.VOCABULARY)
 
@@ -25,15 +28,13 @@ REFERENCE = {
     "Zeta": ((2,), lambda x: mp.zeta(2)),
     "LogTwo": ((), lambda x: mp.log(2)),
     "LiAtHalf": ((2,), lambda x: mp.polylog(2, mpf(1) / 2)),
-    "Harmonic": ((1, 1), lambda x: mpf(1)),
     "EulerSum": ((2, 4), lambda x: mp.zeta(3) ** 2 - mp.zeta(6) / 3),
     "LogX": ((), lambda x: mp.log(x)),
     "Log1mX": ((), lambda x: mp.log(1 - x)),
     "Log1pX": ((), lambda x: mp.log(1 + x)),
     "XPow": ((1,), lambda x: x),
     "OneMinusXPow": ((1,), lambda x: 1 - x),
-    "OnePlusXPow": ((1,), lambda x: 1 + x),
-    "LiX": ((0,), lambda x: mp.polylog(0, x)),
+    "LiX": ((1,), lambda x: mp.polylog(1, x)),
     "Li1mX": ((2,), lambda x: mp.polylog(2, 1 - x)),
     "LiInv1pX": ((2,), lambda x: mp.polylog(2, 1 / (1 + x))),
 }
@@ -49,11 +50,24 @@ def test_reference_covers_the_table():
     assert list(REFERENCE) == KINDS
 
 
+def test_every_kind_is_built():
+    # every kind is one that some family builds: the oracle suite's members,
+    # and each endpoint family's member again at x = 1/3, use them all; no
+    # form spells Li_0(x), which is x (1-x)^-1
+    atoms = set()
+    for _, family, params, x in build_cases("oracle"):
+        atoms.update(closed_form(family, params, x).atoms())
+        if TABLE[family].endpoint is not None:
+            atoms.update(closed_form(family, params, X).atoms())
+    assert {atom.kind for atom in atoms} == set(KINDS)
+    assert all(atom.args[0] >= 1 for atom in atoms if atom.kind == "LiX")
+
+
 def test_order_is_declaration_order():
     atoms = [ex.Atom(kind, smallest(kind)) for kind in KINDS]
     assert sorted(reversed(atoms)) == atoms
     # within a kind, by arguments
-    atoms = [ex.zeta(2), ex.zeta(5), ex.harmonic(1, 3), ex.harmonic(2, 1),
+    atoms = [ex.zeta(2), ex.zeta(5), ex.euler_sum(1, 3), ex.euler_sum(2, 2),
              ex.x_pow(-3), ex.x_pow(2)]
     assert sorted(reversed(atoms)) == atoms
     assert ex.CONSTANT_KINDS == {k for k in KINDS if ex.VOCABULARY[k].constant}
@@ -116,9 +130,8 @@ LEAD_VALUE = {
     "LiAtHalf": lambda k: mp.polylog(k, mpf(1) / 2),
 }
 
-# LiX's lead at 1 has three branches; REFERENCE's Li_0 takes the first
-MORE_ARGS = {"LiX": [((1,), lambda x: mp.polylog(1, x)),
-                     ((3,), lambda x: mp.polylog(3, x))]}
+# LiX's lead at 1 has two branches; REFERENCE's Li_1 takes the first
+MORE_ARGS = {"LiX": [((3,), lambda x: mp.polylog(3, x))]}
 
 
 def _assert_lead(kind, at):
